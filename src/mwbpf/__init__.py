@@ -26,6 +26,7 @@ from .microstrip import (
     Substrate,
     analyze_coupled,
     analyze_single,
+    check_fit_range,
     conductor_loss,
     dielectric_loss,
     resonator_length,
@@ -61,7 +62,14 @@ from .rfsim import (
     sweep_coupling_matrix,
     sweep_pcl,
 )
-from .design import DesignDocument, load_design, save_design, synthesize_design
+from .design import (
+    DesignDocument,
+    design_layout,
+    load_design,
+    save_design,
+    simulate,
+    synthesize_design,
+)
 from .layout import (
     FilterLayout,
     FoldTooTight,

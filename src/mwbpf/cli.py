@@ -18,40 +18,21 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .coupling import coupling_coefficients
 from .design import (
-    DesignDocument,
+    DEFAULT_ARM_GAP,
+    DEFAULT_OVERLAP,
+    DEFAULT_PLANAR_GAP,
+    design_layout,
     load_design,
     save_design,
+    simulate,
     synthesize_design,
 )
-from .layout import (
-    FilterLayout,
-    FoldTooTight,
-    hairpin_fold,
-    ml_hairpin_layout,
-    multilayer_stackup,
-    pcl_layout,
-    single_layer_stackup,
-    export_svg,
-)
+from .layout import FoldTooTight, export_svg
 from .materials import UnknownMaterial, default_registry
-from .microstrip import (
-    CouplingUnreachable,
-    NoConvergence,
-    Substrate,
-    analyze_coupled,
-    synthesize_single_width,
-    unloaded_q,
-)
+from .microstrip import CouplingUnreachable, NoConvergence
 from .prototype import FilterSpec, UnsatisfiableSpec
-from .rfsim import (
-    BandEdgeOutOfRange,
-    FrequencySweep,
-    extract_metrics,
-    sweep_coupling_matrix,
-    sweep_pcl,
-)
+from .rfsim import BandEdgeOutOfRange, FrequencySweep, extract_metrics
 from .touchstone import write_csv, write_touchstone
 
 CONFIG_HELP = """\
@@ -76,10 +57,6 @@ EXIT_UNKNOWN_MATERIAL = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_BAND_EDGE = 5
 EXIT_FOLD = 6
-
-DEFAULT_ARM_GAP = 4.0
-DEFAULT_OVERLAP = 1.0
-DEFAULT_PLANAR_GAP = 1.0
 
 
 def _load_spec_config(path: str) -> tuple[FilterSpec, str]:
@@ -122,42 +99,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _design_metrics(
-    doc: DesignDocument, sub: Substrate, mode: str, lossy: bool, sweep: FrequencySweep
-):
-    if mode == "ml":
-        qu = None
-        if lossy:
-            eps_avg = _mean_eps_eff(doc, sub)
-            qu = unloaded_q(sub, eps_avg, doc.spec.f0)
-        model = coupling_coefficients(
-            doc.prototype, doc.spec.fbw(), doc.spec.f0, qu=qu
-        )
-        return sweep_coupling_matrix(model, sweep, z0=doc.spec.z0)
-    return sweep_pcl(
-        doc.coupling,
-        doc.spec.f0,
-        sweep,
-        mode=mode,
-        dims=doc.dims if mode == "physical" else None,
-        substrate=sub if mode == "physical" else None,
-        lossy=lossy,
-    )
-
-
-def _mean_eps_eff(doc: DesignDocument, sub: Substrate) -> float:
-    vals = []
-    for d in doc.dims:
-        mp = analyze_coupled(d.w, d.s, sub)
-        vals.append((mp.eps_eff_e + mp.eps_eff_o) / 2.0)
-    return sum(vals) / len(vals)
-
-
 def cmd_simulate(args) -> int:
     doc = load_design(args.design)
     sub = default_registry().get(doc.substrate)
     sweep = FrequencySweep(f_start=args.f_start, f_stop=args.f_stop, n_points=args.points)
-    result = _design_metrics(doc, sub, args.mode, args.lossy, sweep)
+    result = simulate(doc, sub, args.mode, sweep, lossy=args.lossy)
 
     comments = (
         f"generated by {doc.tool} ({doc.created})",
@@ -185,46 +131,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _build_pcl_layout(doc: DesignDocument, sub: Substrate) -> FilterLayout:
-    feed_w = synthesize_single_width(doc.spec.z0, sub)
-    return pcl_layout(doc.dims, feed_width=feed_w, stackup=single_layer_stackup(sub))
-
-
-def _build_ml_layout(
-    doc: DesignDocument,
-    sub: Substrate,
-    arm_gap: float,
-    overlap: float,
-    planar_gap: float,
-) -> FilterLayout:
-    n = doc.prototype.n
-    if n != 4:
-        raise FoldTooTight(
-            f"multilayer hairpin layout is defined for 4 resonators, design has {n}"
-        )
-    resonators = []
-    for i in range(1, 5):
-        half_wave = doc.dims[i - 1].l + doc.dims[i].l
-        w = (doc.dims[i - 1].w + doc.dims[i].w) / 2.0
-        resonators.append(hairpin_fold(half_wave, arm_gap, w))
-    return ml_hairpin_layout(
-        resonators, overlap, multilayer_stackup(sub), planar_gap=planar_gap
-    )
-
-
 def cmd_layout(args) -> int:
     doc = load_design(args.design)
     sub = default_registry().get(doc.substrate)
-    if args.kind == "pcl":
-        lay = _build_pcl_layout(doc, sub)
-    else:
-        lay = _build_ml_layout(doc, sub, args.arm_gap, args.overlap, args.planar_gap)
+    geometry = dict(arm_gap=args.arm_gap, overlap=args.overlap, planar_gap=args.planar_gap)
+    lay = design_layout(doc, sub, args.kind, **geometry)
     Path(args.out).write_text(export_svg(lay), encoding="ascii")
     print(f"{args.kind} bounding box: {lay.bounds[0]:.3f} x {lay.bounds[1]:.3f} mm "
           f"(area {lay.area():.1f} mm^2)")
     if args.compare:
-        pcl = _build_pcl_layout(doc, sub)
-        ml = _build_ml_layout(doc, sub, args.arm_gap, args.overlap, args.planar_gap)
+        pcl = design_layout(doc, sub, "pcl")
+        ml = design_layout(doc, sub, "ml", **geometry)
         ratio = ml.area() / pcl.area()
         print(f"area ratio multilayer/edge-coupled = {ratio:.3f}")
     print(f"wrote {args.out}")
@@ -252,15 +169,9 @@ def cmd_compare(args) -> int:
         sub = registry.get(name)
         doc = synthesize_design(spec, sub, created=_created_stamp(args.epoch))
         mode = "physical" if args.mode == "pcl" else "ml"
-        result = _design_metrics(doc, sub, mode, lossy=True, sweep=sweep)
+        result = simulate(doc, sub, mode, sweep, lossy=True)
         m = extract_metrics(result, rl_band=(spec.f_lower, spec.f_upper))
-        if args.mode == "pcl":
-            lay = _build_pcl_layout(doc, sub)
-        else:
-            lay = _build_ml_layout(
-                doc, sub, DEFAULT_ARM_GAP, DEFAULT_OVERLAP, DEFAULT_PLANAR_GAP
-            )
-        rows[name] = (m, lay)
+        rows[name] = (m, design_layout(doc, sub, args.mode))
 
     print(f"{args.mode} filter comparison (lossy simulation)")
     print(f"{'property':<28} {'FR4':>14} {'RO3003':>14}")

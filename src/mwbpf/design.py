@@ -1,4 +1,5 @@
-"""End-to-end synthesis pipeline and the persisted design document.
+"""End-to-end synthesis pipeline, the persisted design document, and the
+simulation and layout policy applied to a design.
 
 A design document bundles everything downstream commands need: the original
 specification, the prototype, the per-section coupling targets, the
@@ -14,15 +15,38 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .coupling import CouplingDesign, CouplingSection, design_coupling
+from .coupling import (
+    CouplingDesign,
+    CouplingSection,
+    coupling_coefficients,
+    design_coupling,
+)
+from .layout import (
+    FilterLayout,
+    FoldTooTight,
+    hairpin_fold,
+    ml_hairpin_layout,
+    multilayer_stackup,
+    pcl_layout,
+    single_layer_stackup,
+)
 from .microstrip import (
     CoupledSectionDims,
     Substrate,
     analyze_coupled,
+    check_fit_range,
     resonator_length,
     synthesize_coupled,
+    synthesize_single_width,
+    unloaded_q,
 )
 from .prototype import ChebyshevPrototype, FilterSpec, design_prototype
+from .rfsim import FrequencySweep, SParamResult, sweep_coupling_matrix, sweep_pcl
+
+# multilayer hairpin layout defaults, mm
+DEFAULT_ARM_GAP = 4.0
+DEFAULT_OVERLAP = 1.0
+DEFAULT_PLANAR_GAP = 1.0
 
 
 @dataclass(frozen=True)
@@ -65,6 +89,84 @@ def synthesize_design(
         substrate=substrate.name,
         tool=f"mwbpf {__version__}",
         created=created,
+    )
+
+
+def simulate(
+    doc: DesignDocument,
+    substrate: Substrate,
+    mode: str,
+    sweep: FrequencySweep,
+    lossy: bool = False,
+) -> SParamResult:
+    """S-parameters of a design.
+
+    ``ideal`` and ``physical`` sweep the edge-coupled cascade (see
+    ``sweep_pcl``). ``ml`` sweeps the coupled-resonator model; with ``lossy``
+    its unloaded Q comes from the mean over sections of the mode-average
+    effective permittivity. Warns ModelValidityWarning for sections outside
+    the coupled-model fit range wherever their dimensions are read
+    (``physical``, and lossy ``ml``).
+    """
+    if mode == "ml":
+        qu = None
+        if lossy:
+            eps = []
+            for d in doc.dims:
+                check_fit_range(d.w, d.s, substrate)
+                mp = analyze_coupled(d.w, d.s, substrate)
+                eps.append((mp.eps_eff_e + mp.eps_eff_o) / 2.0)
+            qu = unloaded_q(substrate, sum(eps) / len(eps), doc.spec.f0)
+        model = coupling_coefficients(
+            doc.prototype, doc.spec.fbw(), doc.spec.f0, qu=qu
+        )
+        return sweep_coupling_matrix(model, sweep, z0=doc.spec.z0)
+    physical = mode == "physical"
+    if physical:
+        for d in doc.dims:
+            check_fit_range(d.w, d.s, substrate)
+    return sweep_pcl(
+        doc.coupling,
+        doc.spec.f0,
+        sweep,
+        mode=mode,
+        dims=doc.dims if physical else None,
+        substrate=substrate if physical else None,
+        lossy=lossy,
+    )
+
+
+def design_layout(
+    doc: DesignDocument,
+    substrate: Substrate,
+    kind: str,
+    arm_gap: float = DEFAULT_ARM_GAP,
+    overlap: float = DEFAULT_OVERLAP,
+    planar_gap: float = DEFAULT_PLANAR_GAP,
+) -> FilterLayout:
+    """Layout of a design: ``pcl`` edge-coupled board with feed lines of the
+    spec's impedance, or ``ml`` multilayer hairpin (order 4 only), each
+    resonator folded from its two quarter-wave sections at their mean width.
+    """
+    if kind == "pcl":
+        feed_w = synthesize_single_width(doc.spec.z0, substrate)
+        return pcl_layout(
+            doc.dims, feed_width=feed_w, stackup=single_layer_stackup(substrate)
+        )
+    if kind != "ml":
+        raise ValueError("kind must be 'pcl' or 'ml'")
+    n = doc.prototype.n
+    if n != 4:
+        raise FoldTooTight(
+            f"multilayer hairpin layout is defined for 4 resonators, design has {n}"
+        )
+    resonators = []
+    for i in range(1, 5):
+        half_wave = doc.dims[i - 1].l + doc.dims[i].l
+        w = (doc.dims[i - 1].w + doc.dims[i].w) / 2.0
+        resonators.append(hairpin_fold(half_wave, arm_gap, w))
+    return ml_hairpin_layout(
+        resonators, overlap, multilayer_stackup(substrate), planar_gap=planar_gap
     )
 
 

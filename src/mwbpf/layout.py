@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from .microstrip import CoupledSectionDims, Substrate
 
 STACKUP_ROLES = ("resonator-top", "core", "resonator-bottom", "epoxy", "ground")
+# metal layers may be 0 mm thick, like the zero-thickness strips of the line models
+COPPER_ROLES = ("resonator-top", "resonator-bottom", "ground")
 
 
 class FoldTooTight(ValueError):
@@ -28,8 +30,8 @@ class StackupLayer:
     def __post_init__(self):
         if self.role not in STACKUP_ROLES:
             raise ValueError(f"unknown stackup role {self.role!r}")
-        if self.thickness <= 0:
-            raise ValueError("layer thickness must be positive")
+        if not (self.thickness > 0 or (self.thickness == 0 and self.role in COPPER_ROLES)):
+            raise ValueError("layer thickness must be positive (copper layers: >= 0)")
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,14 @@ def multilayer_stackup(
     core: Substrate, epoxy_thickness: float = 0.05, epoxy_name: str = "epoxy"
 ) -> Stackup:
     """Ground / epoxy / core-with-metal-on-both-faces, bottom to top."""
-    t = core.t if core.t > 0 else 0.035
     layers = []
     z = 0.0
     for role, material, thick in (
-        ("ground", "copper", t),
+        ("ground", "copper", core.t),
         ("epoxy", epoxy_name, epoxy_thickness),
-        ("resonator-bottom", "copper", t),
+        ("resonator-bottom", "copper", core.t),
         ("core", core.name, core.h),
-        ("resonator-top", "copper", t),
+        ("resonator-top", "copper", core.t),
     ):
         layers.append(StackupLayer(role=role, material=material, thickness=thick, z_offset=z))
         z += thick
@@ -71,7 +72,7 @@ def multilayer_stackup(
 
 
 def single_layer_stackup(core: Substrate) -> Stackup:
-    t = core.t if core.t > 0 else 0.035
+    t = core.t
     return Stackup(
         layers=(
             StackupLayer("ground", "copper", t, 0.0),

@@ -4,8 +4,8 @@ Single lines use the Hammerstad-Jensen closed forms (the qucs/ADS lineage),
 optionally corrected for dispersion with the Kirschning-Jansen single-line
 model. Coupled pairs use the Kirschning-Jansen static even/odd-mode fits,
 which reduce to the same single-line forms as the gap opens. Synthesis
-inverts the coupled model with a damped 2-D Newton iteration in log space,
-falling back to coordinate bisection.
+inverts the coupled model with a damped 2-D Newton iteration in log space.
+The models are pure; ``check_fit_range`` is the separate validity step.
 
 Dimensions are millimeters at every interface; frequencies GHz.
 """
@@ -55,6 +55,9 @@ class Substrate:
     conductivity: float = 5.8e7  # S/m
 
     def __post_init__(self):
+        for name in ("eps_r", "tan_d", "h", "t", "conductivity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.eps_r < 1:
             raise ValueError("eps_r must be >= 1")
         if self.tan_d < 0:
@@ -186,20 +189,14 @@ def synthesize_single_width(z0_target: float, sub: Substrate) -> float:
 def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     """Even/odd-mode impedances and permittivities of a symmetric coupled pair.
 
-    Warns (ModelValidityWarning) outside the published fit range
-    0.1 <= w/h <= 10, 0.1 <= s/h <= 5. Attenuations are returned as 0;
-    loss is attached per frequency by the sweep code.
+    Pure: it does not check the fit range (see ``check_fit_range``).
+    Attenuations are returned as 0; loss is attached per frequency by the
+    sweep code.
     """
     if w <= 0 or s <= 0:
         raise ValueError("width and gap must be positive")
     u = w / sub.h
     g = s / sub.h
-    if not (VALID_U[0] <= u <= VALID_U[1]) or not (VALID_G[0] <= g <= VALID_G[1]):
-        warnings.warn(
-            f"w/h={u:.3g}, s/h={g:.3g} outside the coupled-model fit range",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
     er = sub.eps_r
 
     ee_s = _eps_eff_static(u, er)
@@ -239,135 +236,98 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
 
 
+def check_fit_range(w: float, s: float, sub: Substrate) -> None:
+    """Warn (ModelValidityWarning) when a coupled pair lies outside the
+    published fit range 0.1 <= w/h <= 10, 0.1 <= s/h <= 5 of the model."""
+    u, g = w / sub.h, s / sub.h
+    if not (VALID_U[0] <= u <= VALID_U[1]) or not (VALID_G[0] <= g <= VALID_G[1]):
+        warnings.warn(
+            f"w/h={u:.3g}, s/h={g:.3g} outside the coupled-model fit range",
+            ModelValidityWarning,
+            stacklevel=2,
+        )
+
+
 def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, float]:
     """Width and gap (mm) realizing the requested even/odd-mode impedances.
 
-    Damped Newton iteration on (ln w, ln s); coordinate bisection fallback.
-    Converges to 1e-6 relative on both impedances or raises NoConvergence.
-    Warns GapTooSmallWarning below the 0.1 mm fabrication floor; raises
-    CouplingUnreachable when the requested split cannot be met at any gap.
+    Damped Newton iteration on (ln w, ln s); a step where the model
+    overflows or gives a non-positive impedance is rejected like one that
+    does not reduce the residual. Converges to 1e-6 relative on both
+    impedances. Otherwise raises CouplingUnreachable when the requested
+    split exceeds the model's at the minimum gap, else NoConvergence.
+    Warns GapTooSmallWarning below the 0.1 mm fabrication floor and
+    ModelValidityWarning outside the fit range.
     """
     if not (z0e > z0o > 0):
         raise ValueError("need z0e > z0o > 0")
     h = sub.h
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        mp = _analyze_quiet(math.exp(x[0]), math.exp(x[1]), sub)
+    def residual(x: np.ndarray) -> np.ndarray | None:
+        mp = _modes_or_none(math.exp(x[0]), math.exp(x[1]), sub)
+        if mp is None:
+            return None
         return np.array([math.log(mp.z0e / z0e), math.log(mp.z0o / z0o)])
 
+    lo = np.array([math.log(0.02 * h), math.log(GAP_HARD_MIN_MM)])
+    hi = np.array([math.log(40.0 * h), math.log(60.0 * h)])
+    step = 1e-6
     w0 = synthesize_single_width(math.sqrt(z0e * z0o), sub)
     x = np.array([math.log(w0), math.log(h)])
     f = residual(x)
-    converged = False
     for _ in range(200):
-        if max(abs(f)) < 1e-6:
-            converged = True
+        if f is None:
             break
-        jac = np.empty((2, 2))
-        step = 1e-6
-        for j in range(2):
-            xp = x.copy()
-            xp[j] += step
-            jac[:, j] = (residual(xp) - f) / step
+        if max(abs(f)) < 1e-6:
+            w, s = math.exp(x[0]), math.exp(x[1])
+            if s < GAP_FLOOR_MM:
+                warnings.warn(
+                    f"gap {s:.4f} mm is below the {GAP_FLOOR_MM} mm fabrication floor",
+                    GapTooSmallWarning,
+                    stacklevel=2,
+                )
+            check_fit_range(w, s, sub)
+            return w, s
+        cols = [residual(x + d) for d in step * np.eye(2)]
+        if any(c is None for c in cols):
+            break
+        jac = np.column_stack([(c - f) / step for c in cols])
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             break
         lam = 1.0
-        xn, fn = x, f
         while lam > 1e-8:
-            cand = np.clip(x + lam * dx, _log_bounds_lo(h), _log_bounds_hi(h))
+            cand = np.clip(x + lam * dx, lo, hi)
             fc = residual(cand)
-            if np.linalg.norm(fc) < np.linalg.norm(f):
-                xn, fn = cand, fc
+            if fc is not None and np.linalg.norm(fc) < np.linalg.norm(f):
                 break
             lam *= 0.5
-        if lam <= 1e-8:
+        else:
             break
-        x, f = xn, fn
+        x, f = cand, fc
 
-    if converged:
-        w, s = math.exp(x[0]), math.exp(x[1])
-    else:
-        w, s = _bisect_fallback(z0e, z0o, sub)
-
-    _post_synthesis_checks(w, s, sub)
-    return w, s
-
-
-def _log_bounds_lo(h):
-    return np.array([math.log(0.02 * h), math.log(GAP_HARD_MIN_MM)])
-
-
-def _log_bounds_hi(h):
-    return np.array([math.log(40.0 * h), math.log(60.0 * h)])
-
-
-def _analyze_quiet(w, s, sub):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModelValidityWarning)
-        return analyze_coupled(w, s, sub)
-
-
-def _split(w, s, sub):
-    mp = _analyze_quiet(w, s, sub)
-    return mp.z0e - mp.z0o
-
-
-def _bisect_fallback(z0e, z0o, sub, iters=200):
-    # alternate: width sets the geometric-mean impedance, gap sets the split
-    h = sub.h
-    target_mean = math.sqrt(z0e * z0o)
     split = z0e - z0o
-    if _split(synthesize_single_width(target_mean, sub), GAP_HARD_MIN_MM, sub) < split:
+    mp = _modes_or_none(w0, GAP_HARD_MIN_MM, sub)
+    if mp is None or mp.z0e - mp.z0o < split:
         raise CouplingUnreachable(
             f"mode split {split:.2f} ohm not reachable at the minimum gap"
         )
-    w, s = synthesize_single_width(target_mean, sub), h
-    for _ in range(iters):
-        lo, hi = 0.02 * h, 40.0 * h
-        for _ in range(100):
-            wm = math.sqrt(lo * hi)
-            mp = _analyze_quiet(wm, s, sub)
-            if math.sqrt(mp.z0e * mp.z0o) > target_mean:
-                lo = wm
-            else:
-                hi = wm
-        w = math.sqrt(lo * hi)
-        lo, hi = GAP_HARD_MIN_MM, 60.0 * h
-        if _split(w, lo, sub) < split:
-            raise CouplingUnreachable(
-                f"mode split {split:.2f} ohm not reachable at the minimum gap"
-            )
-        for _ in range(100):
-            sm = math.sqrt(lo * hi)
-            if _split(w, sm, sub) > split:
-                lo = sm
-            else:
-                hi = sm
-        s = math.sqrt(lo * hi)
-        mp = _analyze_quiet(w, s, sub)
-        if abs(mp.z0e / z0e - 1) < 1e-6 and abs(mp.z0o / z0o - 1) < 1e-6:
-            return w, s
     raise NoConvergence(
         f"synthesis for (z0e={z0e:.3f}, z0o={z0o:.3f}) did not converge"
     )
 
 
-def _post_synthesis_checks(w, s, sub):
-    if s < GAP_FLOOR_MM:
-        warnings.warn(
-            f"gap {s:.4f} mm is below the {GAP_FLOOR_MM} mm fabrication floor",
-            GapTooSmallWarning,
-            stacklevel=3,
-        )
-    u, g = w / sub.h, s / sub.h
-    if not (VALID_U[0] <= u <= VALID_U[1]) or not (VALID_G[0] <= g <= VALID_G[1]):
-        warnings.warn(
-            f"synthesized w/h={u:.3g}, s/h={g:.3g} outside the model fit range",
-            ModelValidityWarning,
-            stacklevel=3,
-        )
+def _modes_or_none(w, s, sub):
+    # None where the fits overflow or give an impedance that is not
+    # positive and finite
+    try:
+        mp = analyze_coupled(w, s, sub)
+    except OverflowError:
+        return None
+    if 0 < mp.z0e < math.inf and 0 < mp.z0o < math.inf:
+        return mp
+    return None
 
 
 # --- derived quantities ------------------------------------------------------
@@ -410,20 +370,9 @@ def conductor_loss(sub: Substrate, z0: float, w: float, f: float) -> float:
     return rs / (z0 * w * 1e-3)
 
 
-def unloaded_q(
-    sub: Substrate,
-    eps_eff: float,
-    f: float,
-    z0: float | None = None,
-    w: float | None = None,
-    include_conductor: bool = False,
-) -> float:
-    """Unloaded resonator Q at f GHz: Q = beta / (2 alpha)."""
+def unloaded_q(sub: Substrate, eps_eff: float, f: float) -> float:
+    """Unloaded resonator Q at f GHz from dielectric loss: Q = beta / (2 alpha)."""
     alpha = dielectric_loss(sub, eps_eff, f)
-    if include_conductor:
-        if z0 is None or w is None:
-            raise ValueError("conductor loss needs z0 and w")
-        alpha += conductor_loss(sub, z0, w, f)
     if alpha == 0.0:
         return math.inf
     beta = 2.0 * math.pi * f * 1e9 * math.sqrt(eps_eff) / C0

@@ -35,6 +35,11 @@ class FilterSpec:
     f0: float = field(default=0.0)
 
     def __post_init__(self):
+        for name in (
+            "f_lower", "f_upper", "ripple_db", "stop_freq", "stop_atten_db", "z0", "f0"
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0 < self.f_lower < self.f_upper):
             raise ValueError("need 0 < f_lower < f_upper")
         if self.ripple_db <= 0:

@@ -23,7 +23,6 @@ from .microstrip import (
     ModeParams,
     Substrate,
     analyze_coupled,
-    conductor_loss,
     dielectric_loss,
 )
 
@@ -205,15 +204,14 @@ def sweep_pcl(
     dims: tuple[CoupledSectionDims, ...] | None = None,
     substrate: Substrate | None = None,
     lossy: bool = False,
-    include_conductor_loss: bool = False,
 ) -> SParamResult:
     """S-parameters of the cascaded edge-coupled filter.
 
     ``ideal`` mode evaluates the synthesis impedances directly with equal
     mode velocities (every section a quarter wave at f0). ``physical`` mode
     derives per-mode parameters from the synthesized dimensions; with
-    ``lossy`` it attaches the substrate's dielectric attenuation (and
-    optionally skin loss) per frequency.
+    ``lossy`` it attaches the substrate's dielectric attenuation per
+    frequency.
     """
     if mode not in ("ideal", "physical"):
         raise ValueError("mode must be 'ideal' or 'physical'")
@@ -237,9 +235,6 @@ def sweep_pcl(
             if lossy and mode == "physical":
                 a_e = dielectric_loss(substrate, mp.eps_eff_e, f)
                 a_o = dielectric_loss(substrate, mp.eps_eff_o, f)
-                if include_conductor_loss:
-                    a_e += conductor_loss(substrate, mp.z0e, dims[i].w, f)
-                    a_o += conductor_loss(substrate, mp.z0o, dims[i].w, f)
                 mp = replace(mp, alpha_e=a_e, alpha_o=a_o)
             mats.append(coupled_section_twoport(mp, lengths[i], f))
         points.append(abcd_to_s(cascade(mats), design.z0))
@@ -280,17 +275,8 @@ def sweep_coupling_matrix(
     eye = np.eye(n)
     for f in freqs:
         omega = bandpass_to_lowpass(f, model.f0, model.fbw)
-        a = omega * eye + m_norm - 1j * loading
-        try:
-            ai = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                f"degenerate resonator system at {f} GHz; nudging by 1 ppm",
-                SingularFrequencyWarning,
-                stacklevel=2,
-            )
-            omega = bandpass_to_lowpass(f * (1 + 1e-6), model.f0, model.fbw)
-            ai = np.linalg.inv(omega * eye + m_norm - 1j * loading)
+        # no null vector: Im(x^H A x) = -x^H R x zeroes its ports, k > 0 the rest
+        ai = np.linalg.inv(omega * eye + m_norm - 1j * loading)
         s21 = -2j / math.sqrt(qe1 * qen) * ai[n - 1, 0]
         s11 = -1.0 - 2j / qe1 * ai[0, 0]
         s22 = -1.0 - 2j / qen * ai[n - 1, n - 1]

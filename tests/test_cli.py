@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mwbpf
 from mwbpf.cli import main
 from mwbpf.design import load_design
 
@@ -75,6 +79,20 @@ class TestSynth:
         cfg = _write_config(tmp_path, z0_ohm=5000.0)
         out = tmp_path / "d.json"
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 4
+
+    def test_model_overflow_exits_4_without_traceback(self, tmp_path):
+        # a 58 % band at 100 ohm: the coupled-line fits overflow in synthesis
+        cfg = _write_config(tmp_path, f_lower_ghz=1.9, f_upper_ghz=3.45,
+                            stop_freq_ghz=4.7, z0_ohm=100.0)
+        env = dict(os.environ, PYTHONPATH=str(Path(mwbpf.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mwbpf.cli", "synth", "--config", str(cfg),
+             "--out", str(tmp_path / "d.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 4
+        assert "error: synthesis failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestSimulate:

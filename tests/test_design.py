@@ -1,14 +1,29 @@
+import warnings
+
 import pytest
 
-from mwbpf.coupling import j_inverters
+from mwbpf.coupling import coupling_coefficients, j_inverters
 from mwbpf.design import (
     DesignDocument,
+    design_layout,
     from_dict,
     load_design,
     save_design,
+    simulate,
+    synthesize_design,
     to_dict,
 )
-from mwbpf.microstrip import analyze_coupled
+from mwbpf.layout import FoldTooTight, pcl_layout, single_layer_stackup
+from mwbpf.microstrip import (
+    ModelValidityWarning,
+    analyze_coupled,
+    synthesize_single_width,
+    unloaded_q,
+)
+from mwbpf.prototype import FilterSpec
+from mwbpf.rfsim import FrequencySweep, sweep_coupling_matrix, sweep_pcl
+
+SWEEP = FrequencySweep(2.3, 2.9, 601)
 
 
 class TestSynthesizeDesign:
@@ -35,6 +50,61 @@ class TestSynthesizeDesign:
     def test_provenance_recorded(self, fr4_design):
         assert fr4_design.tool.startswith("mwbpf ")
         assert fr4_design.created == "2026-01-01T00:00:00+00:00"
+
+    def test_validity_warned_once_per_section(self, ro3003):
+        # wide band on the thin board: both end sections have s/h near 0.06
+        spec = FilterSpec(f_lower=2.2, f_upper=2.9, ripple_db=0.1,
+                          stop_freq=3.5, stop_atten_db=25.0)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            doc = synthesize_design(spec, ro3003)
+        outside = [d for d in doc.dims if d.s / ro3003.h < 0.1]
+        assert len(outside) == 2
+        assert sum(r.category is ModelValidityWarning for r in rec) == len(outside)
+
+
+class TestSimulate:
+    def test_lossy_ml_matches_mode_average_glue(self, fr4_design, fr4):
+        eps = [
+            (analyze_coupled(d.w, d.s, fr4).eps_eff_e + analyze_coupled(d.w, d.s, fr4).eps_eff_o) / 2
+            for d in fr4_design.dims
+        ]
+        qu = unloaded_q(fr4, sum(eps) / len(eps), fr4_design.spec.f0)
+        model = coupling_coefficients(
+            fr4_design.prototype, fr4_design.spec.fbw(), fr4_design.spec.f0, qu=qu
+        )
+        want = sweep_coupling_matrix(model, SWEEP)
+        assert simulate(fr4_design, fr4, "ml", SWEEP, lossy=True) == want
+
+    def test_physical_matches_sweep_pcl(self, fr4_design, fr4):
+        want = sweep_pcl(
+            fr4_design.coupling, fr4_design.spec.f0, SWEEP,
+            mode="physical", dims=fr4_design.dims, substrate=fr4, lossy=True,
+        )
+        assert simulate(fr4_design, fr4, "physical", SWEEP, lossy=True) == want
+
+    def test_ideal_ignores_substrate(self, fr4_design, fr4):
+        want = sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, SWEEP)
+        assert simulate(fr4_design, fr4, "ideal", SWEEP) == want
+
+
+class TestDesignLayout:
+    def test_pcl_feeds_match_spec_impedance(self, fr4_design, fr4):
+        feed = synthesize_single_width(fr4_design.spec.z0, fr4)
+        want = pcl_layout(fr4_design.dims, feed_width=feed, stackup=single_layer_stackup(fr4))
+        assert design_layout(fr4_design, fr4, "pcl") == want
+
+    def test_ml_needs_four_resonators(self, fr4):
+        spec = FilterSpec(f_lower=2.52, f_upper=2.65, f0=2.58, ripple_db=0.01,
+                          stop_freq=2.77, stop_atten_db=40.0)
+        doc = synthesize_design(spec, fr4)
+        assert doc.prototype.n != 4
+        with pytest.raises(FoldTooTight, match="4 resonators"):
+            design_layout(doc, fr4, "ml")
+
+    def test_unknown_kind(self, fr4_design, fr4):
+        with pytest.raises(ValueError):
+            design_layout(fr4_design, fr4, "stripline")
 
 
 class TestPersistence:

@@ -17,7 +17,7 @@ from mwbpf.layout import (
     pcl_layout,
     single_layer_stackup,
 )
-from mwbpf.microstrip import CoupledSectionDims
+from mwbpf.microstrip import CoupledSectionDims, Substrate
 
 from conftest import ML_FR4_SIZE, PCL_FR4_SIZE, TABLE2_FR4, TABLE3_RO3003
 
@@ -164,6 +164,20 @@ class TestStackup:
     def test_single_layer_record(self, fr4):
         st = single_layer_stackup(fr4)
         assert [l.role for l in st.layers] == ["ground", "core", "resonator-top"]
+
+    def test_zero_thickness_copper_recorded_as_given(self):
+        bare = Substrate(name="X", eps_r=3, tan_d=0, h=0.5, t=0.0)
+        st = multilayer_stackup(bare)
+        copper = [l.thickness for l in st.layers if l.material == "copper"]
+        assert copper == [0.0, 0.0, 0.0]
+        assert st.total_thickness() == pytest.approx(0.55)
+        assert [l.thickness for l in single_layer_stackup(bare).layers] == [0.0, 0.5, 0.0]
+
+    def test_dielectric_layers_need_thickness(self):
+        with pytest.raises(ValueError, match="positive"):
+            StackupLayer("core", "FR4", 0.0, 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            StackupLayer("ground", "copper", -0.035, 0.0)
 
 
 class TestLayoutValidation:

@@ -7,12 +7,14 @@ import pytest
 from mwbpf.microstrip import (
     C0,
     CoupledSectionDims,
+    CouplingUnreachable,
     GapTooSmallWarning,
     ModelValidityWarning,
     ModeParams,
     Substrate,
     analyze_coupled,
     analyze_single,
+    check_fit_range,
     conductor_loss,
     dielectric_loss,
     resonator_length,
@@ -22,12 +24,6 @@ from mwbpf.microstrip import (
 )
 
 from conftest import TABLE1_ZE, TABLE1_ZO, TABLE2_FR4, TABLE3_RO3003
-
-
-def _quiet_coupled(w, s, sub):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return analyze_coupled(w, s, sub)
 
 
 class TestAnalyzeSingle:
@@ -69,11 +65,11 @@ class TestAnalyzeCoupled:
     def test_reference_dims_reproduce_impedances_loosely(self, fr4, ro3003):
         # inverse of the line-calculator step: published dims land within 15%
         for (w, l, s), ze_ref, zo_ref in zip(TABLE2_FR4, TABLE1_ZE, TABLE1_ZO):
-            mp = _quiet_coupled(w, s, fr4)
+            mp = analyze_coupled(w, s, fr4)
             assert mp.z0e == pytest.approx(ze_ref, rel=0.15)
             assert mp.z0o == pytest.approx(zo_ref, rel=0.15)
         for (w, l, s), ze_ref, zo_ref in zip(TABLE3_RO3003, TABLE1_ZE, TABLE1_ZO):
-            mp = _quiet_coupled(w, s, ro3003)
+            mp = analyze_coupled(w, s, ro3003)
             assert mp.z0e == pytest.approx(ze_ref, rel=0.15)
             assert mp.z0o == pytest.approx(zo_ref, rel=0.15)
 
@@ -83,7 +79,7 @@ class TestAnalyzeCoupled:
 
     def test_decoupling_limit_matches_single(self, fr4):
         z_single, _ = analyze_single(3.3, fr4)
-        mp = _quiet_coupled(3.3, 20 * fr4.h, fr4)
+        mp = analyze_coupled(3.3, 20 * fr4.h, fr4)
         assert mp.z0e == pytest.approx(z_single, rel=0.01)
         assert mp.z0o == pytest.approx(z_single, rel=0.01)
 
@@ -98,13 +94,17 @@ class TestAnalyzeCoupled:
     def test_split_monotone_in_gap(self, fr4):
         gaps = np.geomspace(0.2, 6.0, 25)
         splits = [
-            (lambda mp: mp.z0e - mp.z0o)(_quiet_coupled(3.0, g, fr4)) for g in gaps
+            (lambda mp: mp.z0e - mp.z0o)(analyze_coupled(3.0, g, fr4)) for g in gaps
         ]
         assert all(a > b for a, b in zip(splits, splits[1:]))
 
     def test_validity_warning(self, fr4):
         with pytest.warns(ModelValidityWarning):
-            analyze_coupled(3.0, 20.0, fr4)
+            check_fit_range(3.0, 20.0, fr4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_fit_range(3.0, 1.0, fr4)
+            analyze_coupled(3.0, 20.0, fr4)  # the model itself is pure
 
 
 class TestSynthesizeCoupled:
@@ -120,7 +120,7 @@ class TestSynthesizeCoupled:
                 w, s = synthesize_coupled(z0e, z0o, fr4)
             if not (0.1 <= w / fr4.h <= 10 and 0.1 <= s / fr4.h <= 5):
                 continue
-            mp = _quiet_coupled(w, s, fr4)
+            mp = analyze_coupled(w, s, fr4)
             worst = max(worst, abs(mp.z0e / z0e - 1), abs(mp.z0o / z0o - 1))
             accepted += 1
         assert worst < 0.005
@@ -140,6 +140,17 @@ class TestSynthesizeCoupled:
     def test_near_degenerate_coupling_warns_validity(self, fr4):
         with pytest.warns(ModelValidityWarning):
             synthesize_coupled(50.0, 49.9, fr4)
+
+    def test_unreachable_split(self):
+        sub = Substrate(name="g", eps_r=3.09229089077722, tan_d=0.0, h=0.8016347396291228)
+        with pytest.raises(CouplingUnreachable):
+            synthesize_coupled(31.079, 9.362, sub)
+
+    def test_model_overflow_is_a_typed_failure(self):
+        # the mode fits overflow along the Newton path and at the minimum gap
+        sub = Substrate(name="g", eps_r=5.845842283223225, tan_d=0.0, h=2.5430386727037426)
+        with pytest.raises(CouplingUnreachable):
+            synthesize_coupled(337.267, 80.273, sub)
 
     def test_rejects_bad_targets(self, fr4):
         with pytest.raises(ValueError):
@@ -218,6 +229,14 @@ class TestValidation:
             Substrate(name="bad", eps_r=0.5, tan_d=0.0, h=1.0)
         with pytest.raises(ValueError):
             Substrate(name="bad", eps_r=2.0, tan_d=0.0, h=-1.0)
+
+    @pytest.mark.parametrize("field", ["eps_r", "tan_d", "h", "t", "conductivity"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_substrate_rejects_non_finite(self, field, value):
+        kwargs = dict(name="x", eps_r=3.0, tan_d=0.001, h=0.5, t=0.035, conductivity=5.8e7)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            Substrate(**kwargs)
 
     def test_dims_invariants(self):
         with pytest.raises(ValueError):

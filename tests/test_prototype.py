@@ -226,3 +226,15 @@ class TestFilterSpec:
         with pytest.raises(ValueError):
             FilterSpec(f_lower=2.52, f_upper=2.65, ripple_db=0.01,
                        stop_freq=2.77, stop_atten_db=25.0, z0=-50.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["f_lower", "f_upper", "ripple_db", "stop_freq", "stop_atten_db", "z0", "f0"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(f_lower=2.52, f_upper=2.65, ripple_db=0.01,
+                      stop_freq=2.77, stop_atten_db=25.0, z0=50.0, f0=2.58)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            FilterSpec(**kwargs)
