@@ -51,9 +51,7 @@ from .rfsim import (
     BandEdgeOutOfRange,
     BandMetrics,
     FrequencySweep,
-    SMatrix2,
     SParamResult,
-    TwoPortABCD,
     abcd_to_s,
     cascade,
     coupled_section_twoport,

@@ -102,7 +102,7 @@ def cmd_synth(args) -> int:
 def cmd_simulate(args) -> int:
     doc = load_design(args.design)
     sub = default_registry().get(doc.substrate)
-    sweep = FrequencySweep(f_start=args.f_start, f_stop=args.f_stop, n_points=args.points)
+    sweep = FrequencySweep(f_start=args.f_start, f_stop=args.f_stop, n_points=args.n_points)
     result = simulate(doc, sub, args.mode, sweep, lossy=args.lossy)
 
     comments = (
@@ -163,7 +163,7 @@ def cmd_materials(args) -> int:
 def cmd_compare(args) -> int:
     spec, _ = _load_spec_config(args.config)
     registry = default_registry()
-    sweep = FrequencySweep(f_start=args.f_start, f_stop=args.f_stop, n_points=args.points)
+    sweep = FrequencySweep(f_start=args.f_start, f_stop=args.f_stop, n_points=args.n_points)
     rows = {}
     for name in ("FR4", "RO3003"):
         sub = registry.get(name)
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include substrate loss (physical/ml modes)")
     p.add_argument("--f-start", type=float, default=2.0, dest="f_start")
     p.add_argument("--f-stop", type=float, default=3.0, dest="f_stop")
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=int, default=1001, dest="n_points", metavar="POINTS")
     p.add_argument("--out-prefix", required=True, dest="out_prefix")
     p.set_defaults(func=cmd_simulate)
 
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("pcl", "ml"), default="pcl")
     p.add_argument("--f-start", type=float, default=2.0, dest="f_start")
     p.add_argument("--f-stop", type=float, default=3.0, dest="f_stop")
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=int, default=1001, dest="n_points", metavar="POINTS")
     p.add_argument("--epoch", type=float, default=None)
     p.set_defaults(func=cmd_compare)
 

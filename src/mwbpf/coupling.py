@@ -53,6 +53,12 @@ class CouplingMatrixModel:
     def __post_init__(self):
         if len(self.k) != self.n - 1:
             raise ValueError("need n-1 coupling coefficients")
+        if not all(map(math.isfinite, self.k)):
+            raise ValueError("k must be finite")
+        for name in ("qe_in", "qe_out", "f0", "fbw", "qu"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if any(kk <= 0 for kk in self.k):
             raise ValueError("coupling coefficients must be positive")
         if self.qe_in <= 0 or self.qe_out <= 0:

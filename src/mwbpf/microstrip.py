@@ -340,15 +340,16 @@ def resonator_length(mp: ModeParams, f0: float) -> float:
     return C0 / (4.0 * f0 * 1e9 * math.sqrt(eps_avg)) * 1e3
 
 
-def dielectric_loss(sub: Substrate, eps_eff: float, f: float) -> float:
+def dielectric_loss(sub: Substrate, eps_eff: float, f):
     """Dielectric attenuation (Np/m) of a quasi-TEM line at f GHz.
 
+    ``f`` may be an array, giving one attenuation per frequency.
     alpha_d = (pi/lambda0) * er (eps_eff - 1) / (sqrt(eps_eff) (er - 1)) * tan_d,
     degenerating to the homogeneous-fill form as er -> 1.
     """
     if eps_eff < 1:
         raise ValueError("eps_eff must be >= 1")
-    if f <= 0:
+    if not (np.asarray(f) > 0).all():
         raise ValueError("frequency must be positive")
     lam0 = C0 / (f * 1e9)
     er = sub.eps_r

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import CouplingDesign, CouplingMatrixModel
-from .prototype import bandpass_to_lowpass
 from .microstrip import (
     C0,
     CoupledSectionDims,
@@ -35,52 +34,29 @@ class SingularFrequencyWarning(UserWarning):
     """A section hit an exact multiple of pi; the point was nudged by 1 ppm."""
 
 
-@dataclass(frozen=True)
-class TwoPortABCD:
-    a: complex
-    b: complex  # ohm
-    c: complex  # siemens
-    d: complex
-
-    def det(self) -> complex:
-        """a*d - b*c; 1 for reciprocal networks."""
-        return self.a * self.d - self.b * self.c
-
-
-IDENTITY = TwoPortABCD(1.0, 0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class SMatrix2:
-    s11: complex
-    s12: complex
-    s21: complex
-    s22: complex
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SParamResult:
-    frequencies: tuple[float, ...]  # GHz, strictly ascending
-    points: tuple[SMatrix2, ...]
+    """Two-port S-parameters over a frequency axis (scikit-rf's ``Network.s`` layout)."""
+
+    frequencies: np.ndarray  # [F] GHz, strictly ascending
+    s: np.ndarray  # [F, 2, 2] complex, so s[:, 1, 0] is S21
     z0: float
 
     def __post_init__(self):
-        if len(self.frequencies) != len(self.points):
-            raise ValueError("frequencies and points must have equal length")
-        if any(b <= a for a, b in zip(self.frequencies, self.frequencies[1:])):
+        f = np.asarray(self.frequencies, dtype=float)
+        s = np.asarray(self.s, dtype=complex)
+        if f.ndim != 1 or s.shape != (len(f), 2, 2):
+            raise ValueError("need frequencies of shape [F] and s of shape [F, 2, 2]")
+        if not (f[1:] > f[:-1]).all():
             raise ValueError("frequencies must be strictly increasing")
-
-    def s11_array(self) -> np.ndarray:
-        return np.array([p.s11 for p in self.points])
-
-    def s21_array(self) -> np.ndarray:
-        return np.array([p.s21 for p in self.points])
+        object.__setattr__(self, "frequencies", f)
+        object.__setattr__(self, "s", s)
 
     def s21_db(self) -> np.ndarray:
-        return 20.0 * np.log10(np.abs(self.s21_array()) + 1e-300)
+        return 20.0 * np.log10(np.abs(self.s[:, 1, 0]) + 1e-300)
 
     def s11_db(self) -> np.ndarray:
-        return 20.0 * np.log10(np.abs(self.s11_array()) + 1e-300)
+        return 20.0 * np.log10(np.abs(self.s[:, 0, 0]) + 1e-300)
 
 
 @dataclass(frozen=True)
@@ -100,6 +76,9 @@ class FrequencySweep:
     n_points: int = 1001
 
     def __post_init__(self):
+        for name in ("f_start", "f_stop"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_points < 2:
             raise ValueError("need at least 2 sweep points")
         if not (0 < self.f_start < self.f_stop):
@@ -110,65 +89,79 @@ class FrequencySweep:
 
 
 # --- coupled-line cascade -----------------------------------------------------
+# A two-port is its chain matrix [[A, B], [C, D]] (B ohm, C siemens), [..., 2, 2].
 
-def coupled_section_twoport(mp: ModeParams, l: float, f: float) -> TwoPortABCD:
-    """ABCD matrix of one edge-coupled section (length mm, frequency GHz).
+def _chain(a, b, c, d) -> np.ndarray:
+    return np.stack((a, b, c, d), axis=-1).reshape(np.shape(a) + (2, 2))
 
-    Built from the 4-port impedance matrix by even/odd superposition with
-    per-mode complex angles theta_m = (beta_m - j alpha_m) l; the two unused
-    diagonal ports are left open (their rows/columns drop out), which leaves
+
+def _entries(m: np.ndarray):
+    return np.moveaxis(m.reshape(m.shape[:-2] + (4,)), -1, 0)  # a, b, c, d
+
+
+def _cmath(fn, z: np.ndarray) -> np.ndarray:
+    # elementwise cmath: numpy's complex tan differs from cmath.tan in the
+    # last ulp, enough to flip a 9-decimal Touchstone field
+    return np.fromiter(map(fn, z.ravel().tolist()), complex, count=z.size).reshape(z.shape)
+
+
+def coupled_section_twoport(mp: ModeParams, l: float, f) -> np.ndarray:
+    """Chain matrix of one edge-coupled section (length mm, frequencies GHz).
+
+    ``f`` and the attenuations in ``mp`` may be arrays over one frequency
+    axis. Built from the 4-port impedance matrix by even/odd superposition
+    with per-mode complex angles theta_m = (beta_m - j alpha_m) l; the two
+    unused diagonal ports are left open (their rows/columns drop out), which
+    leaves
       Z11 = Z22 = -j (Z0e cot(th_e) + Z0o cot(th_o)) / 2
       Z12 = Z21 = -j (Z0e csc(th_e) - Z0o csc(th_o)) / 2
+    A point where an angle is a multiple of pi is taken at f (1 + 1e-6).
     """
-    if l <= 0 or f <= 0:
+    f = np.asarray(f, dtype=float)
+    if l <= 0 or not (f > 0).all():
         raise ValueError("length and frequency must be positive")
     l_m = l * 1e-3
-    w_rad = 2.0 * math.pi * f * 1e9
 
-    def theta(eps_eff: float, alpha: float) -> complex:
+    def theta(eps_eff: float, alpha) -> np.ndarray:
+        w_rad = 2.0 * math.pi * f * 1e9
         return (w_rad * math.sqrt(eps_eff) / C0 - 1j * alpha) * l_m
 
     th_e = theta(mp.eps_eff_e, mp.alpha_e)
     th_o = theta(mp.eps_eff_o, mp.alpha_o)
-    if min(abs(cmath.sin(th_e)), abs(cmath.sin(th_o))) < 1e-9:
+    sin_e, sin_o = _cmath(cmath.sin, th_e), _cmath(cmath.sin, th_o)
+    singular = np.minimum(abs(sin_e), abs(sin_o)) < 1e-9
+    if singular.any():
+        at = ", ".join(map(str, f[singular].tolist()))
         warnings.warn(
-            f"section is an exact multiple of pi at {f} GHz; nudging by 1 ppm",
+            f"section is an exact multiple of pi at {at} GHz; nudging by 1 ppm",
             SingularFrequencyWarning,
             stacklevel=2,
         )
-        return coupled_section_twoport(mp, l, f * (1.0 + 1e-6))
+        return coupled_section_twoport(mp, l, np.where(singular, f * (1.0 + 1e-6), f))
 
-    z_self = -0.5j * (mp.z0e / cmath.tan(th_e) + mp.z0o / cmath.tan(th_o))
-    z_cross = -0.5j * (mp.z0e / cmath.sin(th_e) - mp.z0o / cmath.sin(th_o))
-    if abs(z_cross) < 1e-30:
-        # zero coupling: no transmission path; keep the matrix finite and
-        # small enough that cascades of such sections stay finite too
-        z_cross = 1e-30
-    return TwoPortABCD(
-        a=z_self / z_cross,
-        b=(z_self * z_self - z_cross * z_cross) / z_cross,
-        c=1.0 / z_cross,
-        d=z_self / z_cross,
-    )
+    z_self = -0.5j * (mp.z0e / _cmath(cmath.tan, th_e) + mp.z0o / _cmath(cmath.tan, th_o))
+    z_cross = -0.5j * (mp.z0e / sin_e - mp.z0o / sin_o)
+    # zero coupling: no transmission path; keep the matrix finite and small
+    # enough that cascades of such sections stay finite too
+    z_cross = np.where(abs(z_cross) < 1e-30, 1e-30, z_cross)
+    a = z_self / z_cross
+    return _chain(a, (z_self * z_self - z_cross * z_cross) / z_cross, 1.0 / z_cross, a)
 
 
-def cascade(sections: list[TwoPortABCD] | tuple[TwoPortABCD, ...]) -> TwoPortABCD:
-    """Ordered chain-matrix product of two-ports."""
-    if not sections:
+def cascade(sections) -> np.ndarray:
+    """Ordered chain-matrix product of an iterable of two-ports [..., 2, 2]."""
+    sections = iter(sections)
+    out = next(sections, None)
+    if out is None:
         raise ValueError("need at least one section")
-    out = sections[0]
-    for m in sections[1:]:
-        out = TwoPortABCD(
-            a=out.a * m.a + out.b * m.c,
-            b=out.a * m.b + out.b * m.d,
-            c=out.c * m.a + out.d * m.c,
-            d=out.c * m.b + out.d * m.d,
-        )
+    for m in sections:
+        (a, b, c, d), (ma, mb, mc, md) = _entries(out), _entries(m)
+        out = _chain(a * ma + b * mc, a * mb + b * md, c * ma + d * mc, c * mb + d * md)
     return out
 
 
-def abcd_to_s(m: TwoPortABCD, z0: float) -> SMatrix2:
-    """Chain matrix to scattering parameters in a real reference impedance.
+def abcd_to_s(m: np.ndarray, z0: float) -> np.ndarray:
+    """Chain matrices [..., 2, 2] to scattering parameters in a real z0.
 
     Assumes a reciprocal network (a*d - b*c = 1, separately asserted by the
     invariant checks), so s21 = s12 = 2/den; multiplying out the determinant
@@ -176,16 +169,17 @@ def abcd_to_s(m: TwoPortABCD, z0: float) -> SMatrix2:
     """
     if z0 <= 0:
         raise ValueError("z0 must be positive")
-    den = m.a + m.b / z0 + m.c * z0 + m.d
-    if den == 0:
+    a, b, c, d = _entries(m)
+    den = a + b / z0 + c * z0 + d
+    if (den == 0).any():
         raise ZeroDivisionError("singular ABCD-to-S conversion")
     s21 = 2.0 / den
-    return SMatrix2(
-        s11=(m.a + m.b / z0 - m.c * z0 - m.d) / den,
-        s12=s21,
-        s21=s21,
-        s22=(-m.a + m.b / z0 - m.c * z0 + m.d) / den,
+    return _chain(
+        (a + b / z0 - c * z0 - d) / den, s21, s21, (-a + b / z0 - c * z0 + d) / den
     )
+
+
+_BLOCK = 1024  # sweep points per pass: bounds the cascade's temporary arrays
 
 
 def _ideal_modes(design: CouplingDesign) -> list[ModeParams]:
@@ -227,18 +221,23 @@ def sweep_pcl(
         section_mps = _ideal_modes(design)
         lengths = [quarter_wave_mm] * len(design.sections)
 
-    points = []
     freqs = sweep.frequencies()
-    for f in freqs:
-        mats = []
-        for i, mp in enumerate(section_mps):
-            if lossy and mode == "physical":
-                a_e = dielectric_loss(substrate, mp.eps_eff_e, f)
-                a_o = dielectric_loss(substrate, mp.eps_eff_o, f)
-                mp = replace(mp, alpha_e=a_e, alpha_o=a_o)
-            mats.append(coupled_section_twoport(mp, lengths[i], f))
-        points.append(abcd_to_s(cascade(mats), design.z0))
-    return SParamResult(frequencies=tuple(freqs), points=tuple(points), z0=design.z0)
+    if lossy and mode == "physical":
+        alphas = [
+            (dielectric_loss(substrate, mp.eps_eff_e, freqs), dielectric_loss(substrate, mp.eps_eff_o, freqs))
+            for mp in section_mps
+        ]
+    else:
+        alphas = [(np.zeros_like(freqs),) * 2] * len(section_mps)
+    s = np.empty((len(freqs), 2, 2), complex)
+    for lo in range(0, len(freqs), _BLOCK):
+        f = slice(lo, lo + _BLOCK)
+        sections = (
+            coupled_section_twoport(replace(mp, alpha_e=a_e[f], alpha_o=a_o[f]), l, freqs[f])
+            for mp, l, (a_e, a_o) in zip(section_mps, lengths, alphas)
+        )
+        s[f] = abcd_to_s(cascade(sections), design.z0)
+    return SParamResult(freqs, s, design.z0)
 
 
 # --- coupled-resonator model ---------------------------------------------------
@@ -257,45 +256,51 @@ def sweep_coupling_matrix(
                  resonators when lossy
         S21    = -2j / sqrt(qe1 qen) [A^-1]_{n1}  (qe normalized Qe FBW)
         S11    = -1 - 2j / qe1 [A^-1]_{11}
+
+    Eliminating the tridiagonal A down (pivots d) and up (pivots e) over
+    the whole frequency axis gives [A^-1]_{nn} = 1/d_n, [A^-1]_{11} = 1/e_1
+    and [A^-1]_{n1} = prod(-m_i / d_i) / d_n. No pivot vanishes: port
+    loading > 0 and k > 0 keep every pivot's imaginary part negative.
     """
     n = model.n
-    m_norm = np.zeros((n, n))
-    for i, k in enumerate(model.k):
-        m_norm[i, i + 1] = m_norm[i + 1, i] = k / model.fbw
+    m = [k / model.fbw for k in model.k]
     qe1 = model.qe_in * model.fbw
     qen = model.qe_out * model.fbw
-    loading = np.zeros((n, n))
-    loading[0, 0] = 1.0 / qe1
-    loading[-1, -1] = 1.0 / qen
+    r = np.zeros(n)
+    r[0] = 1.0 / qe1
+    r[-1] = 1.0 / qen
     if model.qu is not None:
-        loading += np.eye(n) / (model.qu * model.fbw)
+        r += 1.0 / (model.qu * model.fbw)
 
     freqs = sweep.frequencies()
-    points = []
-    eye = np.eye(n)
-    for f in freqs:
-        omega = bandpass_to_lowpass(f, model.f0, model.fbw)
-        # no null vector: Im(x^H A x) = -x^H R x zeroes its ports, k > 0 the rest
-        ai = np.linalg.inv(omega * eye + m_norm - 1j * loading)
-        s21 = -2j / math.sqrt(qe1 * qen) * ai[n - 1, 0]
-        s11 = -1.0 - 2j / qe1 * ai[0, 0]
-        s22 = -1.0 - 2j / qen * ai[n - 1, n - 1]
-        points.append(SMatrix2(s11=s11, s12=s21, s21=s21, s22=s22))
-    return SParamResult(frequencies=tuple(freqs), points=tuple(points), z0=z0)
+    omega = (freqs / model.f0 - model.f0 / freqs) / model.fbw  # bandpass_to_lowpass
+    d = omega - 1j * r[0]
+    a_n1 = 1.0 / d
+    for i in range(1, n):
+        d = omega - 1j * r[i] - m[i - 1] ** 2 / d
+        a_n1 = -m[i - 1] * a_n1 / d
+    e = omega - 1j * r[-1]
+    for i in range(n - 2, -1, -1):
+        e = omega - 1j * r[i] - m[i] ** 2 / e
+    s21 = -2j / math.sqrt(qe1 * qen) * a_n1
+    s = _chain(-1.0 - 2j / qe1 / e, s21, s21, -1.0 - 2j / qen / d)
+    return SParamResult(freqs, s, z0)
 
 
 # --- metric extraction ----------------------------------------------------------
 
 def _edge_crossing(freqs, db, idx_inner, step, target):
-    """Scan outward from idx_inner until db drops below target; interpolate."""
-    i = idx_inner
-    while 0 <= i + step < len(db):
-        j = i + step
-        if db[j] < target:
-            frac = (target - db[i]) / (db[j] - db[i])
-            return freqs[i] + frac * (freqs[j] - freqs[i])
-        i = j
-    raise BandEdgeOutOfRange("no -3 dB crossing inside the swept span")
+    """First point outward from idx_inner with db below target; interpolate."""
+    if step > 0:
+        below = idx_inner + 1 + np.flatnonzero(db[idx_inner + 1:] < target)
+    else:
+        below = np.flatnonzero(db[:idx_inner] < target)[::-1]
+    if not len(below):
+        raise BandEdgeOutOfRange("no -3 dB crossing inside the swept span")
+    j = int(below[0])
+    i = j - step
+    frac = (target - db[i]) / (db[j] - db[i])
+    return freqs[i] + frac * (freqs[j] - freqs[i])
 
 
 def extract_metrics(
@@ -309,7 +314,7 @@ def extract_metrics(
     worst |S11| over ``rl_band`` when given (e.g. the design passband);
     otherwise over the -3 dB band, where it sits near -3 dB by definition.
     """
-    freqs = np.asarray(result.frequencies)
+    freqs = result.frequencies
     db21 = result.s21_db()
     peak_idx = int(np.argmax(db21))
     target = db21[peak_idx] - 3.0
@@ -334,7 +339,7 @@ def extract_metrics(
 
 def ripple_bandwidth(result: SParamResult, ripple_db: float) -> float:
     """Bandwidth (MHz) between the outermost crossings of peak - ripple_db."""
-    freqs = np.asarray(result.frequencies)
+    freqs = result.frequencies
     db21 = result.s21_db()
     target = db21.max() - ripple_db
     above = np.where(db21 >= target)[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mwbpf.coupling import (
+    CouplingMatrixModel,
     coupling_coefficients,
     design_coupling,
     even_odd_impedances,
@@ -104,3 +105,14 @@ class TestCouplingCoefficients:
     def test_qu_validation(self, paper_proto, paper_spec):
         with pytest.raises(ValueError):
             coupling_coefficients(paper_proto, paper_spec.fbw(), paper_spec.f0, qu=-5.0)
+
+
+class TestCouplingMatrixModel:
+    @pytest.mark.parametrize("field", ["k", "qe_in", "qe_out", "qu", "f0", "fbw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        # NaN compares false with 0, so the range checks alone let k=(nan,) through
+        kwargs = dict(n=2, k=(0.05,), qe_in=10, qe_out=10, f0=2.58, fbw=0.05)
+        kwargs[field] = (value,) if field == "k" else value
+        with pytest.raises(ValueError, match=field):
+            CouplingMatrixModel(**kwargs)

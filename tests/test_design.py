@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from mwbpf.coupling import coupling_coefficients, j_inverters
@@ -63,6 +64,15 @@ class TestSynthesizeDesign:
         assert sum(r.category is ModelValidityWarning for r in rec) == len(outside)
 
 
+def _same(a, b):
+    # bit-equal sweeps: same frequencies, S-parameters and reference impedance
+    return (
+        a.z0 == b.z0
+        and np.array_equal(a.frequencies, b.frequencies)
+        and np.array_equal(a.s, b.s)
+    )
+
+
 class TestSimulate:
     def test_lossy_ml_matches_mode_average_glue(self, fr4_design, fr4):
         eps = [
@@ -74,18 +84,18 @@ class TestSimulate:
             fr4_design.prototype, fr4_design.spec.fbw(), fr4_design.spec.f0, qu=qu
         )
         want = sweep_coupling_matrix(model, SWEEP)
-        assert simulate(fr4_design, fr4, "ml", SWEEP, lossy=True) == want
+        assert _same(simulate(fr4_design, fr4, "ml", SWEEP, lossy=True), want)
 
     def test_physical_matches_sweep_pcl(self, fr4_design, fr4):
         want = sweep_pcl(
             fr4_design.coupling, fr4_design.spec.f0, SWEEP,
             mode="physical", dims=fr4_design.dims, substrate=fr4, lossy=True,
         )
-        assert simulate(fr4_design, fr4, "physical", SWEEP, lossy=True) == want
+        assert _same(simulate(fr4_design, fr4, "physical", SWEEP, lossy=True), want)
 
     def test_ideal_ignores_substrate(self, fr4_design, fr4):
         want = sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, SWEEP)
-        assert simulate(fr4_design, fr4, "ideal", SWEEP) == want
+        assert _same(simulate(fr4_design, fr4, "ideal", SWEEP), want)
 
 
 class TestDesignLayout:

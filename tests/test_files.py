@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from mwbpf.rfsim import FrequencySweep, SMatrix2, SParamResult, sweep_pcl
+from mwbpf.rfsim import FrequencySweep, SParamResult, sweep_pcl
 from mwbpf.touchstone import (
     csv_text,
     read_touchstone,
@@ -16,7 +17,7 @@ from mwbpf.touchstone import (
 def identity_result():
     return SParamResult(
         frequencies=(1.0,),
-        points=(SMatrix2(s11=0.0, s12=1.0, s21=1.0, s22=0.0),),
+        s=[[[0.0, 1.0], [1.0, 0.0]]],
         z0=50.0,
     )
 
@@ -48,7 +49,7 @@ class TestTouchstoneWriter:
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_result_rejected(self):
-        empty = SParamResult(frequencies=(), points=(), z0=50.0)
+        empty = SParamResult(frequencies=(), s=np.empty((0, 2, 2)), z0=50.0)
         with pytest.raises(ValueError):
             touchstone_text(empty)
 
@@ -59,11 +60,8 @@ class TestTouchstoneRoundTrip:
         write_touchstone(sweep_result, path)
         back = read_touchstone(path)
         assert back.z0 == sweep_result.z0
-        for f0, f1 in zip(sweep_result.frequencies, back.frequencies):
-            assert abs(f0 - f1) <= 1e-9
-        for p0, p1 in zip(sweep_result.points, back.points):
-            for attr in ("s11", "s12", "s21", "s22"):
-                assert abs(getattr(p0, attr) - getattr(p1, attr)) <= 1e-9
+        assert np.abs(sweep_result.frequencies - back.frequencies).max() <= 1e-9
+        assert np.abs(sweep_result.s - back.s).max() <= 1e-9
 
     def test_parses_magnitude_angle_format(self, tmp_path):
         path = tmp_path / "ma.s2p"
@@ -75,15 +73,15 @@ class TestTouchstoneRoundTrip:
         r = read_touchstone(path)
         assert r.z0 == 75.0
         assert r.frequencies[0] == pytest.approx(2.5)
-        assert r.points[0].s11 == pytest.approx(0.5j)
-        assert r.points[0].s22 == pytest.approx(-0.5j)
+        assert r.s[0, 0, 0] == pytest.approx(0.5j)
+        assert r.s[0, 1, 1] == pytest.approx(-0.5j)
 
     def test_parses_db_format(self, tmp_path):
         path = tmp_path / "db.s2p"
         path.write_text("# GHz S DB R 50\n2.5 -6.0205999 0 0 0 0 0 -6.0205999 0\n",
                         encoding="ascii")
         r = read_touchstone(path)
-        assert abs(r.points[0].s11) == pytest.approx(0.5, rel=1e-6)
+        assert abs(r.s[0, 0, 0]) == pytest.approx(0.5, rel=1e-6)
 
     def test_rejects_non_s_files(self, tmp_path):
         path = tmp_path / "z.s2p"
@@ -105,10 +103,10 @@ class TestCsv:
         assert len(rows) == len(sweep_result.frequencies)
         i = 50
         f, s11_db, s11_deg, s21_db, s21_deg = (float(t) for t in rows[i].split(","))
-        p = sweep_result.points[i]
+        s = sweep_result.s[i]
         assert f == pytest.approx(sweep_result.frequencies[i], abs=1e-9)
-        assert s21_db == pytest.approx(20 * math.log10(abs(p.s21)), abs=1e-5)
-        assert s11_db == pytest.approx(20 * math.log10(abs(p.s11)), abs=1e-5)
+        assert s21_db == pytest.approx(20 * math.log10(abs(s[1, 0])), abs=1e-5)
+        assert s11_db == pytest.approx(20 * math.log10(abs(s[0, 0])), abs=1e-5)
 
     def test_byte_stability(self, sweep_result):
         assert csv_text(sweep_result) == csv_text(sweep_result)

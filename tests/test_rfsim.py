@@ -9,15 +9,13 @@ from mwbpf.coupling import (
     CouplingSection,
     coupling_coefficients,
 )
-from mwbpf.microstrip import C0, ModeParams
+from mwbpf.microstrip import C0, ModeParams, analyze_coupled, dielectric_loss, unloaded_q
 from mwbpf.prototype import bandpass_to_lowpass
 from mwbpf.rfsim import (
     BandEdgeOutOfRange,
     FrequencySweep,
-    IDENTITY,
-    SMatrix2,
+    SingularFrequencyWarning,
     SParamResult,
-    TwoPortABCD,
     abcd_to_s,
     cascade,
     coupled_section_twoport,
@@ -32,6 +30,14 @@ SWEEP = FrequencySweep(2.0, 3.0, 1001)
 
 def _ideal_mp(z0e, z0o):
     return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=1.0, eps_eff_o=1.0)
+
+
+def _abcd(a, b, c, d):
+    return np.array([[a, b], [c, d]], dtype=complex)
+
+
+def _det(m):
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def _fourport_reduction_oracle(mp: ModeParams, l_mm, f_ghz, z0):
@@ -72,14 +78,14 @@ class TestCoupledSection:
         mp = _ideal_mp(50.0, 50.0)
         for f in (2.0, 2.58, 2.9):
             s = abcd_to_s(coupled_section_twoport(mp, 29.05, f), 50.0)
-            assert abs(s.s21) < 1e-12
+            assert abs(s[1, 0]) < 1e-12
 
     def test_image_impedance_at_quarter_wave(self):
         # at 90 degrees the image impedance is (z0e - z0o) / 2
         mp = _ideal_mp(72.21, 38.89)
         l_mm = C0 / (4 * 2.58e9) * 1e3
         m = coupled_section_twoport(mp, l_mm, 2.58)
-        zi = cmath.sqrt(m.b / m.c)
+        zi = cmath.sqrt(m[0, 1] / m[1, 0])
         assert zi.real == pytest.approx((72.21 - 38.89) / 2, abs=0.01)
         assert abs(zi.imag) < 1e-9
 
@@ -89,7 +95,7 @@ class TestCoupledSection:
         for _ in range(100):
             f = float(rng.uniform(2.0, 3.0))
             m = coupled_section_twoport(mp, 29.05, f)
-            assert abs(m.det() - 1.0) < 1e-9
+            assert abs(_det(m) - 1.0) < 1e-9
 
     def test_matches_fourport_reduction(self):
         rng = np.random.default_rng(23)
@@ -106,29 +112,29 @@ class TestCoupledSection:
             l_mm = float(rng.uniform(10.0, 20.0))
             s = abcd_to_s(coupled_section_twoport(mp, l_mm, f), 50.0)
             ref = _fourport_reduction_oracle(mp, l_mm, f, 50.0)
-            assert s.s11 == pytest.approx(ref[0, 0], abs=1e-9)
-            assert s.s21 == pytest.approx(ref[1, 0], abs=1e-9)
-            assert s.s22 == pytest.approx(ref[1, 1], abs=1e-9)
+            assert s[0, 0] == pytest.approx(ref[0, 0], abs=1e-9)
+            assert s[1, 0] == pytest.approx(ref[1, 0], abs=1e-9)
+            assert s[1, 1] == pytest.approx(ref[1, 1], abs=1e-9)
 
     def test_singularity_nudge_warns(self):
         mp = _ideal_mp(72.21, 38.89)
         l_mm = C0 / (2 * 2.58e9) * 1e3  # half wave: theta = pi at 2.58
         with pytest.warns(UserWarning, match="nudging"):
             m = coupled_section_twoport(mp, l_mm, 2.58)
-        assert all(map(math.isfinite, (abs(m.a), abs(m.b), abs(m.c), abs(m.d))))
+        assert np.isfinite(m).all()
 
 
 class TestCascade:
     def test_single_section_identity(self):
-        m = TwoPortABCD(1.0 + 0.5j, 2.0, 0.1j, 0.7)
-        assert cascade([m]) == m
+        m = _abcd(1.0 + 0.5j, 2.0, 0.1j, 0.7)
+        assert (cascade([m]) == m).all()
 
     def test_mirrored_pair_is_symmetric(self):
         mp = _ideal_mp(72.21, 38.89)
         m = coupled_section_twoport(mp, 20.0, 2.4)
-        flipped = TwoPortABCD(a=m.d, b=m.b, c=m.c, d=m.a)
+        flipped = _abcd(m[1, 1], m[0, 1], m[1, 0], m[0, 0])
         s = abcd_to_s(cascade([m, flipped]), 50.0)
-        assert s.s11 == pytest.approx(s.s22, abs=1e-12)
+        assert s[0, 0] == pytest.approx(s[1, 1], abs=1e-12)
 
     def test_associativity(self):
         rng = np.random.default_rng(31)
@@ -144,8 +150,7 @@ class TestCascade:
             ]
             left = cascade([cascade(ms[:2]), ms[2]])
             right = cascade([ms[0], cascade(ms[1:])])
-            for attr in "abcd":
-                worst = max(worst, abs(getattr(left, attr) - getattr(right, attr)))
+            worst = max(worst, np.abs(left - right).max())
         assert worst < 1e-12 * 1e3  # relative to entry magnitudes ~1e2
 
     def test_empty_rejected(self):
@@ -155,20 +160,20 @@ class TestCascade:
 
 class TestAbcdToS:
     def test_identity_network(self):
-        s = abcd_to_s(IDENTITY, 50.0)
-        assert s.s11 == 0.0
-        assert s.s21 == 1.0
+        s = abcd_to_s(np.eye(2), 50.0)
+        assert s[0, 0] == 0.0
+        assert s[1, 0] == 1.0
 
     def test_series_impedance_closed_form(self):
-        s = abcd_to_s(TwoPortABCD(1.0, 50.0, 0.0, 1.0), 50.0)
-        assert s.s11 == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert s.s21 == pytest.approx(2.0 / 3.0, rel=1e-12)
+        s = abcd_to_s(_abcd(1.0, 50.0, 0.0, 1.0), 50.0)
+        assert s[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert s[1, 0] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_lossless_unitarity(self):
         mp = _ideal_mp(72.21, 38.89)
         for f in np.linspace(2.0, 3.0, 50):
             s = abcd_to_s(coupled_section_twoport(mp, 29.05, float(f)), 50.0)
-            assert abs(abs(s.s11) ** 2 + abs(s.s21) ** 2 - 1.0) < 1e-9
+            assert abs(abs(s[0, 0]) ** 2 + abs(s[1, 0]) ** 2 - 1.0) < 1e-9
 
 
 class TestSweepPcl:
@@ -181,7 +186,7 @@ class TestSweepPcl:
 
     def test_reciprocity_is_exact(self, fr4_design):
         r = sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, SWEEP)
-        assert all(p.s12 == p.s21 for p in r.points)
+        assert (r.s[:, 0, 1] == r.s[:, 1, 0]).all()
 
     def test_loss_ordering_fr4_vs_ro3003(self, fr4_design, ro3003_design, fr4, ro3003):
         sweep = FrequencySweep(2.3, 2.9, 401)
@@ -201,7 +206,7 @@ class TestSweepPcl:
         )
         design = CouplingDesign(z0=50.0, sections=sections)
         r = sweep_pcl(design, 2.58, FrequencySweep(2.0, 3.0, 21))
-        assert np.max(np.abs(r.s21_array())) < 1e-12
+        assert np.max(np.abs(r.s[:, 1, 0])) < 1e-12
 
     def test_physical_mode_needs_dims(self, fr4_design):
         with pytest.raises(ValueError):
@@ -225,7 +230,7 @@ class TestSweepCouplingMatrix:
 
     def test_four_reflection_minima(self, lossless):
         freqs = np.array(lossless.frequencies)
-        mag11 = np.abs(lossless.s11_array())
+        mag11 = np.abs(lossless.s[:, 0, 0])
         db21 = lossless.s21_db()
         band = db21 >= db21.max() - 0.011
         lo, hi = freqs[band][0], freqs[band][-1]
@@ -241,8 +246,8 @@ class TestSweepCouplingMatrix:
 
     def test_midband_unitarity(self, lossless):
         i0 = int(np.argmin(np.abs(np.array(lossless.frequencies) - 2.58)))
-        p = lossless.points[i0]
-        assert abs(p.s11) ** 2 + abs(p.s21) ** 2 == pytest.approx(1.0, abs=1e-9)
+        s = lossless.s[i0]
+        assert abs(s[0, 0]) ** 2 + abs(s[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_loss_monotone_in_qu(self, paper_proto, paper_spec):
         ils = []
@@ -264,15 +269,13 @@ class TestSweepCouplingMatrix:
             hi = sweep_coupling_matrix(
                 model, FrequencySweep(pair[1] - 1e-4, pair[1] + 1e-4, 3)
             )
-            assert abs(lo.points[1].s21) == pytest.approx(
-                abs(hi.points[1].s21), abs=1e-6
-            )
+            assert abs(lo.s[1, 1, 0]) == pytest.approx(abs(hi.s[1, 1, 0]), abs=1e-6)
             assert bandpass_to_lowpass(pair[0], f0, model.fbw) == pytest.approx(
                 -bandpass_to_lowpass(pair[1], f0, model.fbw), rel=1e-12
             )
 
     def test_reciprocity_exact(self, lossless):
-        assert all(p.s12 == p.s21 for p in lossless.points)
+        assert (lossless.s[:, 0, 1] == lossless.s[:, 1, 0]).all()
 
 
 class TestModelsAgree:
@@ -305,9 +308,114 @@ class TestExtractMetrics:
         assert narrow.rl_db <= default.rl_db
 
     def test_result_validation(self):
-        with pytest.raises(ValueError):
-            SParamResult(
-                frequencies=(2.0, 1.0),
-                points=(SMatrix2(0, 1, 1, 0), SMatrix2(0, 1, 1, 0)),
-                z0=50.0,
-            )
+        through = [[0, 1], [1, 0]]
+        with pytest.raises(ValueError, match="increasing"):
+            SParamResult(frequencies=(2.0, 1.0), s=[through, through], z0=50.0)
+        with pytest.raises(ValueError, match="shape"):
+            SParamResult(frequencies=(1.0, 2.0), s=[through], z0=50.0)
+
+
+class TestFrequencySweep:
+    @pytest.mark.parametrize("field", ["f_start", "f_stop"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(f_start=2.0, f_stop=3.0, n_points=11)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            FrequencySweep(**kwargs)
+
+
+class TestSingularFrequency:
+    def test_nudged_point_is_finite_and_matches_offset_sweep(self, fr4_design):
+        coupling, f0 = fr4_design.coupling, fr4_design.spec.f0
+        with pytest.warns(SingularFrequencyWarning) as rec:
+            r = sweep_pcl(coupling, f0, FrequencySweep(4.0, 6.32, 117))  # 5.16 GHz = 2 f0
+        assert len(rec) == len(coupling.sections)
+        assert np.isfinite(r.s).all()
+        i = int(np.argmin(np.abs(r.frequencies - 5.16)))
+        offset = sweep_pcl(coupling, f0, FrequencySweep(5.16 * (1.0 + 1e-6), 6.0, 2))
+        assert np.abs(r.s[i] - offset.s[0]).max() <= 1e-12
+
+
+# --- scalar reference: one frequency at a time, Python complex arithmetic ---
+
+def _scalar_pcl(mps, lengths, f, z0):
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for mp, l_mm in zip(mps, lengths):
+        beta = 2 * math.pi * f * 1e9 / C0
+        th_e = (beta * math.sqrt(mp.eps_eff_e) - 1j * mp.alpha_e) * l_mm * 1e-3
+        th_o = (beta * math.sqrt(mp.eps_eff_o) - 1j * mp.alpha_o) * l_mm * 1e-3
+        zs = -0.5j * (mp.z0e / cmath.tan(th_e) + mp.z0o / cmath.tan(th_o))
+        zx = -0.5j * (mp.z0e / cmath.sin(th_e) - mp.z0o / cmath.sin(th_o))
+        ma, mb, mc, md = zs / zx, (zs * zs - zx * zx) / zx, 1 / zx, zs / zx
+        a, b, c, d = a * ma + b * mc, a * mb + b * md, c * ma + d * mc, c * mb + d * md
+    den = a + b / z0 + c * z0 + d
+    return (a + b / z0 - c * z0 - d) / den, 2 / den, (-a + b / z0 - c * z0 + d) / den
+
+
+def _scalar_ml(model, f):
+    """Cramer's rule on the tridiagonal A, determinants by the continuant recurrence."""
+    n, fbw, m = model.n, model.fbw, [k / model.fbw for k in model.k]
+    qe1, qen = model.qe_in * fbw, model.qe_out * fbw
+    r = [1 / qe1] + [0.0] * (n - 2) + [1 / qen]
+    omega = (f / model.f0 - model.f0 / f) / fbw
+    diag = [omega - 1j * (ri + 1 / (model.qu * fbw)) for ri in r]
+
+    def det(lo, hi):  # of A[lo:hi, lo:hi], 0 < hi - lo
+        prev, cur = 1.0, diag[lo]
+        for i in range(lo + 1, hi):
+            prev, cur = cur, diag[i] * cur - m[i - 1] ** 2 * prev
+        return cur
+
+    full = det(0, n)
+    a11, ann, an1 = det(1, n) / full, det(0, n - 1) / full, (-1) ** (n - 1) * math.prod(m) / full
+    s11, s22 = -1 - 2j / qe1 * a11, -1 - 2j / qen * ann
+    return s11, -2j / math.sqrt(qe1 * qen) * an1, s22
+
+
+def _engine_and_reference(engine, design, sub):
+    freqs = SWEEP.frequencies().tolist()
+    if engine == "ml":
+        eps = [(mp.eps_eff_e + mp.eps_eff_o) / 2 for mp in (analyze_coupled(d.w, d.s, sub) for d in design.dims)]
+        qu = unloaded_q(sub, sum(eps) / len(eps), design.spec.f0)
+        model = coupling_coefficients(design.prototype, design.spec.fbw(), design.spec.f0, qu=qu)
+        return sweep_coupling_matrix(model, SWEEP), [_scalar_ml(model, f) for f in freqs]
+    if engine == "ideal":
+        result = sweep_pcl(design.coupling, design.spec.f0, SWEEP)
+        mps = [_ideal_mp(s.z0e, s.z0o) for s in design.coupling.sections]
+        lengths = [C0 / (4.0 * design.spec.f0 * 1e9) * 1e3] * len(mps)
+        return result, [_scalar_pcl(mps, lengths, f, design.coupling.z0) for f in freqs]
+    result = sweep_pcl(
+        design.coupling, design.spec.f0, SWEEP,
+        mode="physical", dims=design.dims, substrate=sub, lossy=True,
+    )
+    static = [analyze_coupled(d.w, d.s, sub) for d in design.dims]
+    lengths = [d.l for d in design.dims]
+    ref = []
+    for f in freqs:
+        mps = [
+            ModeParams(mp.z0e, mp.z0o, mp.eps_eff_e, mp.eps_eff_o,
+                       dielectric_loss(sub, mp.eps_eff_e, f), dielectric_loss(sub, mp.eps_eff_o, f))
+            for mp in static
+        ]
+        ref.append(_scalar_pcl(mps, lengths, f, design.coupling.z0))
+    return result, ref
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("engine", ["ideal", "physical", "ml"])
+    @pytest.mark.parametrize("board", ["fr4", "ro3003"])
+    def test_engine_matches_scalar_reference(self, request, board, engine):
+        design = request.getfixturevalue(f"{board}_design")
+        sub = request.getfixturevalue(board)
+        result, ref = _engine_and_reference(engine, design, sub)
+        ref = np.array(ref)
+        s11, s21, s22 = result.s[:, 0, 0], result.s[:, 1, 0], result.s[:, 1, 1]
+        assert np.abs(np.stack((s11, s21, s22), axis=1) - ref).max() <= 1e-12
+        assert (result.s[:, 0, 1] == s21).all()
+        power = np.abs(s11) ** 2 + np.abs(s21) ** 2
+        if engine == "ideal":
+            assert np.abs(power - 1.0).max() <= 1e-12
+            assert np.abs(s11 - s22).max() <= 1e-12  # palindromic design
+        else:
+            assert (power <= 1.0).all()
