@@ -8,6 +8,8 @@ Distinct exit codes per failure class:
   4  dimension synthesis did not converge / coupling unreachable
   5  band edges fall outside the swept span
   6  layout fold infeasible
+  7  invalid input: a missing or malformed file, a missing key, or an
+     out-of-range or non-finite value
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ EXIT_UNKNOWN_MATERIAL = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_BAND_EDGE = 5
 EXIT_FOLD = 6
+EXIT_INVALID_INPUT = 7
 
 
 def _load_spec_config(path: str) -> tuple[FilterSpec, str]:
@@ -151,8 +154,9 @@ def cmd_layout(args) -> int:
 def cmd_materials(args) -> int:
     if args.action != "list":
         raise ValueError("supported action: list")
+    substrates = default_registry().substrates()
     print(f"{'name':<10} {'eps_r':>6} {'tan_d':>8} {'h_mm':>6} {'t_mm':>6} {'sigma_S/m':>10}")
-    for sub in default_registry().substrates():
+    for sub in substrates:
         print(
             f"{sub.name:<10} {sub.eps_r:>6.2f} {sub.tan_d:>8.4f} "
             f"{sub.h:>6.3f} {sub.t:>6.3f} {sub.conductivity:>10.2e}"
@@ -272,6 +276,12 @@ def main(argv: list[str] | None = None) -> int:
     except FoldTooTight as exc:
         print(f"error: layout infeasible: {exc}", file=sys.stderr)
         return EXIT_FOLD
+    except KeyError as exc:
+        print(f"error: invalid input: missing key {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except (ValueError, OSError) as exc:
+        print(f"error: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -28,10 +28,6 @@ class CouplingDesign:
     z0: float
     sections: tuple[CouplingSection, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.sections) - 1
-
 
 @dataclass(frozen=True)
 class CouplingMatrixModel:

@@ -75,6 +75,9 @@ class CoupledSectionDims:
     l: float  # section length, mm
 
     def __post_init__(self):
+        for name in ("w", "s", "l"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.w <= 0 or self.s <= 0 or self.l <= 0:
             raise ValueError("dimensions must be positive")
 

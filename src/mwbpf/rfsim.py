@@ -267,8 +267,8 @@ def sweep_coupling_matrix(
     qe1 = model.qe_in * model.fbw
     qen = model.qe_out * model.fbw
     r = np.zeros(n)
-    r[0] = 1.0 / qe1
-    r[-1] = 1.0 / qen
+    r[0] += 1.0 / qe1  # += so that an order-1 resonator carries both port loadings
+    r[-1] += 1.0 / qen
     if model.qu is not None:
         r += 1.0 / (model.qu * model.fbw)
 

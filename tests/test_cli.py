@@ -51,6 +51,14 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
+def _run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(mwbpf.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "mwbpf.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestSynth:
     def test_writes_design_and_prints_tables(self, design_path, capsys):
         doc = load_design(design_path)
@@ -84,12 +92,7 @@ class TestSynth:
         # a 58 % band at 100 ohm: the coupled-line fits overflow in synthesis
         cfg = _write_config(tmp_path, f_lower_ghz=1.9, f_upper_ghz=3.45,
                             stop_freq_ghz=4.7, z0_ohm=100.0)
-        env = dict(os.environ, PYTHONPATH=str(Path(mwbpf.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mwbpf.cli", "synth", "--config", str(cfg),
-             "--out", str(tmp_path / "d.json")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "d.json"))
         assert proc.returncode == 4
         assert "error: synthesis failed" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -191,3 +194,50 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "JSON" in out
         assert "f_lower_ghz" in out
+
+
+class TestInvalidInput:
+    LAYOUT = ("layout", "--kind", "ml", "--out", "{tmp}/bad.svg", "--design", "{design}")
+    SIMULATE = ("simulate", "--out-prefix", "{tmp}/bad")
+
+    @pytest.mark.parametrize("argv, cause", [
+        pytest.param(("synth", "--config", "{incomplete}", "--out", "{tmp}/d.json"),
+                     "f_upper_ghz", id="synth-missing-key"),
+        pytest.param(SIMULATE + ("--design", "{tmp}/nope.json"), "nope.json",
+                     id="simulate-missing-design"),
+        pytest.param(SIMULATE + ("--design", "{design}", "--points", "1"), "sweep points",
+                     id="simulate-one-point"),
+        pytest.param(("compare", "--config", "{config}", "--points", "1"), "sweep points",
+                     id="compare-one-point"),
+        pytest.param(SIMULATE + ("--design", "{design}", "--f-stop", "inf"), "f_stop",
+                     id="simulate-f-stop-inf"),
+        pytest.param(LAYOUT + ("--planar-gap", "-1"), "planar_gap", id="layout-negative-gap"),
+        pytest.param(LAYOUT + ("--overlap", "nan"), "overlap", id="layout-overlap-nan"),
+        pytest.param(("materials", "list"), "tan_d", id="materials-missing-key"),
+    ])
+    def test_exit_code(self, argv, cause, tmp_path, config_path, design_path,
+                       monkeypatch, capsys):
+        incomplete = tmp_path / "incomplete.json"
+        cfg = json.loads(json.dumps(PAPER_CONFIG))
+        del cfg["spec"]["f_upper_ghz"]
+        incomplete.write_text(json.dumps(cfg))
+        if argv[0] == "materials":
+            materials = tmp_path / "materials.json"
+            materials.write_text(json.dumps({"materials": [{"name": "X", "eps_r": 3.0, "h": 1.0}]}))
+            monkeypatch.setenv("MWBPF_MATERIALS", str(materials))
+        names = dict(tmp=tmp_path, incomplete=incomplete, config=config_path, design=design_path)
+        capsys.readouterr()
+        assert main([a.format(**names) for a in argv]) == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid input: ")
+        assert cause in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_no_traceback(self, tmp_path, design_path):
+        proc = _run_cli("layout", "--design", str(design_path), "--kind", "ml",
+                        "--overlap", "nan", "--out", str(tmp_path / "bad.svg"))
+        assert proc.returncode == 7
+        assert proc.stderr.startswith("error: invalid input: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "bad.svg").exists()

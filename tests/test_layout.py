@@ -1,7 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwbpf.layout import (
     FilterLayout,
@@ -17,6 +20,7 @@ from mwbpf.layout import (
     pcl_layout,
     single_layer_stackup,
 )
+from mwbpf.design import design_layout
 from mwbpf.microstrip import CoupledSectionDims, Substrate
 
 from conftest import ML_FR4_SIZE, PCL_FR4_SIZE, TABLE2_FR4, TABLE3_RO3003
@@ -48,7 +52,7 @@ class TestPclLayout:
 
     def test_single_section_arithmetic(self):
         d = CoupledSectionDims(w=2.0, s=0.5, l=16.0)
-        lay = pcl_layout([d], feed_width=1.5, feed_length=1.0)
+        lay = pcl_layout([d], feed_width=1.5)
         assert lay.bounds[0] == pytest.approx(16.0 + 2.0)
         assert lay.bounds[1] == pytest.approx(2 * 2.0 + 0.5)
 
@@ -83,6 +87,14 @@ class TestHairpinFold:
     def test_too_tight(self):
         with pytest.raises(FoldTooTight):
             hairpin_fold(10.0, 4.0, 3.3)
+
+    @pytest.mark.parametrize("field", ["l_half_wave", "arm_gap", "w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative(self, field, value):
+        kwargs = dict(l_half_wave=32.1, arm_gap=2.0, w=3.3)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="positive and finite"):
+            hairpin_fold(**kwargs)
 
     def test_centerline_preserved_over_parameter_grid(self):
         rng = np.random.default_rng(13)
@@ -143,21 +155,12 @@ class TestStackup:
         assert roles == ["ground", "epoxy", "resonator-bottom", "core", "resonator-top"]
         assert st.total_thickness() == pytest.approx(0.035 * 3 + 0.05 + 1.6)
 
-    def test_contiguity_enforced(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            Stackup(
-                layers=(
-                    StackupLayer("ground", "copper", 0.035, 0.0),
-                    StackupLayer("core", "FR4", 1.6, 1.0),
-                )
-            )
-
     def test_single_ground_enforced(self):
         with pytest.raises(ValueError, match="ground"):
             Stackup(
                 layers=(
-                    StackupLayer("ground", "copper", 0.035, 0.0),
-                    StackupLayer("ground", "copper", 0.035, 0.035),
+                    StackupLayer("ground", "copper", 0.035),
+                    StackupLayer("ground", "copper", 0.035),
                 )
             )
 
@@ -175,9 +178,9 @@ class TestStackup:
 
     def test_dielectric_layers_need_thickness(self):
         with pytest.raises(ValueError, match="positive"):
-            StackupLayer("core", "FR4", 0.0, 0.0)
+            StackupLayer("core", "FR4", 0.0)
         with pytest.raises(ValueError, match="positive"):
-            StackupLayer("ground", "copper", -0.035, 0.0)
+            StackupLayer("ground", "copper", -0.035)
 
 
 class TestLayoutValidation:
@@ -187,7 +190,6 @@ class TestLayoutValidation:
         with pytest.raises(ValueError, match="overlapping"):
             FilterLayout(
                 elements=(el1, el2),
-                bounds=(3.0, 1.0),
                 ports=(Port("P1", 0, 0), Port("P2", 3, 1)),
             )
 
@@ -196,26 +198,96 @@ class TestLayoutValidation:
         el2 = LayoutElement(1, ((1, 0), (3, 0), (3, 1), (1, 1)), ((1.0, 0.0, 3.0, 1.0),))
         lay = FilterLayout(
             elements=(el1, el2),
-            bounds=(3.0, 1.0),
             ports=(Port("P1", 0, 0), Port("P2", 3, 1)),
         )
         assert lay.area() == pytest.approx(3.0)
 
-    def test_vertex_outside_bounds_rejected(self):
-        el = LayoutElement(0, ((0, 0), (5, 0), (5, 1), (0, 1)), ((0.0, 0.0, 5.0, 1.0),))
-        with pytest.raises(ValueError, match="outside"):
-            FilterLayout(
-                elements=(el,),
-                bounds=(3.0, 1.0),
-                ports=(Port("P1", 0, 0), Port("P2", 3, 1)),
-            )
+    def test_moved_to_origin_with_derived_bounds(self):
+        el1 = LayoutElement(0, ((5, -2), (7, -2), (7, 1), (5, 1)), ((5.0, -2.0, 7.0, 1.0),))
+        el2 = LayoutElement(1, ((4, 0), (6, 0), (6, 3), (4, 3)), ((4.0, 0.0, 6.0, 3.0),))
+        lay = FilterLayout(elements=(el1, el2), ports=(Port("P1", 4, 0), Port("P2", 7, 1)))
+        assert lay.bounds == (3, 5)
+        assert lay.elements[0].polygon == ((1, 0), (3, 0), (3, 3), (1, 3))
+        assert lay.elements[0].rects == ((1.0, 0.0, 3.0, 3.0),)
+        assert lay.elements[1].polygon == ((0, 2), (2, 2), (2, 5), (0, 5))
+        assert [(p.x, p.y) for p in lay.ports] == [(0, 2), (3, 3)]
+
+    def test_overflowing_extent_rejected(self):
+        huge = CoupledSectionDims(w=2.0, s=0.5, l=1e308)
+        with pytest.raises(ValueError, match="finite"):
+            pcl_layout([huge, huge], feed_width=1.5)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _length(hi):
+    """Lengths in (0, hi] mm, or now and then NaN or an infinity."""
+    return st.one_of(st.floats(0.0, hi, exclude_min=True), _NON_FINITE)
+
+
+def _check_placed(lay):
+    xs = [x for el in lay.elements for x, _ in el.polygon]
+    ys = [y for el in lay.elements for _, y in el.polygon]
+    assert all(map(math.isfinite, xs + ys))
+    assert (min(xs), min(ys)) == (0.0, 0.0)
+    assert lay.bounds == (max(xs), max(ys))
+    layers, z = lay.stackup.layers, lay.stackup.z_offsets()
+    assert z[0] == 0.0
+    for i in range(1, len(layers)):
+        assert z[i] == z[i - 1] + layers[i - 1].thickness
+    assert z[-1] + layers[-1].thickness == lay.stackup.total_thickness()
+
+
+class TestLayoutProperties:
+    """What the builders guarantee for any geometry they accept: the box
+    starts at the origin and ends at the outermost vertex, the stackup
+    heights are a running sum, and NaN or infinite input is refused."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        board=st.sampled_from(["fr4", "ro3003"]),
+        arm_gap=_length(20.0),
+        overlap=st.one_of(st.floats(0.0, 5.0), _NON_FINITE),
+        planar_gap=_length(20.0),
+    )
+    def test_ml_layout(self, request, board, arm_gap, overlap, planar_gap):
+        design, sub = request.getfixturevalue(f"{board}_design"), request.getfixturevalue(board)
+        geometry = dict(arm_gap=arm_gap, overlap=overlap, planar_gap=planar_gap)
+        if not all(map(math.isfinite, geometry.values())):
+            # FoldTooTight, a ValueError, may be raised first when arm_gap is finite
+            with pytest.raises(ValueError):
+                design_layout(design, sub, "ml", **geometry)
+            return
+        try:
+            lay = design_layout(design, sub, "ml", **geometry)
+        except FoldTooTight:
+            return
+        _check_placed(lay)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sections=st.lists(st.tuples(_length(10.0), _length(10.0), _length(60.0)),
+                          min_size=1, max_size=6),
+        feed_width=_length(10.0),
+    )
+    def test_pcl_layout(self, fr4, sections, feed_width):
+        def build():
+            dims = [CoupledSectionDims(w=w, s=s, l=l) for w, s, l in sections]
+            return pcl_layout(dims, feed_width=feed_width, stackup=single_layer_stackup(fr4))
+
+        drawn = [v for section in sections for v in section] + [feed_width]
+        if not all(map(math.isfinite, drawn)):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+            return
+        _check_placed(build())
 
 
 class TestSvgExport:
     def test_empty_layout(self):
         lay = FilterLayout(
             elements=(),
-            bounds=(1.0, 1.0),
             ports=(Port("P1", 0, 0), Port("P2", 1, 1)),
         )
         svg = export_svg(lay)

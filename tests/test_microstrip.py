@@ -241,3 +241,11 @@ class TestValidation:
     def test_dims_invariants(self):
         with pytest.raises(ValueError):
             CoupledSectionDims(w=-1.0, s=0.5, l=16.0)
+
+    @pytest.mark.parametrize("field", ["w", "s", "l"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_dims_reject_non_finite(self, field, value):
+        kwargs = dict(w=2.0, s=0.5, l=16.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            CoupledSectionDims(**kwargs)

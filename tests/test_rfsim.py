@@ -6,6 +6,7 @@ import pytest
 
 from mwbpf.coupling import (
     CouplingDesign,
+    CouplingMatrixModel,
     CouplingSection,
     coupling_coefficients,
 )
@@ -276,6 +277,15 @@ class TestSweepCouplingMatrix:
 
     def test_reciprocity_exact(self, lossless):
         assert (lossless.s[:, 0, 1] == lossless.s[:, 1, 0]).all()
+
+    @pytest.mark.parametrize("qe_out", [10.0, 20.0])
+    def test_single_resonator_is_lossless(self, qe_out):
+        # an order-1 resonator is loaded by both ports at once
+        model = CouplingMatrixModel(n=1, k=(), qe_in=10.0, qe_out=qe_out, f0=2.58, fbw=0.1)
+        r = sweep_coupling_matrix(model, FrequencySweep(2.5, 2.66, 161))
+        s11, s21 = r.s[:, 0, 0], r.s[:, 1, 0]
+        assert np.abs(np.abs(s11) ** 2 + np.abs(s21) ** 2 - 1.0).max() <= 1e-12
+        assert np.abs(s21).max() <= 1.0
 
 
 class TestModelsAgree:
