@@ -27,7 +27,6 @@ from .microstrip import (
     analyze_coupled,
     analyze_single,
     check_fit_range,
-    conductor_loss,
     dielectric_loss,
     resonator_length,
     synthesize_coupled,

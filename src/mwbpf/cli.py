@@ -8,8 +8,8 @@ Distinct exit codes per failure class:
   4  dimension synthesis did not converge / coupling unreachable
   5  band edges fall outside the swept span
   6  layout fold infeasible
-  7  invalid input: a missing or malformed file, a missing key, or an
-     out-of-range or non-finite value
+  7  invalid input: a missing or malformed file, a missing key, a value of
+     the wrong JSON type, or an out-of-range or non-finite value
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from .design import (
     load_design,
     save_design,
     simulate,
+    spec_from_dict,
     synthesize_design,
 )
 from .layout import FoldTooTight, export_svg
-from .materials import UnknownMaterial, default_registry
+from .materials import UnknownMaterial, default_registry, expect_json
 from .microstrip import CouplingUnreachable, NoConvergence
 from .prototype import FilterSpec, UnsatisfiableSpec
 from .rfsim import BandEdgeOutOfRange, FrequencySweep, extract_metrics
@@ -63,18 +64,9 @@ EXIT_INVALID_INPUT = 7
 
 
 def _load_spec_config(path: str) -> tuple[FilterSpec, str]:
-    data = json.loads(Path(path).read_text())
-    s = data["spec"]
-    spec = FilterSpec(
-        f_lower=float(s["f_lower_ghz"]),
-        f_upper=float(s["f_upper_ghz"]),
-        f0=float(s.get("f0_ghz", 0.0)),
-        ripple_db=float(s["ripple_db"]),
-        stop_freq=float(s["stop_freq_ghz"]),
-        stop_atten_db=float(s["stop_atten_db"]),
-        z0=float(s.get("z0_ohm", 50.0)),
-    )
-    return spec, data["substrate"]
+    data = expect_json(json.loads(Path(path).read_text()), dict, "config")
+    spec = spec_from_dict(data["spec"])
+    return spec, expect_json(data["substrate"], str, "substrate")
 
 
 def _created_stamp(epoch: float | None) -> str | None:
@@ -107,6 +99,8 @@ def cmd_simulate(args) -> int:
     sub = default_registry().get(doc.substrate)
     sweep = FrequencySweep(f_start=args.f_start, f_stop=args.f_stop, n_points=args.n_points)
     result = simulate(doc, sub, args.mode, sweep, lossy=args.lossy)
+    # metrics first: a sweep that misses the band edges writes no artifact
+    m = extract_metrics(result, rl_band=(doc.spec.f_lower, doc.spec.f_upper))
 
     comments = (
         f"generated by {doc.tool} ({doc.created})",
@@ -117,7 +111,6 @@ def cmd_simulate(args) -> int:
     write_touchstone(result, s2p_path, comments=comments)
     write_csv(result, csv_path)
 
-    m = extract_metrics(result, rl_band=(doc.spec.f_lower, doc.spec.f_upper))
     target_bw = doc.spec.fbw() * doc.spec.f0 * 1e3
     print(f"f_c       = {m.f_c:.4f} GHz")
     print(f"-3dB band = {m.f_lower_3db:.4f} .. {m.f_upper_3db:.4f} GHz")
@@ -152,8 +145,6 @@ def cmd_layout(args) -> int:
 
 
 def cmd_materials(args) -> int:
-    if args.action != "list":
-        raise ValueError("supported action: list")
     substrates = default_registry().substrates()
     print(f"{'name':<10} {'eps_r':>6} {'tan_d':>8} {'h_mm':>6} {'t_mm':>6} {'sigma_S/m':>10}")
     for sub in substrates:

@@ -30,6 +30,7 @@ from .layout import (
     pcl_layout,
     single_layer_stackup,
 )
+from .materials import expect_json
 from .microstrip import (
     CoupledSectionDims,
     Substrate,
@@ -47,6 +48,19 @@ from .rfsim import FrequencySweep, SParamResult, sweep_coupling_matrix, sweep_pc
 DEFAULT_ARM_GAP = 4.0
 DEFAULT_OVERLAP = 1.0
 DEFAULT_PLANAR_GAP = 1.0
+
+# FilterSpec field -> JSON key of the "spec" block, in file order
+SPEC_KEYS = (
+    ("f_lower", "f_lower_ghz"),
+    ("f_upper", "f_upper_ghz"),
+    ("f0", "f0_ghz"),
+    ("ripple_db", "ripple_db"),
+    ("stop_freq", "stop_freq_ghz"),
+    ("stop_atten_db", "stop_atten_db"),
+    ("z0", "z0_ohm"),
+)
+# keys a "spec" block may leave out (f0 0.0: the geometric band-edge mean)
+SPEC_DEFAULTS = {"f0_ghz": 0.0, "z0_ohm": 50.0}
 
 
 @dataclass(frozen=True)
@@ -170,17 +184,21 @@ def design_layout(
     )
 
 
+def spec_from_dict(block) -> FilterSpec:
+    """The FilterSpec of a JSON "spec" block (config file or design document).
+
+    Each value is whatever ``float()`` takes; a missing required key is a
+    KeyError and a wrongly typed value a ValueError.
+    """
+    block = {**SPEC_DEFAULTS, **expect_json(block, dict, "spec")}
+    return FilterSpec(**{
+        field: expect_json(block[key], float, f"spec.{key}") for field, key in SPEC_KEYS
+    })
+
+
 def to_dict(doc: DesignDocument) -> dict:
     return {
-        "spec": {
-            "f_lower_ghz": doc.spec.f_lower,
-            "f_upper_ghz": doc.spec.f_upper,
-            "f0_ghz": doc.spec.f0,
-            "ripple_db": doc.spec.ripple_db,
-            "stop_freq_ghz": doc.spec.stop_freq,
-            "stop_atten_db": doc.spec.stop_atten_db,
-            "z0_ohm": doc.spec.z0,
-        },
+        "spec": {key: getattr(doc.spec, field) for field, key in SPEC_KEYS},
         "prototype": {
             "n": doc.prototype.n,
             "ripple_db": doc.prototype.ripple_db,
@@ -199,41 +217,42 @@ def to_dict(doc: DesignDocument) -> dict:
     }
 
 
-def from_dict(data: dict) -> DesignDocument:
-    spec = FilterSpec(
-        f_lower=data["spec"]["f_lower_ghz"],
-        f_upper=data["spec"]["f_upper_ghz"],
-        f0=data["spec"]["f0_ghz"],
-        ripple_db=data["spec"]["ripple_db"],
-        stop_freq=data["spec"]["stop_freq_ghz"],
-        stop_atten_db=data["spec"]["stop_atten_db"],
-        z0=data["spec"]["z0_ohm"],
-    )
-    proto = ChebyshevPrototype(
-        n=data["prototype"]["n"],
-        ripple_db=data["prototype"]["ripple_db"],
-        g=tuple(data["prototype"]["g"]),
-    )
-    coupling = CouplingDesign(
-        z0=data["coupling"]["z0_ohm"],
-        sections=tuple(
-            CouplingSection(
-                j_over_y0=s["j_over_y0"], z0e=s["z0e_ohm"], z0o=s["z0o_ohm"]
-            )
-            for s in data["coupling"]["sections"]
-        ),
-    )
-    dims = tuple(
-        CoupledSectionDims(w=d["w"], s=d["s"], l=d["l"]) for d in data["dims_mm"]
-    )
+def from_dict(data) -> DesignDocument:
+    """The design document of ``to_dict``'s JSON form, its types checked."""
+    data = expect_json(data, dict, "design document")
+    proto = expect_json(data["prototype"], dict, "prototype")
+    coupling = expect_json(data["coupling"], dict, "coupling")
+    provenance = expect_json(data["provenance"], dict, "provenance")
+
+    def numbers(obj, keys, where):
+        obj = expect_json(obj, dict, where)
+        return [expect_json(obj[k], float, f"{where}.{k}") for k in keys]
+
+    g = expect_json(proto["g"], list, "prototype.g")
+    sections = expect_json(coupling["sections"], list, "coupling.sections")
+    dims = expect_json(data["dims_mm"], list, "dims_mm")
     return DesignDocument(
-        spec=spec,
-        prototype=proto,
-        coupling=coupling,
-        dims=dims,
-        substrate=data["substrate"],
-        tool=data["provenance"]["tool"],
-        created=data["provenance"]["created"],
+        spec=spec_from_dict(data["spec"]),
+        prototype=ChebyshevPrototype(
+            n=expect_json(proto["n"], int, "prototype.n"),
+            ripple_db=expect_json(proto["ripple_db"], float, "prototype.ripple_db"),
+            g=tuple(expect_json(v, float, f"prototype.g[{i}]") for i, v in enumerate(g)),
+        ),
+        coupling=CouplingDesign(
+            z0=expect_json(coupling["z0_ohm"], float, "coupling.z0_ohm"),
+            sections=tuple(
+                CouplingSection(*numbers(s, ("j_over_y0", "z0e_ohm", "z0o_ohm"),
+                                         f"coupling.sections[{i}]"))
+                for i, s in enumerate(sections)
+            ),
+        ),
+        dims=tuple(
+            CoupledSectionDims(*numbers(d, "wsl", f"dims_mm[{i}]"))
+            for i, d in enumerate(dims)
+        ),
+        substrate=expect_json(data["substrate"], str, "substrate"),
+        tool=expect_json(provenance["tool"], str, "provenance.tool"),
+        created=expect_json(provenance["created"], str, "provenance.created"),
     )
 
 

@@ -27,6 +27,26 @@ class UnknownMaterial(KeyError):
     """Requested substrate is not in the registry."""
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def expect_json(value, kind: type, where: str):
+    """``value`` read from JSON at ``where``, checked to be a ``kind``.
+
+    ``float`` accepts whatever ``float()`` takes and returns the float; the
+    other kinds are JSON types and the value is returned as is. A mismatch
+    is a ValueError naming ``where``.
+    """
+    if kind is float:
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{where} must be a number, got {value!r}") from None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 class MaterialsRegistry:
     """Case-insensitive name -> Substrate map with overridable built-ins."""
 
@@ -51,16 +71,15 @@ class MaterialsRegistry:
 
     def merged_with_file(self, path: str | Path) -> "MaterialsRegistry":
         """New registry with user entries layered over (and shadowing) built-ins."""
-        data = json.loads(Path(path).read_text())
+        data = expect_json(json.loads(Path(path).read_text()), dict, "materials file")
         merged = dict(self._by_key)
-        for entry in data.get("materials", []):
+        for i, entry in enumerate(expect_json(data.get("materials", []), list, "materials")):
+            where = f"materials[{i}]"
+            entry = {"t": 0.035, "conductivity": 5.8e7, **expect_json(entry, dict, where)}
             sub = Substrate(
-                name=entry["name"],
-                eps_r=float(entry["eps_r"]),
-                tan_d=float(entry["tan_d"]),
-                h=float(entry["h"]),
-                t=float(entry.get("t", 0.035)),
-                conductivity=float(entry.get("conductivity", 5.8e7)),
+                name=expect_json(entry["name"], str, f"{where}.name"),
+                **{key: expect_json(entry[key], float, f"{where}.{key}")
+                   for key in ("eps_r", "tan_d", "h", "t", "conductivity")},
             )
             merged[sub.name.lower()] = sub
         reg = MaterialsRegistry.__new__(MaterialsRegistry)

@@ -1,10 +1,9 @@
 """Quasi-static microstrip models and coupled-line dimension synthesis.
 
-Single lines use the Hammerstad-Jensen closed forms (the qucs/ADS lineage),
-optionally corrected for dispersion with the Kirschning-Jansen single-line
-model. Coupled pairs use the Kirschning-Jansen static even/odd-mode fits,
-which reduce to the same single-line forms as the gap opens. Synthesis
-inverts the coupled model with a damped 2-D Newton iteration in log space.
+Single lines use the Hammerstad-Jensen closed forms (the qucs/ADS lineage).
+Coupled pairs use the Kirschning-Jansen static even/odd-mode fits, which
+reduce to the same single-line forms as the gap opens. Synthesis inverts
+the coupled model with a damped 2-D Newton iteration in log space.
 The models are pure; ``check_fit_range`` is the separate validity step.
 
 Dimensions are millimeters at every interface; frequencies GHz.
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 C0 = 299_792_458.0  # m/s
-MU0 = 4e-7 * math.pi
 ETA0 = 376.73031366686166  # ohm, free-space impedance
 
 # published fit range of the coupled-line model
@@ -120,53 +118,14 @@ def _eps_eff_static(u: float, er: float) -> float:
     )
 
 
-def analyze_single(w: float, sub: Substrate, f: float | None = None) -> tuple[float, float]:
-    """Characteristic impedance and effective permittivity of a single strip.
-
-    Quasi-static by default; pass ``f`` (GHz) to apply the Kirschning-Jansen
-    dispersion correction.
-    """
+def analyze_single(w: float, sub: Substrate) -> tuple[float, float]:
+    """Quasi-static characteristic impedance and effective permittivity of a
+    single strip."""
     if w <= 0:
         raise ValueError("width must be positive")
     u = w / sub.h
     ee = _eps_eff_static(u, sub.eps_r)
-    z0 = _z01(u) / math.sqrt(ee)
-    if f is None:
-        return z0, ee
-    return _single_dispersion(u, sub.eps_r, sub.h, z0, ee, f)
-
-
-def _single_dispersion(u, er, h, z0_0, ee0, f):
-    # Kirschning-Jansen, fn in GHz*mm
-    fn = f * h
-    p1 = 0.27488 + (0.6315 + 0.525 / (1 + 0.0157 * fn) ** 20) * u - 0.065683 * math.exp(-8.7513 * u)
-    p2 = 0.33622 * (1 - math.exp(-0.03442 * er))
-    p3 = 0.0363 * math.exp(-4.6 * u) * (1 - math.exp(-((fn / 38.7) ** 4.97)))
-    p4 = 1 + 2.751 * (1 - math.exp(-((er / 15.916) ** 8)))
-    pf = p1 * p2 * ((0.1844 + p3 * p4) * fn) ** 1.5763
-    eef = er - (er - ee0) / (1 + pf)
-    r1 = 0.03891 * er**1.4
-    r2 = 0.267 * u**7
-    r3 = 4.766 * math.exp(-3.228 * u**0.641)
-    r4 = 0.016 + (0.0514 * er) ** 4.524
-    r5 = (fn / 28.843) ** 12
-    r6 = 22.20 * u**1.92
-    r7 = 1.206 - 0.3144 * math.exp(-r1) * (1 - math.exp(-r2))
-    r8 = 1 + 1.275 * (1 - math.exp(-0.004625 * r3 * er**1.674 * (fn / 18.365) ** 2.745))
-    r9 = (
-        5.086 * r4 * r5 / (0.3838 + 0.386 * r4)
-        * math.exp(-r6) / (1 + 1.2992 * r5)
-        * (er - 1) ** 6 / (1 + 10 * (er - 1) ** 6)
-    )
-    r10 = 0.00044 * er**2.136 + 0.0184
-    r11 = (fn / 19.47) ** 6 / (1 + 0.0962 * (fn / 19.47) ** 6)
-    r12 = 1 / (1 + 0.00245 * u**2)
-    r13 = 0.9408 * eef**r8 - 0.9603
-    r14 = (0.9408 - r9) * ee0**r8 - 0.9603
-    r15 = 0.707 * r10 * (fn / 12.3) ** 1.097
-    r16 = 1 + 0.0503 * er**2 * r11 * (1 - math.exp(-((u / 15) ** 6)))
-    r17 = r7 * (1 - 1.1241 * r12 / r16 * math.exp(-0.026 * fn**1.15656 - r15))
-    return z0_0 * (r13 / r14) ** r17, eef
+    return _z01(u) / math.sqrt(ee), ee
 
 
 def synthesize_single_width(z0_target: float, sub: Substrate) -> float:
@@ -201,15 +160,11 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     u = w / sub.h
     g = s / sub.h
     er = sub.eps_r
-
-    ee_s = _eps_eff_static(u, er)
-    z_s = _z01(u) / math.sqrt(ee_s)
+    z_s, ee_s = analyze_single(w, sub)
 
     # even-mode permittivity: single-line form at the mode's equivalent width
     v = u * (20.0 + g * g) / (10.0 + g * g) + g * math.exp(-g)
-    ee_e = (er + 1.0) / 2.0 + (er - 1.0) / 2.0 * (1.0 + 10.0 / v) ** (
-        -_hj_a(v) * _hj_b(er)
-    )
+    ee_e = _eps_eff_static(v, er)
 
     # odd-mode permittivity
     bo = 0.747 * er / (0.15 + er)
@@ -364,14 +319,6 @@ def dielectric_loss(sub: Substrate, eps_eff: float, f):
         / (math.sqrt(eps_eff) * (er - 1.0))
         * sub.tan_d
     )
-
-
-def conductor_loss(sub: Substrate, z0: float, w: float, f: float) -> float:
-    """Skin-effect attenuation (Np/m): Rs / (z0 w), Rs = sqrt(pi f mu0 / sigma)."""
-    if z0 <= 0 or w <= 0 or f <= 0:
-        raise ValueError("z0, w and f must be positive")
-    rs = math.sqrt(math.pi * f * 1e9 * MU0 / sub.conductivity)
-    return rs / (z0 * w * 1e-3)
 
 
 def unloaded_q(sub: Substrate, eps_eff: float, f: float) -> float:

@@ -121,6 +121,8 @@ class TestSimulate:
                      "--f-start", "2.0", "--f-stop", "2.2", "--points", "51",
                      "--out-prefix", prefix])
         assert code == 5
+        assert not Path(prefix + ".s2p").exists()
+        assert not Path(prefix + ".csv").exists()
 
     def test_deterministic_outputs(self, tmp_path, design_path):
         p1, p2 = str(tmp_path / "r1"), str(tmp_path / "r2")
@@ -196,36 +198,77 @@ class TestCompare:
         assert "f_lower_ghz" in out
 
 
+MATERIALS = {"materials": [{"name": "X", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}]}
+DELETE = object()
+
+
+def _edited(doc, path, value):
+    """Copy of a JSON document with the entry at ``path`` (keys and indexes)
+    set to ``value``, or removed when ``value`` is DELETE; the empty path
+    replaces the whole document."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
 class TestInvalidInput:
     LAYOUT = ("layout", "--kind", "ml", "--out", "{tmp}/bad.svg", "--design", "{design}")
     SIMULATE = ("simulate", "--out-prefix", "{tmp}/bad")
+    SYNTH = ("synth", "--config", "{bad}", "--out", "{tmp}/d.json")
+    MATERIALS = ("materials", "list")
 
-    @pytest.mark.parametrize("argv, cause", [
-        pytest.param(("synth", "--config", "{incomplete}", "--out", "{tmp}/d.json"),
-                     "f_upper_ghz", id="synth-missing-key"),
-        pytest.param(SIMULATE + ("--design", "{tmp}/nope.json"), "nope.json",
+    # argv, the edit that makes {bad} from the config, the design or the
+    # MWBPF_MATERIALS file, and what the error line must name
+    @pytest.mark.parametrize("argv, edit, cause", [
+        pytest.param(SYNTH, ("config", ("spec", "f_upper_ghz"), DELETE), "f_upper_ghz",
+                     id="synth-missing-key"),
+        pytest.param(SYNTH, ("config", ("spec", "f_lower_ghz"), None), "spec.f_lower_ghz",
+                     id="synth-null-number"),
+        pytest.param(SYNTH, ("config", ("substrate",), 5), "substrate",
+                     id="synth-substrate-number"),
+        pytest.param(SYNTH, ("config", (), [1, 2]), "config", id="synth-config-array"),
+        pytest.param(SIMULATE + ("--design", "{tmp}/nope.json"), None, "nope.json",
                      id="simulate-missing-design"),
-        pytest.param(SIMULATE + ("--design", "{design}", "--points", "1"), "sweep points",
-                     id="simulate-one-point"),
-        pytest.param(("compare", "--config", "{config}", "--points", "1"), "sweep points",
-                     id="compare-one-point"),
-        pytest.param(SIMULATE + ("--design", "{design}", "--f-stop", "inf"), "f_stop",
+        pytest.param(SIMULATE + ("--design", "{bad}"), ("design", ("dims_mm", 0, "w"), None),
+                     "dims_mm[0].w", id="simulate-null-width"),
+        pytest.param(SIMULATE + ("--design", "{bad}"), ("design", ("prototype", "g", 1), "x"),
+                     "prototype.g[1]", id="simulate-string-g"),
+        pytest.param(SIMULATE + ("--design", "{design}", "--points", "1"), None,
+                     "sweep points", id="simulate-one-point"),
+        pytest.param(("compare", "--config", "{config}", "--points", "1"), None,
+                     "sweep points", id="compare-one-point"),
+        pytest.param(SIMULATE + ("--design", "{design}", "--f-stop", "inf"), None, "f_stop",
                      id="simulate-f-stop-inf"),
-        pytest.param(LAYOUT + ("--planar-gap", "-1"), "planar_gap", id="layout-negative-gap"),
-        pytest.param(LAYOUT + ("--overlap", "nan"), "overlap", id="layout-overlap-nan"),
-        pytest.param(("materials", "list"), "tan_d", id="materials-missing-key"),
+        pytest.param(LAYOUT + ("--planar-gap", "-1"), None, "planar_gap",
+                     id="layout-negative-gap"),
+        pytest.param(LAYOUT + ("--overlap", "nan"), None, "overlap", id="layout-overlap-nan"),
+        pytest.param(MATERIALS, ("materials", ("materials", 0, "tan_d"), DELETE), "tan_d",
+                     id="materials-missing-key"),
+        pytest.param(MATERIALS, ("materials", ("materials", 0, "eps_r"), None),
+                     "materials[0].eps_r", id="materials-null-number"),
+        pytest.param(MATERIALS, ("materials", ("materials", 0, "name"), 5),
+                     "materials[0].name", id="materials-name-number"),
     ])
-    def test_exit_code(self, argv, cause, tmp_path, config_path, design_path,
+    def test_exit_code(self, argv, edit, cause, tmp_path, config_path, design_path,
                        monkeypatch, capsys):
-        incomplete = tmp_path / "incomplete.json"
-        cfg = json.loads(json.dumps(PAPER_CONFIG))
-        del cfg["spec"]["f_upper_ghz"]
-        incomplete.write_text(json.dumps(cfg))
-        if argv[0] == "materials":
-            materials = tmp_path / "materials.json"
-            materials.write_text(json.dumps({"materials": [{"name": "X", "eps_r": 3.0, "h": 1.0}]}))
-            monkeypatch.setenv("MWBPF_MATERIALS", str(materials))
-        names = dict(tmp=tmp_path, incomplete=incomplete, config=config_path, design=design_path)
+        bad = tmp_path / "bad.json"
+        if edit is not None:
+            base, path, value = edit
+            doc = {"config": PAPER_CONFIG, "materials": MATERIALS,
+                   "design": json.loads(design_path.read_text())}[base]
+            bad.write_text(json.dumps(_edited(doc, path, value)))
+            if base == "materials":
+                monkeypatch.setenv("MWBPF_MATERIALS", str(bad))
+        names = dict(tmp=tmp_path, bad=bad, config=config_path, design=design_path)
         capsys.readouterr()
         assert main([a.format(**names) for a in argv]) == 7
         captured = capsys.readouterr()

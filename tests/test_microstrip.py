@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwbpf.microstrip import (
     C0,
@@ -11,11 +13,11 @@ from mwbpf.microstrip import (
     GapTooSmallWarning,
     ModelValidityWarning,
     ModeParams,
+    NoConvergence,
     Substrate,
     analyze_coupled,
     analyze_single,
     check_fit_range,
-    conductor_loss,
     dielectric_loss,
     resonator_length,
     synthesize_coupled,
@@ -48,12 +50,6 @@ class TestAnalyzeSingle:
         z_lo = analyze_single(1.6 * 0.999, fr4)[0]
         z_hi = analyze_single(1.6 * 1.001, fr4)[0]
         assert abs(z_lo / z_hi - 1) < 0.005
-
-    def test_dispersion_raises_eps_eff(self, fr4):
-        z_s, ee_s = analyze_single(3.2, fr4)
-        z_f, ee_f = analyze_single(3.2, fr4, f=10.0)
-        assert ee_f > ee_s
-        assert ee_f < fr4.eps_r
 
     def test_width_synthesis_round_trip(self, fr4):
         for z_target in (30.0, 50.0, 75.0, 110.0):
@@ -156,6 +152,30 @@ class TestSynthesizeCoupled:
         with pytest.raises(ValueError):
             synthesize_coupled(40.0, 50.0, fr4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eps_r=st.floats(2.0, 12.0),
+        h=st.floats(0.1, 3.0),
+        tan_d=st.floats(0.0, 0.03),
+        z0o=st.floats(5.0, 150.0),
+        split=st.floats(1.0001, 6.0),
+    )
+    def test_round_trip_or_typed_failure(self, eps_r, h, tan_d, z0o, split):
+        # over the substrate and impedance space synthesis either realizes
+        # both mode impedances to 1e-6 or says why it cannot
+        sub = Substrate(name="x", eps_r=eps_r, tan_d=tan_d, h=h)
+        z0e = z0o * split
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                w, s = synthesize_coupled(z0e, z0o, sub)
+            except (CouplingUnreachable, NoConvergence):
+                return
+        mp = analyze_coupled(w, s, sub)
+        # the convergence test, in log space
+        assert abs(math.log(mp.z0e / z0e)) < 1e-6
+        assert abs(math.log(mp.z0o / z0o)) < 1e-6
+
 
 class TestResonatorLength:
     def test_reference_point(self):
@@ -208,12 +228,6 @@ class TestLoss:
         got = dielectric_loss(air, 1.0, 2.58)
         lam0 = C0 / 2.58e9
         assert got == pytest.approx(math.pi / lam0 * 0.001, rel=1e-12)
-
-    def test_conductor_loss_scaling(self, fr4):
-        a1 = conductor_loss(fr4, 50.0, 3.0, 2.58)
-        a4 = conductor_loss(fr4, 50.0, 3.0, 4 * 2.58)
-        assert a1 > 0
-        assert a4 == pytest.approx(2.0 * a1, rel=1e-12)
 
     def test_unloaded_q_ordering(self, fr4, ro3003):
         q_fr4 = unloaded_q(fr4, 3.27, 2.58)
