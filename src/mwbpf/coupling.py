@@ -22,6 +22,15 @@ class CouplingSection:
     z0e: float
     z0o: float
 
+    def __post_init__(self):
+        for name in ("j_over_y0", "z0e", "z0o"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.j_over_y0 < 0:
+            raise ValueError("j_over_y0 must be non-negative")
+        if not 0 < self.z0o <= self.z0e:
+            raise ValueError(f"need z0e >= z0o > 0, got z0e={self.z0e:g}, z0o={self.z0o:g}")
+
 
 @dataclass(frozen=True)
 class CouplingDesign:

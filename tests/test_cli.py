@@ -242,6 +242,12 @@ class TestInvalidInput:
                      "dims_mm[0].w", id="simulate-null-width"),
         pytest.param(SIMULATE + ("--design", "{bad}"), ("design", ("prototype", "g", 1), "x"),
                      "prototype.g[1]", id="simulate-string-g"),
+        pytest.param(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
+                     ("design", ("coupling", "sections", 0, "z0e_ohm"), -1), "z0e",
+                     id="simulate-negative-z0e"),
+        pytest.param(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
+                     ("design", ("coupling", "sections", 0, "z0e_ohm"), 0), "z0e",
+                     id="simulate-zero-z0e"),
         pytest.param(SIMULATE + ("--design", "{design}", "--points", "1"), None,
                      "sweep points", id="simulate-one-point"),
         pytest.param(("compare", "--config", "{config}", "--points", "1"), None,
@@ -276,6 +282,7 @@ class TestInvalidInput:
         assert captured.err.startswith("error: invalid input: ")
         assert cause in captured.err
         assert captured.err.count("\n") == 1
+        assert not [p.name for p in tmp_path.iterdir() if p.suffix in (".s2p", ".csv", ".svg")]
 
     def test_no_traceback(self, tmp_path, design_path):
         proc = _run_cli("layout", "--design", str(design_path), "--kind", "ml",

@@ -5,6 +5,7 @@ import pytest
 
 from mwbpf.coupling import (
     CouplingMatrixModel,
+    CouplingSection,
     coupling_coefficients,
     design_coupling,
     even_odd_impedances,
@@ -105,6 +106,27 @@ class TestCouplingCoefficients:
     def test_qu_validation(self, paper_proto, paper_spec):
         with pytest.raises(ValueError):
             coupling_coefficients(paper_proto, paper_spec.fbw(), paper_spec.f0, qu=-5.0)
+
+
+class TestCouplingSection:
+    @pytest.mark.parametrize("field", ["j_over_y0", "z0e", "z0o"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(j_over_y0=0.1, z0e=55.0, z0o=45.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            CouplingSection(**kwargs)
+
+    @pytest.mark.parametrize("j, z0e, z0o", [
+        (-0.1, 55.0, 45.0),  # negative inverter
+        (0.1, -1.0, 45.0),  # no line has a negative mode impedance
+        (0.1, 0.0, 45.0),
+        (0.1, 55.0, 0.0),
+        (0.1, 45.0, 55.0),  # the even mode sees the lower capacitance
+    ])
+    def test_rejects_non_physical(self, j, z0e, z0o):
+        with pytest.raises(ValueError):
+            CouplingSection(j_over_y0=j, z0e=z0e, z0o=z0o)
 
 
 class TestCouplingMatrixModel:
