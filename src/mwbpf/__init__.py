@@ -42,7 +42,6 @@ from .prototype import (
     design_prototype,
     g_values,
     normalized_stopband,
-    prototype_attenuation_db,
     required_order,
     ripple_height,
 )

@@ -10,6 +10,7 @@ re-parses to an equal value.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -78,6 +79,10 @@ class DesignDocument:
             raise ValueError("dims count must be n+1")
         if len(self.coupling.sections) != self.prototype.n + 1:
             raise ValueError("coupling sections count must be n+1")
+        if self.coupling.z0 != self.spec.z0:
+            raise ValueError(
+                f"coupling.z0_ohm {self.coupling.z0:g} must equal spec.z0_ohm {self.spec.z0:g}"
+            )
 
 
 def synthesize_design(
@@ -85,12 +90,14 @@ def synthesize_design(
     substrate: Substrate,
     created: str | None = None,
 ) -> DesignDocument:
-    """Run prototype -> coupling -> dimension synthesis for one substrate."""
+    """Run prototype -> coupling -> dimension synthesis for one substrate,
+    and the validity step (``check_fit_range``) once per section."""
     proto = design_prototype(spec)
     coupling = design_coupling(proto, spec.fbw(), spec.z0)
     dims = []
     for section in coupling.sections:
         w, s = synthesize_coupled(section.z0e, section.z0o, substrate)
+        check_fit_range(w, s, substrate)
         mp = analyze_coupled(w, s, substrate)
         dims.append(CoupledSectionDims(w=w, s=s, l=resonator_length(mp, spec.f0)))
     if created is None:
@@ -116,36 +123,31 @@ def simulate(
     """S-parameters of a design.
 
     ``ideal`` and ``physical`` sweep the edge-coupled cascade (see
-    ``sweep_pcl``). ``ml`` sweeps the coupled-resonator model; with ``lossy``
-    its unloaded Q comes from the mean over sections of the mode-average
-    effective permittivity. Warns ModelValidityWarning for sections outside
-    the coupled-model fit range wherever their dimensions are read
+    ``sweep_pcl``; ``ideal`` is lossless). ``ml`` sweeps the coupled-resonator
+    model; with ``lossy`` its unloaded Q comes from the mean over sections of
+    the mode-average effective permittivity. Runs the validity step
+    (``check_fit_range``) on every section wherever the dimensions are read
     (``physical``, and lossy ``ml``).
     """
+    if mode == "physical" or (mode == "ml" and lossy):
+        for d in doc.dims:
+            check_fit_range(d.w, d.s, substrate)
     if mode == "ml":
         qu = None
         if lossy:
             eps = []
             for d in doc.dims:
-                check_fit_range(d.w, d.s, substrate)
                 mp = analyze_coupled(d.w, d.s, substrate)
                 eps.append((mp.eps_eff_e + mp.eps_eff_o) / 2.0)
             qu = unloaded_q(substrate, sum(eps) / len(eps), doc.spec.f0)
+            if qu == math.inf:  # a loss-free substrate
+                qu = None
         model = coupling_coefficients(
             doc.prototype, doc.spec.fbw(), doc.spec.f0, qu=qu
         )
         return sweep_coupling_matrix(model, sweep, z0=doc.spec.z0)
-    physical = mode == "physical"
-    if physical:
-        for d in doc.dims:
-            check_fit_range(d.w, d.s, substrate)
     return sweep_pcl(
-        doc.coupling,
-        doc.spec.f0,
-        sweep,
-        mode=mode,
-        dims=doc.dims if physical else None,
-        substrate=substrate if physical else None,
+        doc.coupling, doc.spec.f0, sweep, mode=mode, dims=doc.dims, substrate=substrate,
         lossy=lossy,
     )
 

@@ -72,19 +72,17 @@ class MaterialsRegistry:
     def merged_with_file(self, path: str | Path) -> "MaterialsRegistry":
         """New registry with user entries layered over (and shadowing) built-ins."""
         data = expect_json(json.loads(Path(path).read_text()), dict, "materials file")
-        merged = dict(self._by_key)
+        user = []
         for i, entry in enumerate(expect_json(data.get("materials", []), list, "materials")):
             where = f"materials[{i}]"
             entry = {"t": 0.035, "conductivity": 5.8e7, **expect_json(entry, dict, where)}
-            sub = Substrate(
+            user.append(Substrate(
                 name=expect_json(entry["name"], str, f"{where}.name"),
                 **{key: expect_json(entry[key], float, f"{where}.{key}")
                    for key in ("eps_r", "tan_d", "h", "t", "conductivity")},
-            )
-            merged[sub.name.lower()] = sub
-        reg = MaterialsRegistry.__new__(MaterialsRegistry)
-        reg._by_key = merged
-        return reg
+            ))
+        # later keys shadow earlier ones, so user entries win
+        return MaterialsRegistry((*self._by_key.values(), *user))
 
 
 def default_registry() -> MaterialsRegistry:

@@ -36,7 +36,7 @@ class CouplingUnreachable(ValueError):
 
 
 class GapTooSmallWarning(UserWarning):
-    """Synthesized gap is below the fabrication floor."""
+    """A coupled pair's gap is below the fabrication floor."""
 
 
 class ModelValidityWarning(UserWarning):
@@ -195,8 +195,16 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
 
 
 def check_fit_range(w: float, s: float, sub: Substrate) -> None:
-    """Warn (ModelValidityWarning) when a coupled pair lies outside the
-    published fit range 0.1 <= w/h <= 10, 0.1 <= s/h <= 5 of the model."""
+    """The validity step of a coupled pair: warn GapTooSmallWarning when the
+    gap is below the GAP_FLOOR_MM fabrication floor, and ModelValidityWarning
+    when the pair lies outside the published fit range 0.1 <= w/h <= 10,
+    0.1 <= s/h <= 5 of the model."""
+    if s < GAP_FLOOR_MM:
+        warnings.warn(
+            f"gap {s:.4f} mm is below the {GAP_FLOOR_MM} mm fabrication floor",
+            GapTooSmallWarning,
+            stacklevel=2,
+        )
     u, g = w / sub.h, s / sub.h
     if not (VALID_U[0] <= u <= VALID_U[1]) or not (VALID_G[0] <= g <= VALID_G[1]):
         warnings.warn(
@@ -214,8 +222,7 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     does not reduce the residual. Converges to 1e-6 relative on both
     impedances. Otherwise raises CouplingUnreachable when the requested
     split exceeds the model's at the minimum gap, else NoConvergence.
-    Warns GapTooSmallWarning below the 0.1 mm fabrication floor and
-    ModelValidityWarning outside the fit range.
+    Pure: it warns nothing (see ``check_fit_range``).
     """
     if not (z0e > z0o > 0):
         raise ValueError("need z0e > z0o > 0")
@@ -237,15 +244,7 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
         if f is None:
             break
         if max(abs(f)) < 1e-6:
-            w, s = math.exp(x[0]), math.exp(x[1])
-            if s < GAP_FLOOR_MM:
-                warnings.warn(
-                    f"gap {s:.4f} mm is below the {GAP_FLOOR_MM} mm fabrication floor",
-                    GapTooSmallWarning,
-                    stacklevel=2,
-                )
-            check_fit_range(w, s, sub)
-            return w, s
+            return math.exp(x[0]), math.exp(x[1])
         cols = [residual(x + d) for d in step * np.eye(2)]
         if any(c is None for c in cols):
             break

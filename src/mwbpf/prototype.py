@@ -178,17 +178,3 @@ def design_prototype(spec: FilterSpec) -> ChebyshevPrototype:
     """Order selection plus g-values for a full specification."""
     return g_values(required_order(spec), spec.ripple_db)
 
-
-def chebyshev_polynomial(n: int, x: float) -> float:
-    """T_n(x), using the cosh continuation for |x| > 1."""
-    if abs(x) <= 1.0:
-        return math.cos(n * math.acos(x))
-    t = math.cosh(n * math.acosh(abs(x)))
-    return t if x > 0 or n % 2 == 0 else -t
-
-
-def prototype_attenuation_db(n: int, ripple_db: float, omega: float) -> float:
-    """Insertion loss 10*log10(1 + a_m^2 T_n^2(omega)) of the prototype, in dB."""
-    am2 = ripple_height(ripple_db)
-    t = chebyshev_polynomial(n, omega)
-    return 10.0 * math.log10(1.0 + am2 * t * t)

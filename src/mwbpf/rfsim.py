@@ -23,6 +23,7 @@ from .microstrip import (
     Substrate,
     analyze_coupled,
     dielectric_loss,
+    resonator_length,
 )
 
 
@@ -182,14 +183,6 @@ def abcd_to_s(m: np.ndarray, z0: float) -> np.ndarray:
 _BLOCK = 1024  # sweep points per pass: bounds the cascade's temporary arrays
 
 
-def _ideal_modes(design: CouplingDesign) -> list[ModeParams]:
-    # air-dielectric equivalents: every section exactly a quarter wave at f0
-    return [
-        ModeParams(z0e=s.z0e, z0o=s.z0o, eps_eff_e=1.0, eps_eff_o=1.0)
-        for s in design.sections
-    ]
-
-
 def sweep_pcl(
     design: CouplingDesign,
     f0: float,
@@ -202,10 +195,11 @@ def sweep_pcl(
     """S-parameters of the cascaded edge-coupled filter.
 
     ``ideal`` mode evaluates the synthesis impedances directly with equal
-    mode velocities (every section a quarter wave at f0). ``physical`` mode
-    derives per-mode parameters from the synthesized dimensions; with
-    ``lossy`` it attaches the substrate's dielectric attenuation per
-    frequency.
+    mode velocities (every section a quarter wave at f0); it ignores
+    ``dims`` and ``substrate`` and is lossless, so ``lossy`` is a
+    ValueError there. ``physical`` mode derives per-mode parameters from the
+    synthesized dimensions; with ``lossy`` it attaches the substrate's
+    dielectric attenuation per frequency.
     """
     if mode not in ("ideal", "physical"):
         raise ValueError("mode must be 'ideal' or 'physical'")
@@ -217,12 +211,17 @@ def sweep_pcl(
         section_mps = [analyze_coupled(d.w, d.s, substrate) for d in dims]
         lengths = [d.l for d in dims]
     else:
-        quarter_wave_mm = C0 / (4.0 * f0 * 1e9) * 1e3
-        section_mps = _ideal_modes(design)
-        lengths = [quarter_wave_mm] * len(design.sections)
+        if lossy:
+            raise ValueError("ideal mode is lossless and takes no lossy flag")
+        # air-dielectric equivalents: every section exactly a quarter wave at f0
+        section_mps = [
+            ModeParams(z0e=s.z0e, z0o=s.z0o, eps_eff_e=1.0, eps_eff_o=1.0)
+            for s in design.sections
+        ]
+        lengths = [resonator_length(mp, f0) for mp in section_mps]
 
     freqs = sweep.frequencies()
-    if lossy and mode == "physical":
+    if lossy:
         alphas = [
             (dielectric_loss(substrate, mp.eps_eff_e, freqs), dielectric_loss(substrate, mp.eps_eff_o, freqs))
             for mp in section_mps

@@ -16,7 +16,7 @@ per-field scalar code instead when any of its fields
 - is an exact zero;
 - lies within a few ulp of a rounding tie, relative to ``|v| 10^d``: 4 in
   Touchstone, 64 in CSV, whose dB and degrees numpy may compute a last bit
-  away from ``math.log10`` and ``cmath.phase``.
+  away from ``math.log10`` and ``math.atan2``.
 
 Outside these rows the rounding of ``|v| 10^d`` in floating point cannot
 move ``n``. The sign comes from what the scalar code's sign depends on, so
@@ -28,7 +28,6 @@ sign of ``Im S``, as C's ``atan2`` does.
 
 from __future__ import annotations
 
-import cmath
 import math
 from pathlib import Path
 
@@ -62,7 +61,7 @@ def _csv_row(f: float, s11: complex, s21: complex) -> str:
     fields = [_fmt(f)]
     for s in (s11, s21):
         db = 20.0 * math.log10(abs(s)) if s != 0 else -300.0
-        fields += (f"{db:.6f}", f"{math.degrees(cmath.phase(s)):.6f}")
+        fields += (f"{db:.6f}", f"{math.degrees(math.atan2(s.imag, s.real)):.6f}")
     return ",".join(fields)
 
 

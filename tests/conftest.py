@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mwbpf.design import synthesize_design
@@ -39,6 +41,23 @@ ORACLE_GAPS_FR4 = (0.3605, 2.293, 3.005, 2.293, 0.3605)
 ORACLE_GAPS_RO3003 = (0.1354, 1.064, 1.424, 1.064, 0.1354)
 PCL_FR4_SIZE = (73.765, 27.506)  # mm
 ML_FR4_SIZE = (38.66, 31.41)  # mm
+
+
+# independent oracle: the equal-ripple transfer via the polynomial recurrence
+def chebyshev_recurrence(n: int, x: float) -> float:
+    t_prev, t = 1.0, x
+    if n == 0:
+        return t_prev
+    for _ in range(n - 1):
+        t_prev, t = t, 2.0 * x * t - t_prev
+    return t
+
+
+def equal_ripple_s21_db(f: float, f0: float, fbw: float, n: int, ripple_db: float) -> float:
+    omega = (f / f0 - f0 / f) / fbw
+    eps_sq = 10.0 ** (ripple_db / 10.0) - 1.0
+    t = chebyshev_recurrence(n, omega)
+    return -10.0 * math.log10(1.0 + eps_sq * t * t)
 
 
 @pytest.fixture(scope="session")

@@ -64,6 +64,7 @@ from conftest import (
     TABLE1_ZO,
     TABLE2_FR4,
     TABLE3_RO3003,
+    equal_ripple_s21_db,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,24 +73,6 @@ SWEEP = FrequencySweep(2.0, 3.0, 1001)
 
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number:>2}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-# --- independent oracle: equal-ripple transfer via the polynomial recurrence ---
-
-def chebyshev_recurrence(n: int, x: float) -> float:
-    t_prev, t = 1.0, x
-    if n == 0:
-        return t_prev
-    for _ in range(n - 1):
-        t_prev, t = t, 2.0 * x * t - t_prev
-    return t
-
-
-def equal_ripple_s21_db(f: float, f0: float, fbw: float, n: int, ripple_db: float) -> float:
-    omega = (f / f0 - f0 / f) / fbw
-    eps_sq = 10.0 ** (ripple_db / 10.0) - 1.0
-    t = chebyshev_recurrence(n, omega)
-    return -10.0 * math.log10(1.0 + eps_sq * t * t)
 
 
 def test_criterion_01_coupling_table(paper_proto, paper_spec):

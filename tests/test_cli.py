@@ -248,6 +248,11 @@ class TestInvalidInput:
         pytest.param(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
                      ("design", ("coupling", "sections", 0, "z0e_ohm"), 0), "z0e",
                      id="simulate-zero-z0e"),
+        pytest.param(SIMULATE + ("--design", "{bad}", "--mode", "ml"),
+                     ("design", ("coupling", "z0_ohm"), 75.0), "z0_ohm",
+                     id="simulate-z0-mismatch"),
+        pytest.param(SIMULATE + ("--design", "{design}", "--mode", "ideal", "--lossy"), None,
+                     "lossless", id="simulate-ideal-lossy"),
         pytest.param(SIMULATE + ("--design", "{design}", "--points", "1"), None,
                      "sweep points", id="simulate-one-point"),
         pytest.param(("compare", "--config", "{config}", "--points", "1"), None,

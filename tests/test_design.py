@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwbpf.coupling import coupling_coefficients, j_inverters
 from mwbpf.design import (
@@ -16,12 +18,16 @@ from mwbpf.design import (
 )
 from mwbpf.layout import FoldTooTight, pcl_layout, single_layer_stackup
 from mwbpf.microstrip import (
+    CouplingUnreachable,
+    GapTooSmallWarning,
     ModelValidityWarning,
+    NoConvergence,
+    Substrate,
     analyze_coupled,
     synthesize_single_width,
     unloaded_q,
 )
-from mwbpf.prototype import FilterSpec
+from mwbpf.prototype import FilterSpec, UnsatisfiableSpec
 from mwbpf.rfsim import FrequencySweep, sweep_coupling_matrix, sweep_pcl
 
 SWEEP = FrequencySweep(2.3, 2.9, 601)
@@ -97,6 +103,65 @@ class TestSimulate:
         want = sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, SWEEP)
         assert _same(simulate(fr4_design, fr4, "ideal", SWEEP), want)
 
+    def test_gap_floor_checked_where_dims_are_read(self, fr4_design, fr4):
+        data = to_dict(fr4_design)
+        data["dims_mm"][0]["s"] = 0.05
+        doc = from_dict(data)
+        for mode, lossy in (("physical", False), ("physical", True), ("ml", True)):
+            with pytest.warns((GapTooSmallWarning, ModelValidityWarning)) as rec:
+                simulate(doc, fr4, mode, SWEEP, lossy=lossy)
+            assert sum(r.category is GapTooSmallWarning for r in rec) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate(doc, fr4, "ideal", SWEEP)
+            simulate(doc, fr4, "ml", SWEEP)
+
+
+class TestPipelineProperties:
+    # spec -> synthesis -> every sweep kind: a typed refusal, or a reciprocal
+    # response that conserves power when lossless and never gains it when lossy
+    @settings(max_examples=100, deadline=None)
+    @given(
+        f_lower=st.floats(1.0, 10.0),
+        fbw=st.floats(0.02, 0.2),
+        ripple_db=st.floats(0.01, 0.5),
+        stop_atten_db=st.floats(15.0, 45.0),
+        stop_distance=st.floats(0.3, 1.5),  # bandwidths beyond the band edge
+        stop_above=st.booleans(),
+        z0=st.floats(20.0, 120.0),
+        eps_r=st.floats(2.0, 12.0),
+        h=st.floats(0.1, 3.0),
+        tan_d=st.floats(0.0, 0.03),
+    )
+    def test_synthesized_designs_sweep_soundly(
+        self, f_lower, fbw, ripple_db, stop_atten_db, stop_distance, stop_above, z0,
+        eps_r, h, tan_d,
+    ):
+        f_upper = f_lower * (1.0 + fbw)
+        bw = f_upper - f_lower
+        stop_freq = f_upper + stop_distance * bw if stop_above else f_lower - stop_distance * bw
+        spec = FilterSpec(f_lower=f_lower, f_upper=f_upper, ripple_db=ripple_db,
+                          stop_freq=stop_freq, stop_atten_db=stop_atten_db, z0=z0)
+        sub = Substrate(name="x", eps_r=eps_r, tan_d=tan_d, h=h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelValidityWarning)
+            warnings.simplefilter("ignore", GapTooSmallWarning)
+            try:
+                doc = synthesize_design(spec, sub)
+            except (UnsatisfiableSpec, CouplingUnreachable, NoConvergence):
+                return
+            sweep = FrequencySweep(spec.f0 - 1.5 * bw, spec.f0 + 1.5 * bw, 41)
+            for mode, lossy in (("ideal", False), ("ml", False), ("physical", True),
+                                ("ml", True)):
+                r = simulate(doc, sub, mode, sweep, lossy=lossy)
+                assert r.z0 == z0
+                assert (r.s[:, 0, 1] == r.s[:, 1, 0]).all()
+                power = np.abs(r.s[:, 0, 0]) ** 2 + np.abs(r.s[:, 1, 0]) ** 2
+                if lossy:
+                    assert (power <= 1.0 + 1e-12).all()
+                else:
+                    assert np.abs(power - 1.0).max() <= 1e-12
+
 
 class TestDesignLayout:
     def test_pcl_feeds_match_spec_impedance(self, fr4_design, fr4):
@@ -118,6 +183,13 @@ class TestDesignLayout:
 
 
 class TestPersistence:
+    def test_one_reference_impedance(self, fr4_design):
+        data = to_dict(fr4_design)
+        assert data["coupling"]["z0_ohm"] == data["spec"]["z0_ohm"]
+        data["coupling"]["z0_ohm"] = 75.0
+        with pytest.raises(ValueError, match="z0_ohm"):
+            from_dict(data)
+
     def test_dict_round_trip_is_equal(self, fr4_design):
         assert from_dict(to_dict(fr4_design)) == fr4_design
 

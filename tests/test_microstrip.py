@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mwbpf.microstrip import (
     C0,
+    GAP_FLOOR_MM,
     CoupledSectionDims,
     CouplingUnreachable,
     GapTooSmallWarning,
@@ -103,6 +104,34 @@ class TestAnalyzeCoupled:
             analyze_coupled(3.0, 20.0, fr4)  # the model itself is pure
 
 
+class TestCheckFitRange:
+    def test_gap_floor_warning(self, fr4):
+        w, s = synthesize_coupled(85.0, 32.0, fr4)
+        with pytest.warns((GapTooSmallWarning, ModelValidityWarning)) as rec:
+            check_fit_range(w, s, fr4)
+        assert any(r.category is GapTooSmallWarning for r in rec)
+
+    def test_near_degenerate_coupling_warns_validity(self, fr4):
+        w, s = synthesize_coupled(50.0, 49.9, fr4)
+        with pytest.warns(ModelValidityWarning):
+            check_fit_range(w, s, fr4)
+
+    def test_gap_floor_is_checked_apart_from_the_fit_range(self, fr4):
+        def categories(w, s, sub):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                check_fit_range(w, s, sub)
+            return [r.category for r in rec]
+
+        assert categories(3.0, 0.05, fr4) == [GapTooSmallWarning, ModelValidityWarning]
+        # s/h = 0.5 lies inside the fit range: only the floor warns
+        thin = Substrate(name="thin", eps_r=3.0, tan_d=0.0, h=0.1)
+        assert categories(0.2, 0.05, thin) == [GapTooSmallWarning]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_fit_range(0.2, GAP_FLOOR_MM, thin)
+
+
 class TestSynthesizeCoupled:
     def test_round_trip_random_pairs(self, fr4):
         rng = np.random.default_rng(42)
@@ -112,7 +141,7 @@ class TestSynthesizeCoupled:
             z0o = float(rng.uniform(40.0, 110.0))
             z0e = float(rng.uniform(z0o + 1.0, 120.0))
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("error")  # pure: outside the fit range too
                 w, s = synthesize_coupled(z0e, z0o, fr4)
             if not (0.1 <= w / fr4.h <= 10 and 0.1 <= s / fr4.h <= 5):
                 continue
@@ -127,15 +156,6 @@ class TestSynthesizeCoupled:
         # acceptance log for the per-value comparison
         assert w == pytest.approx(2.35, rel=0.15)
         assert 0.2 < s < 0.6
-
-    def test_gap_floor_warning(self, fr4):
-        with pytest.warns((GapTooSmallWarning, ModelValidityWarning)) as rec:
-            synthesize_coupled(85.0, 32.0, fr4)
-        assert any(r.category is GapTooSmallWarning for r in rec)
-
-    def test_near_degenerate_coupling_warns_validity(self, fr4):
-        with pytest.warns(ModelValidityWarning):
-            synthesize_coupled(50.0, 49.9, fr4)
 
     def test_unreachable_split(self):
         sub = Substrate(name="g", eps_r=3.09229089077722, tan_d=0.0, h=0.8016347396291228)

@@ -213,6 +213,11 @@ class TestSweepPcl:
         with pytest.raises(ValueError):
             sweep_pcl(fr4_design.coupling, 2.58, SWEEP, mode="physical")
 
+    def test_ideal_mode_is_lossless(self, fr4_design, fr4):
+        with pytest.raises(ValueError, match="lossless"):
+            sweep_pcl(fr4_design.coupling, 2.58, SWEEP, dims=fr4_design.dims,
+                      substrate=fr4, lossy=True)
+
 
 @pytest.fixture(scope="module")
 def model(paper_proto, paper_spec):
