@@ -9,7 +9,8 @@ Distinct exit codes per failure class:
   5  band edges fall outside the swept span
   6  layout fold infeasible
   7  invalid input: a missing or malformed file, a missing key, a value of
-     the wrong JSON type, or an out-of-range or non-finite value
+     the wrong JSON type, an out-of-range or non-finite value, or a sweep
+     too large to allocate (MemoryError)
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: invalid input: missing key {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

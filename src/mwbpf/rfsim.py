@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,6 +106,71 @@ def _cmath(fn, z: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, z.ravel().tolist()), complex, count=z.size).reshape(z.shape)
 
 
+def _mode_angle(eps_eff: float, alpha, l: float, f):
+    """Complex electrical angle theta = (beta - j alpha) l of one mode (l mm, f GHz)."""
+    w_rad = 2.0 * math.pi * f * 1e9
+    return (w_rad * math.sqrt(eps_eff) / C0 - 1j * alpha) * (l * 1e-3)
+
+
+def _sin_tan(th: np.ndarray, last: list) -> tuple[np.ndarray, np.ndarray]:
+    """(sin, tan) of an angle array, reused from ``last`` when its angle is bitwise equal.
+
+    ``last`` holds ``[(shape, bytes), (sin, tan)]`` of the last angle
+    evaluated only: the angles that repeat (every one in ``ideal`` mode)
+    follow each other. Holding every distinct angle of a block would raise
+    the peak memory of a lossy physical sweep, whose angles all differ, and
+    hashing them as dict keys would cost more than comparing with one.
+    """
+    key = (th.shape, th.tobytes())
+    if key != last[0]:
+        try:
+            last[:] = key, (_cmath(cmath.sin, th), _cmath(cmath.tan, th))
+        except OverflowError:
+            raise ValueError("section attenuation overflows the sine; narrow the span") from None
+    return last[1]
+
+
+def _section_twoport(mp: ModeParams, alpha_e, alpha_o, l: float, f: np.ndarray, last: list):
+    """``coupled_section_twoport`` with the attenuations passed apart from ``mp``
+    (no per-block ``ModeParams``) and the (sin, tan) evaluations shared through ``last``."""
+    if l <= 0 or not (f > 0).all():
+        raise ValueError("length and frequency must be positive")
+
+    def trig(f):
+        return (
+            _sin_tan(_mode_angle(mp.eps_eff_e, alpha_e, l, f), last),
+            _sin_tan(_mode_angle(mp.eps_eff_o, alpha_o, l, f), last),
+        )
+
+    def singular(modes):
+        (sin_e, _), (sin_o, _) = modes
+        return np.minimum(abs(sin_e), abs(sin_o)) < 1e-9
+
+    modes = trig(f)
+    at = singular(modes)
+    if at.any():
+        nudged = trig(np.where(at, f * (1.0 + 1e-6), f))
+        still = singular(nudged)
+        if still.any():
+            raise ValueError(f"section is a multiple of pi at {f[still][0]} GHz and 1 ppm above it")
+        warnings.warn(
+            f"section is an exact multiple of pi at {', '.join(map(str, f[at].tolist()))} GHz; "
+            "nudging by 1 ppm",
+            SingularFrequencyWarning,
+            stacklevel=2,
+        )
+        modes = nudged
+
+    (sin_e, tan_e), (sin_o, tan_o) = modes
+    z_self = -0.5j * (mp.z0e / tan_e + mp.z0o / tan_o)
+    z_cross = -0.5j * (mp.z0e / sin_e - mp.z0o / sin_o)
+    # zero coupling: no transmission path; keep the matrix finite and small
+    # enough that cascades of such sections stay finite too
+    z_cross = np.where(abs(z_cross) < 1e-30, 1e-30, z_cross)
+    a = z_self / z_cross
+    return _chain(a, (z_self * z_self - z_cross * z_cross) / z_cross, 1.0 / z_cross, a)
+
+
 def coupled_section_twoport(mp: ModeParams, l: float, f) -> np.ndarray:
     """Chain matrix of one edge-coupled section (length mm, frequencies GHz).
 
@@ -116,37 +181,10 @@ def coupled_section_twoport(mp: ModeParams, l: float, f) -> np.ndarray:
     leaves
       Z11 = Z22 = -j (Z0e cot(th_e) + Z0o cot(th_o)) / 2
       Z12 = Z21 = -j (Z0e csc(th_e) - Z0o csc(th_o)) / 2
-    A point where an angle is a multiple of pi is taken at f (1 + 1e-6).
+    A point where an angle is a multiple of pi is taken once at f (1 + 1e-6),
+    with a warning; a point still singular there is a ValueError.
     """
-    f = np.asarray(f, dtype=float)
-    if l <= 0 or not (f > 0).all():
-        raise ValueError("length and frequency must be positive")
-    l_m = l * 1e-3
-
-    def theta(eps_eff: float, alpha) -> np.ndarray:
-        w_rad = 2.0 * math.pi * f * 1e9
-        return (w_rad * math.sqrt(eps_eff) / C0 - 1j * alpha) * l_m
-
-    th_e = theta(mp.eps_eff_e, mp.alpha_e)
-    th_o = theta(mp.eps_eff_o, mp.alpha_o)
-    sin_e, sin_o = _cmath(cmath.sin, th_e), _cmath(cmath.sin, th_o)
-    singular = np.minimum(abs(sin_e), abs(sin_o)) < 1e-9
-    if singular.any():
-        at = ", ".join(map(str, f[singular].tolist()))
-        warnings.warn(
-            f"section is an exact multiple of pi at {at} GHz; nudging by 1 ppm",
-            SingularFrequencyWarning,
-            stacklevel=2,
-        )
-        return coupled_section_twoport(mp, l, np.where(singular, f * (1.0 + 1e-6), f))
-
-    z_self = -0.5j * (mp.z0e / _cmath(cmath.tan, th_e) + mp.z0o / _cmath(cmath.tan, th_o))
-    z_cross = -0.5j * (mp.z0e / sin_e - mp.z0o / sin_o)
-    # zero coupling: no transmission path; keep the matrix finite and small
-    # enough that cascades of such sections stay finite too
-    z_cross = np.where(abs(z_cross) < 1e-30, 1e-30, z_cross)
-    a = z_self / z_cross
-    return _chain(a, (z_self * z_self - z_cross * z_cross) / z_cross, 1.0 / z_cross, a)
+    return _section_twoport(mp, mp.alpha_e, mp.alpha_o, l, np.asarray(f, dtype=float), [None, None])
 
 
 def cascade(sections) -> np.ndarray:
@@ -200,6 +238,11 @@ def sweep_pcl(
     ValueError there. ``physical`` mode derives per-mode parameters from the
     synthesized dimensions; with ``lossy`` it attaches the substrate's
     dielectric attenuation per frequency.
+
+    Within a block of points, a mode angle bitwise equal to the one before
+    it reuses that angle's sine and tangent: in ``ideal`` mode all sections
+    and both modes share one angle, evaluated once per block. A span whose
+    angle at ``f_stop`` overflows is a ValueError.
     """
     if mode not in ("ideal", "physical"):
         raise ValueError("mode must be 'ideal' or 'physical'")
@@ -220,6 +263,10 @@ def sweep_pcl(
         ]
         lengths = [resonator_length(mp, f0) for mp in section_mps]
 
+    # a bound on every angle, at f_stop, must be a finite number before numpy sees one
+    eps_max = max(max(mp.eps_eff_e, mp.eps_eff_o) for mp in section_mps)
+    if not math.isfinite(_mode_angle(eps_max, 0.0, max(lengths), sweep.f_stop).real):
+        raise ValueError(f"f_stop = {sweep.f_stop} GHz overflows the section angle")
     freqs = sweep.frequencies()
     if lossy:
         alphas = [
@@ -231,8 +278,9 @@ def sweep_pcl(
     s = np.empty((len(freqs), 2, 2), complex)
     for lo in range(0, len(freqs), _BLOCK):
         f = slice(lo, lo + _BLOCK)
+        last = [None, None]  # the block's last angle and its (sin, tan), see _sin_tan
         sections = (
-            coupled_section_twoport(replace(mp, alpha_e=a_e[f], alpha_o=a_o[f]), l, freqs[f])
+            _section_twoport(mp, a_e[f], a_o[f], l, freqs[f], last)
             for mp, l, (a_e, a_o) in zip(section_mps, lengths, alphas)
         )
         s[f] = abcd_to_s(cascade(sections), design.z0)

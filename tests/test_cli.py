@@ -259,6 +259,14 @@ class TestInvalidInput:
                      "sweep points", id="compare-one-point"),
         pytest.param(SIMULATE + ("--design", "{design}", "--f-stop", "inf"), None, "f_stop",
                      id="simulate-f-stop-inf"),
+        pytest.param(SIMULATE + ("--design", "{design}", "--f-start", "1e-10"), None,
+                     "1 ppm above", id="simulate-f-start-1hz"),
+        pytest.param(SIMULATE + ("--design", "{design}", "--f-stop", "1e300"), None,
+                     "overflows the section angle", id="simulate-f-stop-overflow"),
+        # 8 EiB of frequencies: more than any 64-bit address space, so the
+        # allocation is refused whatever the host's overcommit policy
+        pytest.param(SIMULATE + ("--design", "{design}", "--points", str(10**18)), None,
+                     "Unable to allocate", id="simulate-huge-points"),
         pytest.param(LAYOUT + ("--planar-gap", "-1"), None, "planar_gap",
                      id="layout-negative-gap"),
         pytest.param(LAYOUT + ("--overlap", "nan"), None, "overlap", id="layout-overlap-nan"),

@@ -1,5 +1,7 @@
 import cmath
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,14 @@ from mwbpf.coupling import (
     CouplingSection,
     coupling_coefficients,
 )
-from mwbpf.microstrip import C0, ModeParams, analyze_coupled, dielectric_loss, unloaded_q
+from mwbpf.microstrip import (
+    C0,
+    ModeParams,
+    analyze_coupled,
+    dielectric_loss,
+    resonator_length,
+    unloaded_q,
+)
 from mwbpf.prototype import bandpass_to_lowpass
 from mwbpf.rfsim import (
     BandEdgeOutOfRange,
@@ -350,6 +359,86 @@ class TestSingularFrequency:
         i = int(np.argmin(np.abs(r.frequencies - 5.16)))
         offset = sweep_pcl(coupling, f0, FrequencySweep(5.16 * (1.0 + 1e-6), 6.0, 2))
         assert np.abs(r.s[i] - offset.s[0]).max() <= 1e-12
+
+    def test_point_still_singular_after_the_nudge_is_rejected(self, fr4_design):
+        # below about 1 Hz every angle's sine stays under 1e-9 after a 1 ppm nudge
+        with pytest.raises(ValueError, match="1 ppm above"):
+            sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(1e-10, 3.0, 11))
+        mp = _ideal_mp(72.21, 38.89)
+        with pytest.raises(ValueError, match="1 ppm above"):
+            coupled_section_twoport(mp, resonator_length(mp, 2.58), 1e-10)
+
+
+class TestSweepRange:
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    def test_overflowing_angle_is_rejected_before_numpy_sees_it(self, fr4_design, fr4, mode):
+        # a numpy overflow would be a RuntimeWarning, which the test run makes an error
+        with pytest.raises(ValueError, match="overflows the section angle"):
+            sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 1e300, 11),
+                      mode=mode, dims=fr4_design.dims, substrate=fr4, lossy=mode == "physical")
+
+    def test_overflowing_lossy_sine_is_rejected(self, fr4_design, fr4):
+        with pytest.raises(ValueError, match="overflows the sine"):
+            sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 1e6, 11),
+                      mode="physical", dims=fr4_design.dims, substrate=fr4, lossy=True)
+
+
+def _recorded(fn):
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        out = fn()
+    assert all(issubclass(w.category, SingularFrequencyWarning) for w in rec)
+    return out, len(rec)
+
+
+class TestSharedSectionTrig:
+    """sweep_pcl reuses the (sin, tan) of an angle bitwise equal to the one before it."""
+
+    @pytest.mark.parametrize("span", [(2.0, 3.0, 2501), (4.0, 6.32, 117)], ids=["band", "2f0"])
+    @pytest.mark.parametrize("mode", ["ideal", "physical"])
+    @pytest.mark.parametrize("board", ["fr4", "ro3003"])
+    def test_bitwise_equal_to_per_section_cascade(self, request, board, mode, span):
+        design = request.getfixturevalue(f"{board}_design")
+        sub = request.getfixturevalue(board)
+        sweep, f0, n = FrequencySweep(*span), design.spec.f0, len(design.coupling.sections)
+        freqs = sweep.frequencies()
+        if mode == "ideal":
+            mps = [_ideal_mp(s.z0e, s.z0o) for s in design.coupling.sections]
+            lengths = [resonator_length(mp, f0) for mp in mps]
+        else:
+            mps = [
+                ModeParams(mp.z0e, mp.z0o, mp.eps_eff_e, mp.eps_eff_o,
+                           dielectric_loss(sub, mp.eps_eff_e, freqs),
+                           dielectric_loss(sub, mp.eps_eff_o, freqs))
+                for mp in (analyze_coupled(d.w, d.s, sub) for d in design.dims)
+            ]
+            lengths = [d.l for d in design.dims]
+        result, nudges = _recorded(lambda: sweep_pcl(
+            design.coupling, f0, sweep, mode=mode, dims=design.dims, substrate=sub,
+            lossy=mode == "physical",
+        ))
+        ref, ref_nudges = _recorded(lambda: abcd_to_s(
+            cascade(coupled_section_twoport(mp, l, freqs) for mp, l in zip(mps, lengths)),
+            design.coupling.z0,
+        ))
+        assert result.s.tobytes() == ref.tobytes()
+        assert nudges == ref_nudges
+        if mode == "ideal" and span[0] == 4.0:  # the span holds 2 f0 exactly
+            assert nudges == n
+
+    def test_ideal_sweep_calls_cmath_once_per_point(self, fr4_design, monkeypatch):
+        calls = {"sin": 0, "tan": 0}
+
+        def counted(name):
+            def fn(z):
+                calls[name] += 1
+                return getattr(cmath, name)(z)
+            return fn
+
+        monkeypatch.setattr("mwbpf.rfsim.cmath", types.SimpleNamespace(
+            sin=counted("sin"), tan=counted("tan")))
+        sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, 10001))
+        assert calls == {"sin": 10001, "tan": 10001}
 
 
 # --- scalar reference: one frequency at a time, Python complex arithmetic ---
