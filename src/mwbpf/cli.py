@@ -8,9 +8,10 @@ Distinct exit codes per failure class:
   4  dimension synthesis did not converge / coupling unreachable
   5  band edges fall outside the swept span
   6  layout fold infeasible
-  7  invalid input: a missing or malformed file, a missing key, a value of
-     the wrong JSON type, an out-of-range or non-finite value, or a sweep
-     too large to allocate (MemoryError)
+  7  invalid input: a missing or malformed file, a missing or unknown key,
+     a value of the wrong JSON type, an out-of-range or non-finite value, a
+     value that overflows a model (OverflowError), or a sweep too large to
+     allocate (MemoryError)
 """
 
 from __future__ import annotations
@@ -70,17 +71,13 @@ def _load_spec_config(path: str) -> tuple[FilterSpec, str]:
     return spec, expect_json(data["substrate"], str, "substrate")
 
 
-def _created_stamp(epoch: float | None) -> str | None:
-    if epoch is None:
-        return None
-    return datetime.fromtimestamp(epoch, timezone.utc).isoformat(timespec="seconds")
-
-
 def cmd_synth(args) -> int:
     spec, substrate_name = _load_spec_config(args.config)
-    registry = default_registry()
-    sub = registry.get(substrate_name)
-    doc = synthesize_design(spec, sub, created=_created_stamp(args.epoch))
+    sub = default_registry().get(substrate_name)
+    created = None
+    if args.epoch is not None:
+        created = datetime.fromtimestamp(args.epoch, timezone.utc).isoformat(timespec="seconds")
+    doc = synthesize_design(spec, sub, created=created)
     save_design(doc, args.out)
 
     print(f"order n = {doc.prototype.n}, ripple {doc.prototype.ripple_db} dB")
@@ -137,8 +134,8 @@ def cmd_layout(args) -> int:
     print(f"{args.kind} bounding box: {lay.bounds[0]:.3f} x {lay.bounds[1]:.3f} mm "
           f"(area {lay.area():.1f} mm^2)")
     if args.compare:
-        pcl = design_layout(doc, sub, "pcl")
-        ml = design_layout(doc, sub, "ml", **geometry)
+        pcl = lay if args.kind == "pcl" else design_layout(doc, sub, "pcl")
+        ml = lay if args.kind == "ml" else design_layout(doc, sub, "ml", **geometry)
         ratio = ml.area() / pcl.area()
         print(f"area ratio multilayer/edge-coupled = {ratio:.3f}")
     print(f"wrote {args.out}")
@@ -163,7 +160,7 @@ def cmd_compare(args) -> int:
     rows = {}
     for name in ("FR4", "RO3003"):
         sub = registry.get(name)
-        doc = synthesize_design(spec, sub, created=_created_stamp(args.epoch))
+        doc = synthesize_design(spec, sub)
         mode = "physical" if args.mode == "pcl" else "ml"
         result = simulate(doc, sub, mode, sweep, lossy=True)
         m = extract_metrics(result, rl_band=(spec.f_lower, spec.f_upper))
@@ -187,6 +184,13 @@ def cmd_compare(args) -> int:
         f"{f'{ro_l.bounds[0]:.2f} x {ro_l.bounds[1]:.2f}':>14}"
     )
     return 0
+
+
+def _add_sweep_options(p: argparse.ArgumentParser) -> None:
+    sweep = FrequencySweep()  # the defaults
+    p.add_argument("--f-start", type=float, default=sweep.f_start, dest="f_start")
+    p.add_argument("--f-stop", type=float, default=sweep.f_stop, dest="f_stop")
+    p.add_argument("--points", type=int, default=sweep.n_points, dest="n_points", metavar="POINTS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "ml: coupled-resonator model")
     p.add_argument("--lossy", action="store_true",
                    help="include substrate loss (physical/ml modes)")
-    p.add_argument("--f-start", type=float, default=2.0, dest="f_start")
-    p.add_argument("--f-stop", type=float, default=3.0, dest="f_stop")
-    p.add_argument("--points", type=int, default=1001, dest="n_points", metavar="POINTS")
+    _add_sweep_options(p)
     p.add_argument("--out-prefix", required=True, dest="out_prefix")
     p.set_defaults(func=cmd_simulate)
 
@@ -240,10 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run both substrates and compare")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=("pcl", "ml"), default="pcl")
-    p.add_argument("--f-start", type=float, default=2.0, dest="f_start")
-    p.add_argument("--f-stop", type=float, default=3.0, dest="f_stop")
-    p.add_argument("--points", type=int, default=1001, dest="n_points", metavar="POINTS")
-    p.add_argument("--epoch", type=float, default=None)
+    _add_sweep_options(p)
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -271,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: invalid input: missing key {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -43,8 +43,8 @@ class CouplingMatrixModel:
     """Inline coupled-resonator description of a bandpass filter.
 
     ``k`` holds the n-1 adjacent-resonator coupling coefficients, ``qe_in`` /
-    ``qe_out`` the port external quality factors, and ``qu`` an optional
-    uniform unloaded resonator Q (None = lossless).
+    ``qe_out`` the port external quality factors, and ``qu`` the uniform
+    unloaded resonator Q (``math.inf``, the default, is lossless).
     """
 
     n: int
@@ -53,23 +53,22 @@ class CouplingMatrixModel:
     qe_out: float
     f0: float
     fbw: float
-    qu: float | None = None
+    qu: float = math.inf
 
     def __post_init__(self):
         if len(self.k) != self.n - 1:
             raise ValueError("need n-1 coupling coefficients")
         if not all(map(math.isfinite, self.k)):
             raise ValueError("k must be finite")
-        for name in ("qe_in", "qe_out", "f0", "fbw", "qu"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+        for name in ("qe_in", "qe_out", "f0", "fbw"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if any(kk <= 0 for kk in self.k):
             raise ValueError("coupling coefficients must be positive")
         if self.qe_in <= 0 or self.qe_out <= 0:
             raise ValueError("external Q must be positive")
-        if self.qu is not None and self.qu <= 0:
-            raise ValueError("unloaded Q must be positive")
+        if not self.qu > 0:  # NaN too; inf is lossless
+            raise ValueError(f"unloaded Q qu must be positive, got {self.qu}")
 
 
 def j_inverters(proto: ChebyshevPrototype, fbw: float) -> list[float]:
@@ -113,7 +112,7 @@ def design_coupling(proto: ChebyshevPrototype, fbw: float, z0: float) -> Couplin
 
 
 def coupling_coefficients(
-    proto: ChebyshevPrototype, fbw: float, f0: float, qu: float | None = None
+    proto: ChebyshevPrototype, fbw: float, f0: float, qu: float = math.inf
 ) -> CouplingMatrixModel:
     """Narrowband coupled-resonator parameters of the same prototype.
 

@@ -31,7 +31,7 @@ from .layout import (
     pcl_layout,
     single_layer_stackup,
 )
-from .materials import expect_json
+from .materials import expect_json, expect_keys
 from .microstrip import (
     CoupledSectionDims,
     Substrate,
@@ -61,7 +61,7 @@ SPEC_KEYS = (
     ("z0", "z0_ohm"),
 )
 # keys a "spec" block may leave out (f0 0.0: the geometric band-edge mean)
-SPEC_DEFAULTS = {"f0_ghz": 0.0, "z0_ohm": 50.0}
+SPEC_DEFAULTS = {"f0_ghz": FilterSpec.f0, "z0_ohm": FilterSpec.z0}
 
 
 @dataclass(frozen=True)
@@ -133,18 +133,12 @@ def simulate(
         for d in doc.dims:
             check_fit_range(d.w, d.s, substrate)
     if mode == "ml":
-        qu = None
+        qu = math.inf
         if lossy:
-            eps = []
-            for d in doc.dims:
-                mp = analyze_coupled(d.w, d.s, substrate)
-                eps.append((mp.eps_eff_e + mp.eps_eff_o) / 2.0)
-            qu = unloaded_q(substrate, sum(eps) / len(eps), doc.spec.f0)
-            if qu == math.inf:  # a loss-free substrate
-                qu = None
-        model = coupling_coefficients(
-            doc.prototype, doc.spec.fbw(), doc.spec.f0, qu=qu
-        )
+            mps = [analyze_coupled(d.w, d.s, substrate) for d in doc.dims]
+            eps = sum((mp.eps_eff_e + mp.eps_eff_o) / 2.0 for mp in mps) / len(mps)
+            qu = unloaded_q(substrate, eps, doc.spec.f0)
+        model = coupling_coefficients(doc.prototype, doc.spec.fbw(), doc.spec.f0, qu=qu)
         return sweep_coupling_matrix(model, sweep, z0=doc.spec.z0)
     return sweep_pcl(
         doc.coupling, doc.spec.f0, sweep, mode=mode, dims=doc.dims, substrate=substrate,
@@ -190,9 +184,10 @@ def spec_from_dict(block) -> FilterSpec:
     """The FilterSpec of a JSON "spec" block (config file or design document).
 
     Each value is whatever ``float()`` takes; a missing required key is a
-    KeyError and a wrongly typed value a ValueError.
+    KeyError, and a wrongly typed value or an unknown key a ValueError.
     """
-    block = {**SPEC_DEFAULTS, **expect_json(block, dict, "spec")}
+    keys = [key for _, key in SPEC_KEYS]
+    block = {**SPEC_DEFAULTS, **expect_keys(expect_json(block, dict, "spec"), keys, "spec")}
     return FilterSpec(**{
         field: expect_json(block[key], float, f"spec.{key}") for field, key in SPEC_KEYS
     })

@@ -18,9 +18,10 @@ from .microstrip import Substrate
 ENV_REGISTRY = "MWBPF_MATERIALS"
 
 _BUILTINS = (
-    Substrate(name="FR4", eps_r=4.3, tan_d=0.025, h=1.6, t=0.035, conductivity=5.8e7),
-    Substrate(name="RO3003", eps_r=3.0, tan_d=0.0013, h=0.75, t=0.035, conductivity=5.8e7),
+    Substrate(name="FR4", eps_r=4.3, tan_d=0.025, h=1.6),
+    Substrate(name="RO3003", eps_r=3.0, tan_d=0.0013, h=0.75),
 )
+_NUMBERS = ("eps_r", "tan_d", "h", "t", "conductivity")  # the numeric keys of a file entry
 
 
 class UnknownMaterial(KeyError):
@@ -45,6 +46,16 @@ def expect_json(value, kind: type, where: str):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def expect_keys(obj: dict, keys, where: str) -> dict:
+    """``obj``, checked to hold no key outside ``keys``: a misspelled optional
+    key would otherwise leave its default in place. An unknown key is a
+    ValueError naming it."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{where}.{key} is not a known key")
+    return obj
 
 
 class MaterialsRegistry:
@@ -75,11 +86,11 @@ class MaterialsRegistry:
         user = []
         for i, entry in enumerate(expect_json(data.get("materials", []), list, "materials")):
             where = f"materials[{i}]"
-            entry = {"t": 0.035, "conductivity": 5.8e7, **expect_json(entry, dict, where)}
+            entry = expect_keys(expect_json(entry, dict, where), ("name", *_NUMBERS), where)
+            entry = {"t": Substrate.t, "conductivity": Substrate.conductivity, **entry}
             user.append(Substrate(
                 name=expect_json(entry["name"], str, f"{where}.name"),
-                **{key: expect_json(entry[key], float, f"{where}.{key}")
-                   for key in ("eps_r", "tan_d", "h", "t", "conductivity")},
+                **{key: expect_json(entry[key], float, f"{where}.{key}") for key in _NUMBERS},
             ))
         # later keys shadow earlier ones, so user entries win
         return MaterialsRegistry((*self._by_key.values(), *user))

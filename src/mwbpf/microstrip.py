@@ -25,6 +25,7 @@ VALID_U = (0.1, 10.0)
 VALID_G = (0.1, 5.0)
 GAP_FLOOR_MM = 0.1  # typical PCB fabrication floor
 GAP_HARD_MIN_MM = 1e-3
+WIDTH_RANGE_H = (0.02, 40.0)  # strip widths synthesis searches, in substrate heights
 
 
 class NoConvergence(RuntimeError):
@@ -132,7 +133,7 @@ def synthesize_single_width(z0_target: float, sub: Substrate) -> float:
     """Width (mm) realizing a single-line impedance; bisection, z0 monotone in w."""
     if z0_target <= 0:
         raise ValueError("target impedance must be positive")
-    lo, hi = 0.02 * sub.h, 40.0 * sub.h
+    lo, hi = WIDTH_RANGE_H[0] * sub.h, WIDTH_RANGE_H[1] * sub.h
     if analyze_single(lo, sub)[0] < z0_target:
         raise CouplingUnreachable(f"{z0_target} ohm is above the model range")
     for _ in range(200):
@@ -234,8 +235,8 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
             return None
         return np.array([math.log(mp.z0e / z0e), math.log(mp.z0o / z0o)])
 
-    lo = np.array([math.log(0.02 * h), math.log(GAP_HARD_MIN_MM)])
-    hi = np.array([math.log(40.0 * h), math.log(60.0 * h)])
+    lo = np.array([math.log(WIDTH_RANGE_H[0] * h), math.log(GAP_HARD_MIN_MM)])
+    hi = np.array([math.log(WIDTH_RANGE_H[1] * h), math.log(60.0 * h)])
     step = 1e-6
     w0 = synthesize_single_width(math.sqrt(z0e * z0o), sub)
     x = np.array([math.log(w0), math.log(h)])

@@ -10,7 +10,7 @@ ripple level is supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class UnsatisfiableSpec(ValueError):
@@ -32,7 +32,7 @@ class FilterSpec:
     stop_freq: float
     stop_atten_db: float
     z0: float = 50.0
-    f0: float = field(default=0.0)
+    f0: float = 0.0
 
     def __post_init__(self):
         for name in (

@@ -300,7 +300,7 @@ def sweep_coupling_matrix(
         Omega  = (1/FBW)(f/f0 - f0/f)
         A      = Omega I + M - j R,  M tridiagonal with m = k/FBW,
                  R diag with 1/(Qe FBW) at the ports plus 1/(Qu FBW) on all
-                 resonators when lossy
+                 resonators (0 when lossless, Qu = inf)
         S21    = -2j / sqrt(qe1 qen) [A^-1]_{n1}  (qe normalized Qe FBW)
         S11    = -1 - 2j / qe1 [A^-1]_{11}
 
@@ -316,8 +316,7 @@ def sweep_coupling_matrix(
     r = np.zeros(n)
     r[0] += 1.0 / qe1  # += so that an order-1 resonator carries both port loadings
     r[-1] += 1.0 / qen
-    if model.qu is not None:
-        r += 1.0 / (model.qu * model.fbw)
+    r += 1.0 / (model.qu * model.fbw)
 
     freqs = sweep.frequencies()
     omega = (freqs / model.f0 - model.f0 / freqs) / model.fbw  # bandpass_to_lowpass
@@ -336,6 +335,11 @@ def sweep_coupling_matrix(
 
 # --- metric extraction ----------------------------------------------------------
 
+def _crossing(freqs, db, i, j, target):
+    """Frequency where db, linear from point i to point j, equals target."""
+    return freqs[i] + (target - db[i]) / (db[j] - db[i]) * (freqs[j] - freqs[i])
+
+
 def _edge_crossing(freqs, db, idx_inner, step, target):
     """First point outward from idx_inner with db below target; interpolate."""
     if step > 0:
@@ -345,9 +349,7 @@ def _edge_crossing(freqs, db, idx_inner, step, target):
     if not len(below):
         raise BandEdgeOutOfRange("no -3 dB crossing inside the swept span")
     j = int(below[0])
-    i = j - step
-    frac = (target - db[i]) / (db[j] - db[i])
-    return freqs[i] + frac * (freqs[j] - freqs[i])
+    return _crossing(freqs, db, j - step, j, target)
 
 
 def extract_metrics(
@@ -393,10 +395,6 @@ def ripple_bandwidth(result: SParamResult, ripple_db: float) -> float:
     if len(above) == 0 or above[0] == 0 or above[-1] == len(freqs) - 1:
         raise BandEdgeOutOfRange("ripple band extends beyond the swept span")
     lo, hi = above[0], above[-1]
-    f_lo = freqs[lo - 1] + (target - db21[lo - 1]) / (db21[lo] - db21[lo - 1]) * (
-        freqs[lo] - freqs[lo - 1]
-    )
-    f_hi = freqs[hi] + (target - db21[hi]) / (db21[hi + 1] - db21[hi]) * (
-        freqs[hi + 1] - freqs[hi]
-    )
+    f_lo = _crossing(freqs, db21, lo - 1, lo, target)
+    f_hi = _crossing(freqs, db21, hi, hi + 1, target)
     return (f_hi - f_lo) * 1e3

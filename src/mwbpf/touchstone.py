@@ -103,18 +103,13 @@ def _rows(columns, sep: str, tie_ulps: int, scalar_row) -> str:
         words, rows_bad = _fields(x, decimals, negative, seps, tie_ulps)
         parts.append(words.reshape(len(x), -1))
         bad = bad | rows_bad
-    ch = np.concatenate(parts, axis=1).view(np.uint8)
+    text = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
     if not bad.any():
-        return ch.tobytes().translate(None, b"\0").decode("ascii")
-    ch[bad] = 0
-    ends = np.cumsum(np.count_nonzero(ch, axis=1)).tolist()
-    text = ch.tobytes().translate(None, b"\0").decode("ascii")
-    pieces, start = [], 0
+        return text
+    rows = text.split("\n")  # rows[0] is the empty text before the first row
     for i in np.flatnonzero(bad).tolist():
-        pieces += (text[start:ends[i]], "\n", scalar_row(i))
-        start = ends[i]
-    pieces.append(text[start:])
-    return "".join(pieces)
+        rows[i + 1] = scalar_row(i)
+    return "\n".join(rows)
 
 
 def touchstone_text(result: SParamResult, comments: tuple[str, ...] = ()) -> str:

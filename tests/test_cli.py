@@ -184,8 +184,7 @@ class TestMaterials:
 class TestCompare:
     def test_pcl_comparison_table(self, config_path, capsys):
         assert main(["compare", "--config", str(config_path), "--mode", "pcl",
-                     "--points", "301", "--f-start", "2.3", "--f-stop", "2.9",
-                     "--epoch", "0"]) == 0
+                     "--points", "301", "--f-start", "2.3", "--f-stop", "2.9"]) == 0
         out = capsys.readouterr().out
         assert "FR4" in out and "RO3003" in out
         assert "S21 at FC" in out and "size (mm)" in out
@@ -236,6 +235,15 @@ class TestInvalidInput:
         pytest.param(SYNTH, ("config", ("substrate",), 5), "substrate",
                      id="synth-substrate-number"),
         pytest.param(SYNTH, ("config", (), [1, 2]), "config", id="synth-config-array"),
+        # a misspelled optional key would leave its default in place
+        pytest.param(SYNTH, ("config", ("spec", "z0_ohms"), 75.0), "spec.z0_ohms",
+                     id="synth-unknown-spec-key"),
+        pytest.param(SIMULATE + ("--design", "{bad}"), ("design", ("spec", "f0"), 2.6),
+                     "spec.f0", id="simulate-unknown-spec-key"),
+        pytest.param(("synth", "--config", "{config}", "--out", "{tmp}/d.json", "--epoch", "inf"),
+                     None, "timestamp out of range", id="synth-epoch-inf"),
+        pytest.param(("synth", "--config", "{config}", "--out", "{tmp}/d.json",
+                      "--epoch", "1e300"), None, "timestamp out of range", id="synth-epoch-1e300"),
         pytest.param(SIMULATE + ("--design", "{tmp}/nope.json"), None, "nope.json",
                      id="simulate-missing-design"),
         pytest.param(SIMULATE + ("--design", "{bad}"), ("design", ("dims_mm", 0, "w"), None),
@@ -251,6 +259,17 @@ class TestInvalidInput:
         pytest.param(SIMULATE + ("--design", "{bad}", "--mode", "ml"),
                      ("design", ("coupling", "z0_ohm"), 75.0), "z0_ohm",
                      id="simulate-z0-mismatch"),
+        # dimensions that overflow the coupled-line fits, after the validity step
+        # has warned (a class name such as SIMULATE is out of a comprehension's scope)
+        *[pytest.param(("simulate", "--out-prefix", "{tmp}/bad", "--design", "{bad}",
+                        "--mode", *mode),
+                       ("design", ("dims_mm", 0, key), value), "Numerical result out of range",
+                       id=f"simulate-{key}-{value:g}-{'-'.join(m.strip('-') for m in mode)}",
+                       marks=pytest.mark.filterwarnings(
+                           "ignore::mwbpf.microstrip.ModelValidityWarning",
+                           "ignore::mwbpf.microstrip.GapTooSmallWarning"))
+          for key, value in (("s", 1e300), ("s", 1e-300), ("w", 1e300))
+          for mode in (("physical",), ("physical", "--lossy"), ("ml", "--lossy"))],
         pytest.param(SIMULATE + ("--design", "{design}", "--mode", "ideal", "--lossy"), None,
                      "lossless", id="simulate-ideal-lossy"),
         pytest.param(SIMULATE + ("--design", "{design}", "--points", "1"), None,
@@ -276,6 +295,8 @@ class TestInvalidInput:
                      "materials[0].eps_r", id="materials-null-number"),
         pytest.param(MATERIALS, ("materials", ("materials", 0, "name"), 5),
                      "materials[0].name", id="materials-name-number"),
+        pytest.param(MATERIALS, ("materials", ("materials", 0, "cond"), 1e7),
+                     "materials[0].cond", id="materials-unknown-key"),
     ])
     def test_exit_code(self, argv, edit, cause, tmp_path, config_path, design_path,
                        monkeypatch, capsys):

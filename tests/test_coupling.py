@@ -134,7 +134,10 @@ class TestCouplingMatrixModel:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field, value):
         # NaN compares false with 0, so the range checks alone let k=(nan,) through
-        kwargs = dict(n=2, k=(0.05,), qe_in=10, qe_out=10, f0=2.58, fbw=0.05)
-        kwargs[field] = (value,) if field == "k" else value
+        lossless = dict(n=2, k=(0.05,), qe_in=10, qe_out=10, f0=2.58, fbw=0.05)
+        kwargs = {**lossless, field: (value,) if field == "k" else value}
+        if (field, value) == ("qu", math.inf):  # an infinite unloaded Q is the lossless default
+            assert CouplingMatrixModel(**kwargs) == CouplingMatrixModel(**lossless)
+            return
         with pytest.raises(ValueError, match=field):
             CouplingMatrixModel(**kwargs)

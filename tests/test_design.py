@@ -117,50 +117,74 @@ class TestSimulate:
             simulate(doc, fr4, "ml", SWEEP)
 
 
+# spec and substrate draws of the pipeline properties
+SPEC_AND_SUBSTRATE = dict(
+    f_lower=st.floats(1.0, 10.0),
+    fbw=st.floats(0.02, 0.2),
+    ripple_db=st.floats(0.01, 0.5),
+    stop_atten_db=st.floats(15.0, 45.0),
+    stop_distance=st.floats(0.3, 1.5),  # bandwidths beyond the band edge
+    stop_above=st.booleans(),
+    z0=st.floats(20.0, 120.0),
+    eps_r=st.floats(2.0, 12.0),
+    h=st.floats(0.1, 3.0),
+    tan_d=st.floats(0.0, 0.03),
+)
+
+
+def _synthesized(f_lower, fbw, ripple_db, stop_atten_db, stop_distance, stop_above, z0,
+                 eps_r, h, tan_d):
+    """The design of a SPEC_AND_SUBSTRATE draw, its substrate and a 41-point
+    sweep over three bandwidths about f0; None where synthesis refuses the
+    spec with a typed error."""
+    f_upper = f_lower * (1.0 + fbw)
+    bw = f_upper - f_lower
+    stop_freq = f_upper + stop_distance * bw if stop_above else f_lower - stop_distance * bw
+    spec = FilterSpec(f_lower=f_lower, f_upper=f_upper, ripple_db=ripple_db,
+                      stop_freq=stop_freq, stop_atten_db=stop_atten_db, z0=z0)
+    sub = Substrate(name="x", eps_r=eps_r, tan_d=tan_d, h=h)
+    try:
+        doc = synthesize_design(spec, sub)
+    except (UnsatisfiableSpec, CouplingUnreachable, NoConvergence):
+        return None
+    return doc, sub, FrequencySweep(spec.f0 - 1.5 * bw, spec.f0 + 1.5 * bw, 41)
+
+
+@pytest.mark.filterwarnings("ignore::mwbpf.microstrip.ModelValidityWarning",
+                            "ignore::mwbpf.microstrip.GapTooSmallWarning")
 class TestPipelineProperties:
     # spec -> synthesis -> every sweep kind: a typed refusal, or a reciprocal
     # response that conserves power when lossless and never gains it when lossy
     @settings(max_examples=100, deadline=None)
-    @given(
-        f_lower=st.floats(1.0, 10.0),
-        fbw=st.floats(0.02, 0.2),
-        ripple_db=st.floats(0.01, 0.5),
-        stop_atten_db=st.floats(15.0, 45.0),
-        stop_distance=st.floats(0.3, 1.5),  # bandwidths beyond the band edge
-        stop_above=st.booleans(),
-        z0=st.floats(20.0, 120.0),
-        eps_r=st.floats(2.0, 12.0),
-        h=st.floats(0.1, 3.0),
-        tan_d=st.floats(0.0, 0.03),
-    )
-    def test_synthesized_designs_sweep_soundly(
-        self, f_lower, fbw, ripple_db, stop_atten_db, stop_distance, stop_above, z0,
-        eps_r, h, tan_d,
-    ):
-        f_upper = f_lower * (1.0 + fbw)
-        bw = f_upper - f_lower
-        stop_freq = f_upper + stop_distance * bw if stop_above else f_lower - stop_distance * bw
-        spec = FilterSpec(f_lower=f_lower, f_upper=f_upper, ripple_db=ripple_db,
-                          stop_freq=stop_freq, stop_atten_db=stop_atten_db, z0=z0)
-        sub = Substrate(name="x", eps_r=eps_r, tan_d=tan_d, h=h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            warnings.simplefilter("ignore", GapTooSmallWarning)
-            try:
-                doc = synthesize_design(spec, sub)
-            except (UnsatisfiableSpec, CouplingUnreachable, NoConvergence):
-                return
-            sweep = FrequencySweep(spec.f0 - 1.5 * bw, spec.f0 + 1.5 * bw, 41)
-            for mode, lossy in (("ideal", False), ("ml", False), ("physical", True),
-                                ("ml", True)):
-                r = simulate(doc, sub, mode, sweep, lossy=lossy)
-                assert r.z0 == z0
-                assert (r.s[:, 0, 1] == r.s[:, 1, 0]).all()
-                power = np.abs(r.s[:, 0, 0]) ** 2 + np.abs(r.s[:, 1, 0]) ** 2
-                if lossy:
-                    assert (power <= 1.0 + 1e-12).all()
-                else:
-                    assert np.abs(power - 1.0).max() <= 1e-12
+    @given(**SPEC_AND_SUBSTRATE)
+    def test_synthesized_designs_sweep_soundly(self, **draw):
+        synthesized = _synthesized(**draw)
+        if synthesized is None:
+            return
+        doc, sub, sweep = synthesized
+        for mode, lossy in (("ideal", False), ("ml", False), ("physical", True), ("ml", True)):
+            r = simulate(doc, sub, mode, sweep, lossy=lossy)
+            assert r.z0 == draw["z0"]
+            assert (r.s[:, 0, 1] == r.s[:, 1, 0]).all()
+            power = np.abs(r.s[:, 0, 0]) ** 2 + np.abs(r.s[:, 1, 0]) ** 2
+            if lossy:
+                assert (power <= 1.0 + 1e-12).all()
+            else:
+                assert np.abs(power - 1.0).max() <= 1e-12
+
+    # Chebyshev products g_k g_(k+1) read the same from both ends, so every
+    # synthesized design is a palindrome and both ports reflect alike.
+    # physical is left out: its mirrored sections are synthesized apart, to 1e-6.
+    @settings(max_examples=100, deadline=None)
+    @given(**SPEC_AND_SUBSTRATE)
+    def test_palindromic_designs_reflect_alike_at_both_ports(self, **draw):
+        synthesized = _synthesized(**draw)
+        if synthesized is None:
+            return
+        doc, sub, sweep = synthesized
+        for mode, lossy in (("ideal", False), ("ml", False), ("ml", True)):
+            r = simulate(doc, sub, mode, sweep, lossy=lossy)
+            assert np.abs(r.s[:, 0, 0] - r.s[:, 1, 1]).max() <= 1e-12
 
 
 class TestDesignLayout:

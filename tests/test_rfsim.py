@@ -266,7 +266,7 @@ class TestSweepCouplingMatrix:
 
     def test_loss_monotone_in_qu(self, paper_proto, paper_spec):
         ils = []
-        for qu in (50.0, 150.0, 500.0, None):
+        for qu in (50.0, 150.0, 500.0, math.inf):
             model = coupling_coefficients(
                 paper_proto, paper_spec.fbw(), paper_spec.f0, qu=qu
             )
