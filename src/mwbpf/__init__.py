@@ -41,7 +41,6 @@ from .prototype import (
     bandpass_to_lowpass,
     design_prototype,
     g_values,
-    normalized_stopband,
     required_order,
     ripple_height,
 )

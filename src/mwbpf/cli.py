@@ -10,8 +10,8 @@ Distinct exit codes per failure class:
   6  layout fold infeasible
   7  invalid input: a missing or malformed file, a missing or unknown key,
      a value of the wrong JSON type, an out-of-range or non-finite value, a
-     value that overflows a model (OverflowError), or a sweep too large to
-     allocate (MemoryError)
+     value that overflows a model or the --epoch timestamp, or a sweep too
+     large to allocate (MemoryError)
 """
 
 from __future__ import annotations
@@ -157,32 +157,31 @@ def cmd_compare(args) -> int:
     spec, _ = _load_spec_config(args.config)
     registry = default_registry()
     sweep = FrequencySweep(f_start=args.f_start, f_stop=args.f_stop, n_points=args.n_points)
-    rows = {}
-    for name in ("FR4", "RO3003"):
+    names = ("FR4", "RO3003")
+    rows = []
+    for name in names:
         sub = registry.get(name)
         doc = synthesize_design(spec, sub)
         mode = "physical" if args.mode == "pcl" else "ml"
         result = simulate(doc, sub, mode, sweep, lossy=True)
         m = extract_metrics(result, rl_band=(spec.f_lower, spec.f_upper))
-        rows[name] = (m, design_layout(doc, sub, args.mode))
+        rows.append((m, design_layout(doc, sub, args.mode)))
+
+    def row(label, cells):
+        print(f"{label:<28}" + "".join(f" {cell:>14}" for cell in cells))
 
     print(f"{args.mode} filter comparison (lossy simulation)")
-    print(f"{'property':<28} {'FR4':>14} {'RO3003':>14}")
-    fr4_m, fr4_l = rows["FR4"]
-    ro_m, ro_l = rows["RO3003"]
-    for label, fa, fb in (
-        ("lower cut-off f_L (GHz)", fr4_m.f_lower_3db, ro_m.f_lower_3db),
-        ("upper cut-off f_U (GHz)", fr4_m.f_upper_3db, ro_m.f_upper_3db),
-        ("FC (GHz)", fr4_m.f_c, ro_m.f_c),
-        ("S21 at FC (dB)", fr4_m.il_db, ro_m.il_db),
-        ("worst in-band S11 (dB)", fr4_m.rl_db, ro_m.rl_db),
-        ("BW (MHz)", fr4_m.bw_3db, ro_m.bw_3db),
+    row("property", names)
+    for label, field in (
+        ("lower cut-off f_L (GHz)", "f_lower_3db"),
+        ("upper cut-off f_U (GHz)", "f_upper_3db"),
+        ("FC (GHz)", "f_c"),
+        ("S21 at FC (dB)", "il_db"),
+        ("worst in-band S11 (dB)", "rl_db"),
+        ("BW (MHz)", "bw_3db"),
     ):
-        print(f"{label:<28} {fa:>14.4f} {fb:>14.4f}")
-    print(
-        f"{'size (mm)':<28} {f'{fr4_l.bounds[0]:.2f} x {fr4_l.bounds[1]:.2f}':>14} "
-        f"{f'{ro_l.bounds[0]:.2f} x {ro_l.bounds[1]:.2f}':>14}"
-    )
+        row(label, (f"{getattr(m, field):.4f}" for m, _ in rows))
+    row("size (mm)", (f"{lay.bounds[0]:.2f} x {lay.bounds[1]:.2f}" for _, lay in rows))
     return 0
 
 

@@ -83,6 +83,7 @@ class MaterialsRegistry:
     def merged_with_file(self, path: str | Path) -> "MaterialsRegistry":
         """New registry with user entries layered over (and shadowing) built-ins."""
         data = expect_json(json.loads(Path(path).read_text()), dict, "materials file")
+        expect_keys(data, ("materials",), "materials file")
         user = []
         for i, entry in enumerate(expect_json(data.get("materials", []), list, "materials")):
             where = f"materials[{i}]"

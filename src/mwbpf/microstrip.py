@@ -154,43 +154,47 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
 
     Pure: it does not check the fit range (see ``check_fit_range``).
     Attenuations are returned as 0; loss is attached per frequency by the
-    sweep code.
+    sweep code. A pair whose fits overflow a double is a ValueError naming
+    its w and s.
     """
     if w <= 0 or s <= 0:
         raise ValueError("width and gap must be positive")
-    u = w / sub.h
-    g = s / sub.h
-    er = sub.eps_r
-    z_s, ee_s = analyze_single(w, sub)
+    try:
+        u = w / sub.h
+        g = s / sub.h
+        er = sub.eps_r
+        z_s, ee_s = analyze_single(w, sub)
 
-    # even-mode permittivity: single-line form at the mode's equivalent width
-    v = u * (20.0 + g * g) / (10.0 + g * g) + g * math.exp(-g)
-    ee_e = _eps_eff_static(v, er)
+        # even-mode permittivity: single-line form at the mode's equivalent width
+        v = u * (20.0 + g * g) / (10.0 + g * g) + g * math.exp(-g)
+        ee_e = _eps_eff_static(v, er)
 
-    # odd-mode permittivity
-    bo = 0.747 * er / (0.15 + er)
-    co = bo - (bo - 0.207) * math.exp(-0.414 * u)
-    do = 0.593 + 0.694 * math.exp(-0.562 * u)
-    ao = 0.7287 * (ee_s - (er + 1.0) / 2.0) * (1.0 - math.exp(-0.179 * u))
-    ee_o = ((er + 1.0) / 2.0 + ao - ee_s) * math.exp(-co * g**do) + ee_s
+        # odd-mode permittivity
+        bo = 0.747 * er / (0.15 + er)
+        co = bo - (bo - 0.207) * math.exp(-0.414 * u)
+        do = 0.593 + 0.694 * math.exp(-0.562 * u)
+        ao = 0.7287 * (ee_s - (er + 1.0) / 2.0) * (1.0 - math.exp(-0.179 * u))
+        ee_o = ((er + 1.0) / 2.0 + ao - ee_s) * math.exp(-co * g**do) + ee_s
 
-    # mode impedances (q-polynomial fits)
-    q1 = 0.8695 * u**0.194
-    q2 = 1.0 + 0.7519 * g + 0.189 * g**2.31
-    q3 = 0.1975 + (16.6 + (8.4 / g) ** 6) ** (-0.387) + math.log(
-        g**10 / (1.0 + (g / 3.4) ** 10)
-    ) / 241.0
-    q4 = 2.0 * q1 / (q2 * (math.exp(-g) * u**q3 + (2.0 - math.exp(-g)) * u ** (-q3)))
-    q5 = 1.794 + 1.14 * math.log(1.0 + 0.638 / (g + 0.517 * g**2.43))
-    q6 = 0.2305 + math.log(g**10 / (1.0 + (g / 5.8) ** 10)) / 281.3 + math.log(
-        1.0 + 0.598 * g**1.154
-    ) / 5.1
-    q7 = (10.0 + 190.0 * g * g) / (1.0 + 82.3 * g**3)
-    q8 = math.exp(-6.5 - 0.95 * math.log(g) - (g / 0.15) ** 5)
-    q9 = math.log(q7) * (q8 + 1.0 / 16.5)
-    q10 = (q2 * q4 - q5 * math.exp(math.log(u) * q6 * u ** (-q9))) / q2
-    z0e = z_s * math.sqrt(ee_s / ee_e) / (1.0 - math.sqrt(ee_s) * q4 * z_s / ETA0)
-    z0o = z_s * math.sqrt(ee_s / ee_o) / (1.0 - math.sqrt(ee_s) * q10 * z_s / ETA0)
+        # mode impedances (q-polynomial fits)
+        q1 = 0.8695 * u**0.194
+        q2 = 1.0 + 0.7519 * g + 0.189 * g**2.31
+        q3 = 0.1975 + (16.6 + (8.4 / g) ** 6) ** (-0.387) + math.log(
+            g**10 / (1.0 + (g / 3.4) ** 10)
+        ) / 241.0
+        q4 = 2.0 * q1 / (q2 * (math.exp(-g) * u**q3 + (2.0 - math.exp(-g)) * u ** (-q3)))
+        q5 = 1.794 + 1.14 * math.log(1.0 + 0.638 / (g + 0.517 * g**2.43))
+        q6 = 0.2305 + math.log(g**10 / (1.0 + (g / 5.8) ** 10)) / 281.3 + math.log(
+            1.0 + 0.598 * g**1.154
+        ) / 5.1
+        q7 = (10.0 + 190.0 * g * g) / (1.0 + 82.3 * g**3)
+        q8 = math.exp(-6.5 - 0.95 * math.log(g) - (g / 0.15) ** 5)
+        q9 = math.log(q7) * (q8 + 1.0 / 16.5)
+        q10 = (q2 * q4 - q5 * math.exp(math.log(u) * q6 * u ** (-q9))) / q2
+        z0e = z_s * math.sqrt(ee_s / ee_e) / (1.0 - math.sqrt(ee_s) * q4 * z_s / ETA0)
+        z0o = z_s * math.sqrt(ee_s / ee_o) / (1.0 - math.sqrt(ee_s) * q10 * z_s / ETA0)
+    except OverflowError:
+        raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm overflows the model") from None
 
     return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
 
@@ -281,7 +285,7 @@ def _modes_or_none(w, s, sub):
     # positive and finite
     try:
         mp = analyze_coupled(w, s, sub)
-    except OverflowError:
+    except ValueError:
         return None
     if 0 < mp.z0e < math.inf and 0 < mp.z0o < math.inf:
         return mp

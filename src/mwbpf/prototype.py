@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+MAX_ORDER = 20  # the highest prototype order required_order grants
+
 
 class UnsatisfiableSpec(ValueError):
     """The requested passband/stopband combination cannot be met."""
@@ -23,7 +25,8 @@ class FilterSpec:
 
     Frequencies are in GHz, ripple/attenuation in dB, impedance in ohms.
     ``f0`` defaults to the geometric mean of the band edges but may be
-    pinned explicitly (e.g. to quote a round mid-band number).
+    pinned explicitly (e.g. to quote a round mid-band number). Construction
+    checks form only; ``required_order`` decides satisfiability.
     """
 
     f_lower: float
@@ -42,20 +45,11 @@ class FilterSpec:
                 raise ValueError(f"{name} must be finite")
         if not (0 < self.f_lower < self.f_upper):
             raise ValueError("need 0 < f_lower < f_upper")
-        if self.ripple_db <= 0:
-            raise ValueError("ripple_db must be positive")
-        if self.stop_atten_db <= self.ripple_db:
-            raise UnsatisfiableSpec(
-                "stopband attenuation must exceed the passband ripple"
-            )
-        if self.z0 <= 0:
-            raise ValueError("z0 must be positive")
-        if self.f_lower <= self.stop_freq <= self.f_upper:
-            raise ValueError("stop_freq must lie outside the passband")
+        for name in ("ripple_db", "stop_freq", "stop_atten_db", "z0"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.f0 == 0.0:
-            object.__setattr__(
-                self, "f0", math.sqrt(self.f_lower * self.f_upper)
-            )
+            object.__setattr__(self, "f0", math.sqrt(self.f_lower * self.f_upper))
         if not (self.f_lower < self.f0 < self.f_upper):
             raise ValueError("f0 must lie inside the passband")
         if not (0 < self.fbw() < 1):
@@ -94,54 +88,53 @@ def attenuation_height(stop_atten_db: float, ripple_height_sq: float) -> float:
     """Attenuation height a = sqrt((10^(L_As/10) - 1) / a_m^2).
 
     ``a`` is the value the Chebyshev polynomial must reach at the normalized
-    stopband frequency; it must exceed 1 or the ripple level already violates
-    the stopband requirement.
+    stopband frequency (see ``required_order``).
     """
     if stop_atten_db <= 0:
         raise ValueError("stop_atten_db must be positive")
     if ripple_height_sq <= 0:
         raise ValueError("ripple height must be positive")
-    a = math.sqrt((10.0 ** (stop_atten_db / 10.0) - 1.0) / ripple_height_sq)
-    if a < 1.0:
-        raise UnsatisfiableSpec(
-            "stopband attenuation is below the passband ripple level"
-        )
-    return a
+    return math.sqrt((10.0 ** (stop_atten_db / 10.0) - 1.0) / ripple_height_sq)
 
 
-def bandpass_to_lowpass(f: float, f0: float, fbw: float) -> float:
+def bandpass_to_lowpass(f, f0: float, fbw: float):
     """Bandpass frequency to prototype axis: (1/FBW)(f/f0 - f0/f).
 
     Maps f0 to 0 and the band edges to roughly +/-1 (exactly so when f0 is
-    the geometric edge mean; asymmetric by O(FBW^2) otherwise).
+    the geometric edge mean; asymmetric by O(FBW^2) otherwise). ``f`` may
+    be an array of positive frequencies; a scalar must be positive.
     """
-    if f <= 0:
+    if isinstance(f, (int, float)) and f <= 0:
         raise ValueError("frequency must be positive")
     return (f / f0 - f0 / f) / fbw
 
 
-def normalized_stopband(spec: FilterSpec) -> float:
-    """Map the stopband frequency to the lowpass prototype axis.
-
-    Omega_s = (f0 / (f_upper - f_lower)) * (f_x/f0 - f0/f_x); negative when
-    the stopband point sits below the passband.
-    """
-    return bandpass_to_lowpass(spec.stop_freq, spec.f0, spec.fbw())
-
-
 def required_order(spec: FilterSpec) -> int:
-    """Minimum Chebyshev order meeting the requirement: ceil(acosh(a) / acosh(|Omega_s|))."""
-    am2 = ripple_height(spec.ripple_db)
-    a = attenuation_height(spec.stop_atten_db, am2)
-    omega_s = abs(normalized_stopband(spec))
-    if omega_s <= 1.0:
+    """Minimum Chebyshev order meeting the requirement: ceil(acosh(a) / acosh(|Omega_s|)).
+
+    The one satisfiability check: raises UnsatisfiableSpec unless the
+    stopband point lies outside [f_lower, f_upper] and maps outside the
+    prototype passband (|Omega_s| > 1), the attenuation height a exceeds 1,
+    and the order is at most MAX_ORDER. An attenuation height beyond a
+    double counts as above MAX_ORDER.
+    """
+    omega_s = abs(bandpass_to_lowpass(spec.stop_freq, spec.f0, spec.fbw()))
+    if omega_s <= 1.0 or spec.f_lower <= spec.stop_freq <= spec.f_upper:
         raise UnsatisfiableSpec(
-            "stopband point maps inside the prototype passband; "
+            "stopband point lies inside the passband; "
             "selectivity requirement cannot be met at any order"
         )
-    if a <= 1.0:
-        raise UnsatisfiableSpec("attenuation height must exceed 1")
-    return max(1, math.ceil(math.acosh(a) / math.acosh(omega_s)))
+    am2 = ripple_height(spec.ripple_db)
+    try:
+        a = attenuation_height(spec.stop_atten_db, am2) if am2 > 0 else math.inf
+    except OverflowError:
+        a = math.inf
+    if not a > 1.0:
+        raise UnsatisfiableSpec("stopband attenuation must exceed the passband ripple level")
+    order = math.acosh(a) / math.acosh(omega_s)
+    if not order <= MAX_ORDER:
+        raise UnsatisfiableSpec(f"the requirement needs an order above MAX_ORDER = {MAX_ORDER}")
+    return max(1, math.ceil(order))
 
 
 def g_values(n: int, ripple_db: float) -> ChebyshevPrototype:

@@ -25,6 +25,7 @@ from .microstrip import (
     dielectric_loss,
     resonator_length,
 )
+from .prototype import bandpass_to_lowpass
 
 
 class BandEdgeOutOfRange(ValueError):
@@ -319,7 +320,7 @@ def sweep_coupling_matrix(
     r += 1.0 / (model.qu * model.fbw)
 
     freqs = sweep.frequencies()
-    omega = (freqs / model.f0 - model.f0 / freqs) / model.fbw  # bandpass_to_lowpass
+    omega = bandpass_to_lowpass(freqs, model.f0, model.fbw)
     d = omega - 1j * r[0]
     a_n1 = 1.0 / d
     for i in range(1, n):

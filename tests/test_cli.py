@@ -51,6 +51,27 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
+DELETE = object()
+
+
+def _edited(doc, path, value):
+    """Copy of a JSON document with the entry at ``path`` (keys and indexes)
+    set to ``value``, or removed when ``value`` is DELETE; the empty path
+    replaces the whole document."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
 def _run_cli(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(mwbpf.__file__).parents[1]))
     return subprocess.run(
@@ -81,6 +102,41 @@ class TestSynth:
         cfg = _write_config(tmp_path, ripple_db=1.0, stop_atten_db=0.5)
         out = tmp_path / "d.json"
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    # satisfiability is decided once, by required_order (exit 2); FilterSpec
+    # refuses only malformed values (exit 7, naming the field). An attenuation
+    # below the ripple level is test_unsatisfiable_spec_exit_code above.
+    @pytest.mark.parametrize("overrides, code, cause", [
+        pytest.param(dict(stop_freq_ghz=2.6), 2, "inside the passband", id="stop-in-band"),
+        pytest.param(dict(stop_freq_ghz=2.65), 2, "inside the passband", id="stop-at-f-upper"),
+        # needs order 47,805,120 without the cap: refused before any g-value is built
+        pytest.param(dict(stop_freq_ghz=2.6500000000000004, f0_ghz=DELETE), 2, "MAX_ORDER",
+                     id="stop-one-ulp-above-f-upper"),
+        pytest.param(dict(stop_freq_ghz=-1), 7, "stop_freq", id="stop-negative"),
+        pytest.param(dict(ripple_db=0.1, stop_atten_db=0.10000000000000002), 2,
+                     "stopband attenuation must exceed the passband ripple level",
+                     id="atten-one-ulp-above-ripple"),
+        pytest.param(dict(stop_atten_db=4000), 2, "MAX_ORDER", id="atten-4000"),
+        pytest.param(dict(ripple_db=1e-20), 2, "MAX_ORDER", id="ripple-1e-20"),
+        pytest.param(dict(stop_atten_db=-5), 7, "stop_atten_db", id="atten-negative"),
+        pytest.param(dict(stop_atten_db=300), 2, "MAX_ORDER", id="order-23-above-cap"),
+    ])
+    def test_spec_exit_code(self, overrides, code, cause, tmp_path, monkeypatch, capsys):
+        # a refused spec never reaches the g-value recursion
+        monkeypatch.setattr(mwbpf.prototype, "g_values",
+                            lambda n, ripple_db: pytest.fail(f"g_values called at order {n}"))
+        cfg = json.loads(json.dumps(PAPER_CONFIG))
+        for key, value in overrides.items():
+            cfg["spec"] = _edited(cfg["spec"], (key,), value)
+        path = tmp_path / "config_mod.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "d.json"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        kind = "unsatisfiable specification" if code == 2 else "invalid input"
+        assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1
+        assert cause in err
         assert not out.exists()
 
     def test_unreachable_coupling_exit_code(self, tmp_path):
@@ -180,6 +236,15 @@ class TestMaterials:
         assert "RT5880" in out
         assert "4.60" in out  # user FR4 shadows the built-in
 
+    def test_empty_file_overrides_nothing(self, tmp_path, monkeypatch, capsys):
+        user_file = tmp_path / "materials.json"
+        user_file.write_text("{}")
+        assert main(["materials", "list"]) == 0
+        builtins = capsys.readouterr().out
+        monkeypatch.setenv("MWBPF_MATERIALS", str(user_file))
+        assert main(["materials", "list"]) == 0
+        assert capsys.readouterr().out == builtins
+
 
 class TestCompare:
     def test_pcl_comparison_table(self, config_path, capsys):
@@ -198,25 +263,12 @@ class TestCompare:
 
 
 MATERIALS = {"materials": [{"name": "X", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}]}
-DELETE = object()
 
 
-def _edited(doc, path, value):
-    """Copy of a JSON document with the entry at ``path`` (keys and indexes)
-    set to ``value``, or removed when ``value`` is DELETE; the empty path
-    replaces the whole document."""
-    if not path:
-        return value
-    doc = json.loads(json.dumps(doc))
-    *parents, last = path
-    node = doc
-    for key in parents:
-        node = node[key]
-    if value is DELETE:
-        del node[last]
-    else:
-        node[last] = value
-    return doc
+def _overflow_error(key, value):
+    """The error of the reference design's section 0 with its ``key`` set to ``value``."""
+    dims = {"w": 2.40775, "s": 0.371901, key: value}
+    return f"coupled pair w={dims['w']:g} mm, s={dims['s']:g} mm overflows the model"
 
 
 class TestInvalidInput:
@@ -260,10 +312,11 @@ class TestInvalidInput:
                      ("design", ("coupling", "z0_ohm"), 75.0), "z0_ohm",
                      id="simulate-z0-mismatch"),
         # dimensions that overflow the coupled-line fits, after the validity step
-        # has warned (a class name such as SIMULATE is out of a comprehension's scope)
+        # has warned; the error names the pair (a class name such as SIMULATE is out
+        # of a comprehension's scope)
         *[pytest.param(("simulate", "--out-prefix", "{tmp}/bad", "--design", "{bad}",
                         "--mode", *mode),
-                       ("design", ("dims_mm", 0, key), value), "Numerical result out of range",
+                       ("design", ("dims_mm", 0, key), value), _overflow_error(key, value),
                        id=f"simulate-{key}-{value:g}-{'-'.join(m.strip('-') for m in mode)}",
                        marks=pytest.mark.filterwarnings(
                            "ignore::mwbpf.microstrip.ModelValidityWarning",
@@ -297,6 +350,10 @@ class TestInvalidInput:
                      "materials[0].name", id="materials-name-number"),
         pytest.param(MATERIALS, ("materials", ("materials", 0, "cond"), 1e7),
                      "materials[0].cond", id="materials-unknown-key"),
+        # a misspelled top-level key would leave the built-in FR4 in place
+        pytest.param(MATERIALS, ("materials", (), {"material": [
+                         {"name": "FR4", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}]}),
+                     "materials file.material", id="materials-misspelled-top-key"),
     ])
     def test_exit_code(self, argv, edit, cause, tmp_path, config_path, design_path,
                        monkeypatch, capsys):

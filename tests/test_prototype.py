@@ -2,23 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwbpf.prototype import (
+    MAX_ORDER,
     ChebyshevPrototype,
     FilterSpec,
     UnsatisfiableSpec,
     attenuation_height,
     bandpass_to_lowpass,
     g_values,
-    normalized_stopband,
     required_order,
     ripple_height,
 )
 
 from conftest import equal_ripple_s21_db
+from test_design import SPEC_AND_SUBSTRATE
 
 # published 0.01 dB ripple, order 4 ladder values
 G_VALUES_REF = (1.0, 0.7129, 1.2004, 1.3213, 0.6476, 1.1007)
+
+
+def _ulps_from(x, k):
+    """x moved k units in the last place (down when k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
 
 
 class TestRippleHeight:
@@ -52,14 +62,18 @@ class TestAttenuationHeight:
         assert a == pytest.approx(2082.6, abs=1.0)
 
     def test_unsatisfiable(self):
-        # stopband requirement below the ripple level
-        with pytest.raises(UnsatisfiableSpec):
-            attenuation_height(0.005, ripple_height(0.01))
+        # stopband requirement below the ripple level: computed, refused by required_order
+        assert attenuation_height(0.005, ripple_height(0.01)) < 1.0
+        spec = FilterSpec(f_lower=2.52, f_upper=2.65, ripple_db=0.01,
+                          stop_freq=2.77, stop_atten_db=0.005)
+        with pytest.raises(UnsatisfiableSpec, match="exceed the passband ripple"):
+            required_order(spec)
 
 
 class TestFrequencyMapping:
     def test_paper_stopband(self, paper_spec):
-        assert normalized_stopband(paper_spec) == pytest.approx(2.823, abs=0.005)
+        omega_s = bandpass_to_lowpass(paper_spec.stop_freq, paper_spec.f0, paper_spec.fbw())
+        assert omega_s == pytest.approx(2.823, abs=0.005)
 
     def test_band_center_maps_to_origin(self):
         assert bandpass_to_lowpass(2.58, 2.58, 0.0504) == 0.0
@@ -73,14 +87,26 @@ class TestFrequencyMapping:
             f_lower=2.52, f_upper=2.65, f0=2.58, ripple_db=0.01,
             stop_freq=2.3, stop_atten_db=25.0,
         )
-        assert normalized_stopband(spec) < -1.0
+        assert bandpass_to_lowpass(spec.stop_freq, spec.f0, spec.fbw()) < -1.0
 
     def test_in_band_stop_rejected(self, paper_spec):
-        with pytest.raises(ValueError):
-            FilterSpec(
-                f_lower=2.52, f_upper=2.65, ripple_db=0.01,
-                stop_freq=2.6, stop_atten_db=25.0,
-            )
+        spec = FilterSpec(
+            f_lower=2.52, f_upper=2.65, ripple_db=0.01,
+            stop_freq=2.6, stop_atten_db=25.0,
+        )
+        with pytest.raises(UnsatisfiableSpec, match="inside the passband"):
+            required_order(spec)
+
+    def test_array_maps_like_scalars(self, paper_spec):
+        freqs = np.linspace(2.0, 3.0, 11)
+        omega = bandpass_to_lowpass(freqs, paper_spec.f0, paper_spec.fbw())
+        for f, om in zip(freqs.tolist(), omega.tolist()):
+            assert om == bandpass_to_lowpass(f, paper_spec.f0, paper_spec.fbw())
+
+    @pytest.mark.parametrize("f", [0.0, -2.6, 0, np.float64(-1.0)])
+    def test_rejects_non_positive_scalar(self, f):
+        with pytest.raises(ValueError, match="positive"):
+            bandpass_to_lowpass(f, 2.58, 0.0504)
 
 
 class TestRequiredOrder:
@@ -123,6 +149,81 @@ class TestRequiredOrder:
             for fx in (2.70, 2.77, 2.9, 3.2, 4.0)
         ]
         assert orders == sorted(orders, reverse=True)
+
+    def test_order_above_cap_refused(self):
+        # order 23 without the cap
+        spec = FilterSpec(
+            f_lower=2.52, f_upper=2.65, f0=2.58, ripple_db=0.01,
+            stop_freq=2.77, stop_atten_db=300.0,
+        )
+        with pytest.raises(UnsatisfiableSpec, match="MAX_ORDER"):
+            required_order(spec)
+
+    @pytest.mark.parametrize("ulps", [1, 4])
+    def test_stop_ulps_above_band_edge_refused(self, ulps):
+        # one ulp above f_upper would need an order of 47,805,120
+        spec = FilterSpec(
+            f_lower=2.52, f_upper=2.65, ripple_db=0.01,
+            stop_freq=_ulps_from(2.65, ulps), stop_atten_db=25.0,
+        )
+        with pytest.raises(UnsatisfiableSpec, match="MAX_ORDER"):
+            required_order(spec)
+
+    @pytest.mark.parametrize("ripple_db, stop_atten_db", [(0.01, 4000.0), (1e-20, 25.0)])
+    def test_attenuation_height_beyond_a_double_refused(self, ripple_db, stop_atten_db):
+        spec = FilterSpec(
+            f_lower=2.52, f_upper=2.65, ripple_db=ripple_db,
+            stop_freq=2.77, stop_atten_db=stop_atten_db,
+        )
+        with pytest.raises(UnsatisfiableSpec, match="MAX_ORDER"):
+            required_order(spec)
+
+    def test_attenuation_one_ulp_above_ripple_refused(self):
+        spec = FilterSpec(
+            f_lower=2.52, f_upper=2.65, ripple_db=0.1,
+            stop_freq=2.77, stop_atten_db=_ulps_from(0.1, 1),
+        )
+        with pytest.raises(UnsatisfiableSpec, match="exceed the passband ripple"):
+            required_order(spec)
+
+    # required_order alone decides: every well-formed spec, stop frequencies a few
+    # ulp from either band edge included, gets an order 1..MAX_ORDER that meets the
+    # requirement and is the least that does, or is refused as unsatisfiable
+    @settings(max_examples=300, deadline=None)
+    @given(
+        draw=st.fixed_dictionaries({key: SPEC_AND_SUBSTRATE[key] for key in (
+            "f_lower", "fbw", "ripple_db", "stop_atten_db", "stop_distance", "stop_above")}),
+        edge=st.sampled_from((None, "f_lower", "f_upper")),
+        ulps=st.integers(-4, 4),
+        f0_at=st.none() | st.floats(0.05, 0.95),  # None: the geometric mean
+    )
+    def test_order_is_bounded_and_least_or_refused(self, draw, edge, ulps, f0_at):
+        f_lower = draw["f_lower"]
+        f_upper = f_lower * (1.0 + draw["fbw"])
+        bw = f_upper - f_lower
+        if edge is None:
+            stop_freq = (f_upper + draw["stop_distance"] * bw if draw["stop_above"]
+                         else f_lower - draw["stop_distance"] * bw)
+        else:
+            stop_freq = _ulps_from(f_lower if edge == "f_lower" else f_upper, ulps)
+        spec = FilterSpec(
+            f_lower=f_lower, f_upper=f_upper, ripple_db=draw["ripple_db"],
+            stop_freq=stop_freq, stop_atten_db=draw["stop_atten_db"],
+            f0=0.0 if f0_at is None else f_lower + f0_at * bw,
+        )
+        try:
+            n = required_order(spec)
+        except UnsatisfiableSpec:
+            return
+        assert 1 <= n <= MAX_ORDER
+
+        def attenuation(order):
+            return -equal_ripple_s21_db(spec.stop_freq, spec.f0, spec.fbw(), order,
+                                        spec.ripple_db)
+
+        assert attenuation(n) >= spec.stop_atten_db - 1e-9
+        if n > 1:
+            assert attenuation(n - 1) < spec.stop_atten_db + 1e-9
 
 
 class TestGValues:
@@ -203,9 +304,26 @@ class TestFilterSpec:
                        stop_freq=2.77, stop_atten_db=25.0)
 
     def test_rejects_attenuation_below_ripple(self):
+        spec = FilterSpec(f_lower=2.52, f_upper=2.65, ripple_db=1.0,
+                          stop_freq=2.77, stop_atten_db=0.5)
         with pytest.raises(UnsatisfiableSpec):
-            FilterSpec(f_lower=2.52, f_upper=2.65, ripple_db=1.0,
-                       stop_freq=2.77, stop_atten_db=0.5)
+            required_order(spec)
+
+    @pytest.mark.parametrize("field", ["ripple_db", "stop_freq", "stop_atten_db"])
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_rejects_non_positive(self, field, value):
+        kwargs = dict(f_lower=2.52, f_upper=2.65, ripple_db=0.01,
+                      stop_freq=2.77, stop_atten_db=25.0, z0=50.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be positive") as raised:
+            FilterSpec(**kwargs)
+        assert not isinstance(raised.value, UnsatisfiableSpec)
+
+    @pytest.mark.parametrize("stop_freq", [2.52, 2.6, 2.65])
+    def test_accepts_any_positive_stop_freq(self, stop_freq):
+        # whether the stopband point can be met is required_order's decision
+        FilterSpec(f_lower=2.52, f_upper=2.65, ripple_db=0.01,
+                   stop_freq=stop_freq, stop_atten_db=25.0)
 
     def test_rejects_bad_z0(self):
         with pytest.raises(ValueError):
