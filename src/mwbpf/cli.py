@@ -1,17 +1,7 @@
 """Command-line surface: synth, simulate, layout, materials, compare.
 
 Config and design files are JSON (nested key/value); see CONFIG_HELP.
-Distinct exit codes per failure class:
-
-  2  unsatisfiable filter specification
-  3  unknown substrate material
-  4  dimension synthesis did not converge / coupling unreachable
-  5  band edges fall outside the swept span
-  6  layout fold infeasible
-  7  invalid input: a missing or malformed file, a missing or unknown key,
-     a value of the wrong JSON type, an out-of-range or non-finite value, a
-     value that overflows a model or the --epoch timestamp, or a sweep too
-     large to allocate (MemoryError)
+Each failure class has its exit code and ``error:`` line in EXIT_CODES.
 """
 
 from __future__ import annotations
@@ -26,15 +16,15 @@ from .design import (
     DEFAULT_ARM_GAP,
     DEFAULT_OVERLAP,
     DEFAULT_PLANAR_GAP,
+    SPEC_KEYS,
     design_layout,
     load_design,
     save_design,
     simulate,
-    spec_from_dict,
     synthesize_design,
 )
 from .layout import FoldTooTight, export_svg
-from .materials import UnknownMaterial, default_registry, expect_json
+from .materials import UnknownMaterial, default_registry, expect_json, read_record
 from .microstrip import CouplingUnreachable, NoConvergence
 from .prototype import FilterSpec, UnsatisfiableSpec
 from .rfsim import BandEdgeOutOfRange, FrequencySweep, extract_metrics
@@ -57,17 +47,23 @@ pointing at a JSON file {"materials": [{"name", "eps_r", "tan_d", "h",
 "t", "conductivity"}, ...]}.
 """
 
-EXIT_UNSATISFIABLE = 2
-EXIT_UNKNOWN_MATERIAL = 3
-EXIT_NO_CONVERGENCE = 4
-EXIT_BAND_EDGE = 5
-EXIT_FOLD = 6
-EXIT_INVALID_INPUT = 7
+# (failure classes, exit code, prefix of the "error:" line). The first row
+# that matches wins, so a typed failure precedes the ValueError or KeyError
+# it derives from; exit 7 is invalid input of any kind (see the README).
+EXIT_CODES = (
+    (UnsatisfiableSpec, 2, "unsatisfiable specification: "),
+    (UnknownMaterial, 3, ""),
+    ((NoConvergence, CouplingUnreachable), 4, "synthesis failed: "),
+    (BandEdgeOutOfRange, 5, ""),
+    (FoldTooTight, 6, "layout infeasible: "),
+    (KeyError, 7, "invalid input: missing key "),
+    ((ValueError, OverflowError, OSError, MemoryError), 7, "invalid input: "),
+)
 
 
 def _load_spec_config(path: str) -> tuple[FilterSpec, str]:
     data = expect_json(json.loads(Path(path).read_text()), dict, "config")
-    spec = spec_from_dict(data["spec"])
+    spec = read_record(FilterSpec, data["spec"], "spec", SPEC_KEYS)
     return spec, expect_json(data["substrate"], str, "substrate")
 
 
@@ -251,27 +247,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsatisfiableSpec as exc:
-        print(f"error: unsatisfiable specification: {exc}", file=sys.stderr)
-        return EXIT_UNSATISFIABLE
-    except UnknownMaterial as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_UNKNOWN_MATERIAL
-    except (NoConvergence, CouplingUnreachable) as exc:
-        print(f"error: synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except BandEdgeOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAND_EDGE
-    except FoldTooTight as exc:
-        print(f"error: layout infeasible: {exc}", file=sys.stderr)
-        return EXIT_FOLD
-    except KeyError as exc:
-        print(f"error: invalid input: missing key {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (ValueError, OverflowError, OSError, MemoryError) as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    except Exception as exc:
+        for classes, code, prefix in EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,11 +31,12 @@ from .layout import (
     pcl_layout,
     single_layer_stackup,
 )
-from .materials import expect_json, expect_keys
+from .materials import expect_json, read_record
 from .microstrip import (
     CoupledSectionDims,
     Substrate,
     analyze_coupled,
+    analyze_dims,
     check_fit_range,
     resonator_length,
     synthesize_coupled,
@@ -50,7 +51,7 @@ DEFAULT_ARM_GAP = 4.0
 DEFAULT_OVERLAP = 1.0
 DEFAULT_PLANAR_GAP = 1.0
 
-# FilterSpec field -> JSON key of the "spec" block, in file order
+# (field, JSON key) of a "spec" block and of a coupling section, in file order
 SPEC_KEYS = (
     ("f_lower", "f_lower_ghz"),
     ("f_upper", "f_upper_ghz"),
@@ -60,8 +61,7 @@ SPEC_KEYS = (
     ("stop_atten_db", "stop_atten_db"),
     ("z0", "z0_ohm"),
 )
-# keys a "spec" block may leave out (f0 0.0: the geometric band-edge mean)
-SPEC_DEFAULTS = {"f0_ghz": FilterSpec.f0, "z0_ohm": FilterSpec.z0}
+SECTION_KEYS = (("j_over_y0", "j_over_y0"), ("z0e", "z0e_ohm"), ("z0o", "z0o_ohm"))
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def simulate(
     if mode == "ml":
         qu = math.inf
         if lossy:
-            mps = [analyze_coupled(d.w, d.s, substrate) for d in doc.dims]
+            mps = analyze_dims(doc.dims, substrate)
             eps = sum((mp.eps_eff_e + mp.eps_eff_o) / 2.0 for mp in mps) / len(mps)
             qu = unloaded_q(substrate, eps, doc.spec.f0)
         model = coupling_coefficients(doc.prototype, doc.spec.fbw(), doc.spec.f0, qu=qu)
@@ -180,19 +180,6 @@ def design_layout(
     )
 
 
-def spec_from_dict(block) -> FilterSpec:
-    """The FilterSpec of a JSON "spec" block (config file or design document).
-
-    Each value is whatever ``float()`` takes; a missing required key is a
-    KeyError, and a wrongly typed value or an unknown key a ValueError.
-    """
-    keys = [key for _, key in SPEC_KEYS]
-    block = {**SPEC_DEFAULTS, **expect_keys(expect_json(block, dict, "spec"), keys, "spec")}
-    return FilterSpec(**{
-        field: expect_json(block[key], float, f"spec.{key}") for field, key in SPEC_KEYS
-    })
-
-
 def to_dict(doc: DesignDocument) -> dict:
     return {
         "spec": {key: getattr(doc.spec, field) for field, key in SPEC_KEYS},
@@ -204,11 +191,11 @@ def to_dict(doc: DesignDocument) -> dict:
         "coupling": {
             "z0_ohm": doc.coupling.z0,
             "sections": [
-                {"j_over_y0": s.j_over_y0, "z0e_ohm": s.z0e, "z0o_ohm": s.z0o}
+                {key: getattr(s, field) for field, key in SECTION_KEYS}
                 for s in doc.coupling.sections
             ],
         },
-        "dims_mm": [{"w": d.w, "s": d.s, "l": d.l} for d in doc.dims],
+        "dims_mm": [asdict(d) for d in doc.dims],
         "substrate": doc.substrate,
         "provenance": {"tool": doc.tool, "created": doc.created},
     }
@@ -221,15 +208,11 @@ def from_dict(data) -> DesignDocument:
     coupling = expect_json(data["coupling"], dict, "coupling")
     provenance = expect_json(data["provenance"], dict, "provenance")
 
-    def numbers(obj, keys, where):
-        obj = expect_json(obj, dict, where)
-        return [expect_json(obj[k], float, f"{where}.{k}") for k in keys]
-
     g = expect_json(proto["g"], list, "prototype.g")
     sections = expect_json(coupling["sections"], list, "coupling.sections")
     dims = expect_json(data["dims_mm"], list, "dims_mm")
     return DesignDocument(
-        spec=spec_from_dict(data["spec"]),
+        spec=read_record(FilterSpec, data["spec"], "spec", SPEC_KEYS),
         prototype=ChebyshevPrototype(
             n=expect_json(proto["n"], int, "prototype.n"),
             ripple_db=expect_json(proto["ripple_db"], float, "prototype.ripple_db"),
@@ -238,14 +221,12 @@ def from_dict(data) -> DesignDocument:
         coupling=CouplingDesign(
             z0=expect_json(coupling["z0_ohm"], float, "coupling.z0_ohm"),
             sections=tuple(
-                CouplingSection(*numbers(s, ("j_over_y0", "z0e_ohm", "z0o_ohm"),
-                                         f"coupling.sections[{i}]"))
+                read_record(CouplingSection, s, f"coupling.sections[{i}]", SECTION_KEYS)
                 for i, s in enumerate(sections)
             ),
         ),
         dims=tuple(
-            CoupledSectionDims(*numbers(d, "wsl", f"dims_mm[{i}]"))
-            for i, d in enumerate(dims)
+            read_record(CoupledSectionDims, d, f"dims_mm[{i}]") for i, d in enumerate(dims)
         ),
         substrate=expect_json(data["substrate"], str, "substrate"),
         tool=expect_json(provenance["tool"], str, "provenance.tool"),

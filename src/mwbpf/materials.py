@@ -9,6 +9,7 @@ user materials file (``MWBPF_MATERIALS`` or an explicit path).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -21,11 +22,13 @@ _BUILTINS = (
     Substrate(name="FR4", eps_r=4.3, tan_d=0.025, h=1.6),
     Substrate(name="RO3003", eps_r=3.0, tan_d=0.0013, h=0.75),
 )
-_NUMBERS = ("eps_r", "tan_d", "h", "t", "conductivity")  # the numeric keys of a file entry
 
 
 class UnknownMaterial(KeyError):
     """Requested substrate is not in the registry."""
+
+    def __str__(self):
+        return self.args[0]  # the message itself, not KeyError's repr of it
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
@@ -58,6 +61,31 @@ def expect_keys(obj: dict, keys, where: str) -> dict:
     return obj
 
 
+def read_record(cls, block, where: str, keys=()):
+    """The ``cls`` dataclass of the JSON object ``block`` at ``where``.
+
+    ``keys`` pairs each field with its JSON key, in file order (default: the
+    field names). An unknown key is a ValueError. An absent key takes the
+    field's default, or is a KeyError naming ``<where>.<key>``. A field
+    annotated ``str`` is read as a string, any other as a number. A
+    ValueError of ``cls`` is raised again as ``<where>: <message>``.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    keys = keys or [(name, name) for name in fields]
+    block = expect_keys(expect_json(block, dict, where), [key for _, key in keys], where)
+    values = {}
+    for name, key in keys:
+        if key in block:
+            kind = str if fields[name].type in (str, "str") else float
+            values[name] = expect_json(block[key], kind, f"{where}.{key}")
+        elif fields[name].default is dataclasses.MISSING:
+            raise KeyError(f"{where}.{key}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 class MaterialsRegistry:
     """Case-insensitive name -> Substrate map with overridable built-ins."""
 
@@ -84,15 +112,10 @@ class MaterialsRegistry:
         """New registry with user entries layered over (and shadowing) built-ins."""
         data = expect_json(json.loads(Path(path).read_text()), dict, "materials file")
         expect_keys(data, ("materials",), "materials file")
-        user = []
-        for i, entry in enumerate(expect_json(data.get("materials", []), list, "materials")):
-            where = f"materials[{i}]"
-            entry = expect_keys(expect_json(entry, dict, where), ("name", *_NUMBERS), where)
-            entry = {"t": Substrate.t, "conductivity": Substrate.conductivity, **entry}
-            user.append(Substrate(
-                name=expect_json(entry["name"], str, f"{where}.name"),
-                **{key: expect_json(entry[key], float, f"{where}.{key}") for key in _NUMBERS},
-            ))
+        user = [
+            read_record(Substrate, entry, f"materials[{i}]")
+            for i, entry in enumerate(expect_json(data.get("materials", []), list, "materials"))
+        ]
         # later keys shadow earlier ones, so user entries win
         return MaterialsRegistry((*self._by_key.values(), *user))
 

@@ -199,6 +199,17 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
 
 
+def analyze_dims(dims, sub: Substrate) -> list[ModeParams]:
+    """``analyze_coupled`` of each section; an error names it as ``dims_mm[i]``."""
+    mps = []
+    for i, d in enumerate(dims):
+        try:
+            mps.append(analyze_coupled(d.w, d.s, sub))
+        except ValueError as exc:
+            raise ValueError(f"dims_mm[{i}]: {exc}") from None
+    return mps
+
+
 def check_fit_range(w: float, s: float, sub: Substrate) -> None:
     """The validity step of a coupled pair: warn GapTooSmallWarning when the
     gap is below the GAP_FLOOR_MM fabrication floor, and ModelValidityWarning

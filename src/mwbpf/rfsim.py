@@ -21,7 +21,7 @@ from .microstrip import (
     CoupledSectionDims,
     ModeParams,
     Substrate,
-    analyze_coupled,
+    analyze_dims,
     dielectric_loss,
     resonator_length,
 )
@@ -252,7 +252,7 @@ def sweep_pcl(
             raise ValueError("physical mode needs dims and a substrate")
         if len(dims) != len(design.sections):
             raise ValueError("dims count must match the section count")
-        section_mps = [analyze_coupled(d.w, d.s, substrate) for d in dims]
+        section_mps = analyze_dims(dims, substrate)
         lengths = [d.l for d in dims]
     else:
         if lossy:

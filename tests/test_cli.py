@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mwbpf
-from mwbpf.cli import main
+from mwbpf.cli import EXIT_CODES, main
 from mwbpf.design import load_design
 
 PAPER_CONFIG = {
@@ -121,6 +122,10 @@ class TestSynth:
         pytest.param(dict(ripple_db=1e-20), 2, "MAX_ORDER", id="ripple-1e-20"),
         pytest.param(dict(stop_atten_db=-5), 7, "stop_atten_db", id="atten-negative"),
         pytest.param(dict(stop_atten_db=300), 2, "MAX_ORDER", id="order-23-above-cap"),
+        pytest.param(dict(f0_ghz=2.7), 7, "spec: f0 must lie inside the passband",
+                     id="f0-above-band"),
+        pytest.param(dict(f_lower_ghz=1, f_upper_ghz=10, f0_ghz=2, stop_freq_ghz=12), 7,
+                     "spec: fractional bandwidth must be in (0, 1)", id="fbw-above-1"),
     ])
     def test_spec_exit_code(self, overrides, code, cause, tmp_path, monkeypatch, capsys):
         # a refused spec never reaches the g-value recursion
@@ -268,7 +273,12 @@ MATERIALS = {"materials": [{"name": "X", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}
 def _overflow_error(key, value):
     """The error of the reference design's section 0 with its ``key`` set to ``value``."""
     dims = {"w": 2.40775, "s": 0.371901, key: value}
-    return f"coupled pair w={dims['w']:g} mm, s={dims['s']:g} mm overflows the model"
+    return f"dims_mm[0]: coupled pair w={dims['w']:g} mm, s={dims['s']:g} mm overflows the model"
+
+
+def case(argv, edit, cause, code=7, **kwargs):
+    """A TestInvalidInput.test_exit_code case; most inputs exit 7."""
+    return pytest.param(argv, edit, cause, code, **kwargs)
 
 
 class TestInvalidInput:
@@ -278,84 +288,115 @@ class TestInvalidInput:
     MATERIALS = ("materials", "list")
 
     # argv, the edit that makes {bad} from the config, the design or the
-    # MWBPF_MATERIALS file, and what the error line must name
-    @pytest.mark.parametrize("argv, edit, cause", [
-        pytest.param(SYNTH, ("config", ("spec", "f_upper_ghz"), DELETE), "f_upper_ghz",
-                     id="synth-missing-key"),
-        pytest.param(SYNTH, ("config", ("spec", "f_lower_ghz"), None), "spec.f_lower_ghz",
-                     id="synth-null-number"),
-        pytest.param(SYNTH, ("config", ("substrate",), 5), "substrate",
-                     id="synth-substrate-number"),
-        pytest.param(SYNTH, ("config", (), [1, 2]), "config", id="synth-config-array"),
+    # MWBPF_MATERIALS file, what the error line must name, and the exit code
+    @pytest.mark.parametrize("argv, edit, cause, code", [
+        case(SYNTH, ("config", ("spec", "f_upper_ghz"), DELETE),
+             "missing key 'spec.f_upper_ghz'", id="synth-missing-key"),
+        case(SYNTH, ("config", ("spec", "f_lower_ghz"), None), "spec.f_lower_ghz",
+             id="synth-null-number"),
+        case(SYNTH, ("config", ("substrate",), 5), "substrate",
+             id="synth-substrate-number"),
+        case(SYNTH, ("config", (), [1, 2]), "config", id="synth-config-array"),
         # a misspelled optional key would leave its default in place
-        pytest.param(SYNTH, ("config", ("spec", "z0_ohms"), 75.0), "spec.z0_ohms",
-                     id="synth-unknown-spec-key"),
-        pytest.param(SIMULATE + ("--design", "{bad}"), ("design", ("spec", "f0"), 2.6),
-                     "spec.f0", id="simulate-unknown-spec-key"),
-        pytest.param(("synth", "--config", "{config}", "--out", "{tmp}/d.json", "--epoch", "inf"),
-                     None, "timestamp out of range", id="synth-epoch-inf"),
-        pytest.param(("synth", "--config", "{config}", "--out", "{tmp}/d.json",
-                      "--epoch", "1e300"), None, "timestamp out of range", id="synth-epoch-1e300"),
-        pytest.param(SIMULATE + ("--design", "{tmp}/nope.json"), None, "nope.json",
-                     id="simulate-missing-design"),
-        pytest.param(SIMULATE + ("--design", "{bad}"), ("design", ("dims_mm", 0, "w"), None),
-                     "dims_mm[0].w", id="simulate-null-width"),
-        pytest.param(SIMULATE + ("--design", "{bad}"), ("design", ("prototype", "g", 1), "x"),
-                     "prototype.g[1]", id="simulate-string-g"),
-        pytest.param(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
-                     ("design", ("coupling", "sections", 0, "z0e_ohm"), -1), "z0e",
-                     id="simulate-negative-z0e"),
-        pytest.param(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
-                     ("design", ("coupling", "sections", 0, "z0e_ohm"), 0), "z0e",
-                     id="simulate-zero-z0e"),
-        pytest.param(SIMULATE + ("--design", "{bad}", "--mode", "ml"),
-                     ("design", ("coupling", "z0_ohm"), 75.0), "z0_ohm",
-                     id="simulate-z0-mismatch"),
+        case(SYNTH, ("config", ("spec", "z0_ohms"), 75.0), "spec.z0_ohms",
+             id="synth-unknown-spec-key"),
+        case(SIMULATE + ("--design", "{bad}"), ("design", ("spec", "f0"), 2.6),
+             "spec.f0", id="simulate-unknown-spec-key"),
+        case(("synth", "--config", "{config}", "--out", "{tmp}/d.json", "--epoch", "inf"),
+             None, "timestamp out of range", id="synth-epoch-inf"),
+        case(("synth", "--config", "{config}", "--out", "{tmp}/d.json",
+              "--epoch", "1e300"), None, "timestamp out of range", id="synth-epoch-1e300"),
+        case(SIMULATE + ("--design", "{tmp}/nope.json"), None, "nope.json",
+             id="simulate-missing-design"),
+        case(SIMULATE + ("--design", "{bad}"), ("design", ("dims_mm", 0, "w"), None),
+             "dims_mm[0].w", id="simulate-null-width"),
+        case(SIMULATE + ("--design", "{bad}"), ("design", ("prototype", "g", 1), "x"),
+             "prototype.g[1]", id="simulate-string-g"),
+        case(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
+             ("design", ("coupling", "sections", 0, "z0e_ohm"), -1), "z0e",
+             id="simulate-negative-z0e"),
+        case(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
+             ("design", ("coupling", "sections", 0, "z0e_ohm"), 0), "z0e",
+             id="simulate-zero-z0e"),
+        case(SIMULATE + ("--design", "{bad}", "--mode", "ml"),
+             ("design", ("coupling", "z0_ohm"), 75.0), "z0_ohm",
+             id="simulate-z0-mismatch"),
+        # a record error names the record by its JSON path
+        case(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
+             ("design", ("coupling", "sections", 2, "z0o_ohm"), 60.0),
+             "coupling.sections[2]: need z0e >= z0o > 0", id="simulate-z0o-above-z0e"),
+        case(SIMULATE + ("--design", "{bad}"), ("design", ("dims_mm", 2, "s"), -1),
+             "dims_mm[2]: dimensions must be positive", id="simulate-negative-gap"),
+        case(SIMULATE + ("--design", "{bad}"), ("design", ("dims_mm", 1, "l"), DELETE),
+             "missing key 'dims_mm[1].l'", id="simulate-missing-length"),
+        # every record rejects an unknown key, which would otherwise be ignored
+        case(SIMULATE + ("--design", "{bad}"), ("design", ("dims_mm", 3, "gap"), 1.0),
+             "dims_mm[3].gap is not a known key", id="simulate-unknown-dims-key"),
+        case(SIMULATE + ("--design", "{bad}"),
+             ("design", ("coupling", "sections", 1, "z0_ohm"), 50.0),
+             "coupling.sections[1].z0_ohm is not a known key", id="simulate-unknown-section-key"),
         # dimensions that overflow the coupled-line fits, after the validity step
         # has warned; the error names the pair (a class name such as SIMULATE is out
         # of a comprehension's scope)
-        *[pytest.param(("simulate", "--out-prefix", "{tmp}/bad", "--design", "{bad}",
-                        "--mode", *mode),
-                       ("design", ("dims_mm", 0, key), value), _overflow_error(key, value),
-                       id=f"simulate-{key}-{value:g}-{'-'.join(m.strip('-') for m in mode)}",
-                       marks=pytest.mark.filterwarnings(
-                           "ignore::mwbpf.microstrip.ModelValidityWarning",
-                           "ignore::mwbpf.microstrip.GapTooSmallWarning"))
+        *[case(("simulate", "--out-prefix", "{tmp}/bad", "--design", "{bad}",
+                "--mode", *mode),
+               ("design", ("dims_mm", 0, key), value), _overflow_error(key, value),
+               id=f"simulate-{key}-{value:g}-{'-'.join(m.strip('-') for m in mode)}",
+               marks=pytest.mark.filterwarnings(
+                   "ignore::mwbpf.microstrip.ModelValidityWarning",
+                   "ignore::mwbpf.microstrip.GapTooSmallWarning"))
           for key, value in (("s", 1e300), ("s", 1e-300), ("w", 1e300))
           for mode in (("physical",), ("physical", "--lossy"), ("ml", "--lossy"))],
-        pytest.param(SIMULATE + ("--design", "{design}", "--mode", "ideal", "--lossy"), None,
-                     "lossless", id="simulate-ideal-lossy"),
-        pytest.param(SIMULATE + ("--design", "{design}", "--points", "1"), None,
-                     "sweep points", id="simulate-one-point"),
-        pytest.param(("compare", "--config", "{config}", "--points", "1"), None,
-                     "sweep points", id="compare-one-point"),
-        pytest.param(SIMULATE + ("--design", "{design}", "--f-stop", "inf"), None, "f_stop",
-                     id="simulate-f-stop-inf"),
-        pytest.param(SIMULATE + ("--design", "{design}", "--f-start", "1e-10"), None,
-                     "1 ppm above", id="simulate-f-start-1hz"),
-        pytest.param(SIMULATE + ("--design", "{design}", "--f-stop", "1e300"), None,
-                     "overflows the section angle", id="simulate-f-stop-overflow"),
+        case(SIMULATE + ("--design", "{bad}", "--mode", "ml", "--lossy"),
+             ("design", ("dims_mm", 2, "s"), 1e300),
+             "dims_mm[2]: coupled pair w=3.08691 mm, s=1e+300 mm overflows the model",
+             id="simulate-s-1e+300-section-2-ml-lossy",
+             marks=pytest.mark.filterwarnings("ignore::mwbpf.microstrip.ModelValidityWarning")),
+        case(SIMULATE + ("--design", "{design}", "--mode", "ideal", "--lossy"), None,
+             "lossless", id="simulate-ideal-lossy"),
+        case(SIMULATE + ("--design", "{design}", "--points", "1"), None,
+             "sweep points", id="simulate-one-point"),
+        case(("compare", "--config", "{config}", "--points", "1"), None,
+             "sweep points", id="compare-one-point"),
+        case(SIMULATE + ("--design", "{design}", "--f-start", "3", "--f-stop", "2"), None,
+             "need 0 < f_start < f_stop", id="simulate-f-start-above-f-stop"),
+        # a span that misses the band exits 5, and writes nothing either
+        case(SIMULATE + ("--design", "{design}", "--mode", "ideal", "--f-start", "7.3",
+                 "--f-stop", "8.2"), None,
+             "return-loss band lies outside the swept span", 5, id="simulate-span-above-band"),
+        case(SIMULATE + ("--design", "{design}", "--f-stop", "inf"), None, "f_stop",
+             id="simulate-f-stop-inf"),
+        case(SIMULATE + ("--design", "{design}", "--f-start", "1e-10"), None,
+             "1 ppm above", id="simulate-f-start-1hz"),
+        case(SIMULATE + ("--design", "{design}", "--f-stop", "1e300"), None,
+             "overflows the section angle", id="simulate-f-stop-overflow"),
         # 8 EiB of frequencies: more than any 64-bit address space, so the
         # allocation is refused whatever the host's overcommit policy
-        pytest.param(SIMULATE + ("--design", "{design}", "--points", str(10**18)), None,
-                     "Unable to allocate", id="simulate-huge-points"),
-        pytest.param(LAYOUT + ("--planar-gap", "-1"), None, "planar_gap",
-                     id="layout-negative-gap"),
-        pytest.param(LAYOUT + ("--overlap", "nan"), None, "overlap", id="layout-overlap-nan"),
-        pytest.param(MATERIALS, ("materials", ("materials", 0, "tan_d"), DELETE), "tan_d",
-                     id="materials-missing-key"),
-        pytest.param(MATERIALS, ("materials", ("materials", 0, "eps_r"), None),
-                     "materials[0].eps_r", id="materials-null-number"),
-        pytest.param(MATERIALS, ("materials", ("materials", 0, "name"), 5),
-                     "materials[0].name", id="materials-name-number"),
-        pytest.param(MATERIALS, ("materials", ("materials", 0, "cond"), 1e7),
-                     "materials[0].cond", id="materials-unknown-key"),
+        case(SIMULATE + ("--design", "{design}", "--points", str(10**18)), None,
+             "Unable to allocate", id="simulate-huge-points"),
+        case(LAYOUT + ("--planar-gap", "-1"), None, "planar_gap",
+             id="layout-negative-gap"),
+        case(LAYOUT + ("--overlap", "nan"), None, "overlap", id="layout-overlap-nan"),
+        case(MATERIALS, ("materials", ("materials", 0, "tan_d"), DELETE),
+             "missing key 'materials[0].tan_d'", id="materials-missing-key"),
+        case(MATERIALS, ("materials", ("materials", 0, "eps_r"), None),
+             "materials[0].eps_r", id="materials-null-number"),
+        case(MATERIALS, ("materials", ("materials", 0, "name"), 5),
+             "materials[0].name", id="materials-name-number"),
+        case(MATERIALS, ("materials", ("materials", 0, "cond"), 1e7),
+             "materials[0].cond", id="materials-unknown-key"),
+        case(MATERIALS, ("materials", ("materials",), [
+                 {"name": "X", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0},
+                 {"name": "Y", "eps_r": 3.0, "tan_d": -0.01, "h": 1.0}]),
+             "materials[1]: tan_d must be >= 0", id="materials-negative-tan-d"),
+        case(MATERIALS, ("materials", ("materials", 0, "t"), -0.1),
+             "materials[0]: conductor thickness must be >= 0", id="materials-negative-t"),
         # a misspelled top-level key would leave the built-in FR4 in place
-        pytest.param(MATERIALS, ("materials", (), {"material": [
-                         {"name": "FR4", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}]}),
-                     "materials file.material", id="materials-misspelled-top-key"),
+        case(MATERIALS, ("materials", (), {"material": [
+                 {"name": "FR4", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}]}),
+             "materials file.material", id="materials-misspelled-top-key"),
     ])
-    def test_exit_code(self, argv, edit, cause, tmp_path, config_path, design_path,
+    def test_exit_code(self, argv, edit, cause, code, tmp_path, config_path, design_path,
                        monkeypatch, capsys):
         bad = tmp_path / "bad.json"
         if edit is not None:
@@ -367,10 +408,10 @@ class TestInvalidInput:
                 monkeypatch.setenv("MWBPF_MATERIALS", str(bad))
         names = dict(tmp=tmp_path, bad=bad, config=config_path, design=design_path)
         capsys.readouterr()
-        assert main([a.format(**names) for a in argv]) == 7
+        assert main([a.format(**names) for a in argv]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: invalid input: ")
+        assert captured.err.startswith("error: invalid input: " if code == 7 else "error: ")
         assert cause in captured.err
         assert captured.err.count("\n") == 1
         assert not [p.name for p in tmp_path.iterdir() if p.suffix in (".s2p", ".csv", ".svg")]
@@ -382,3 +423,9 @@ class TestInvalidInput:
         assert proc.stderr.startswith("error: invalid input: ")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "bad.svg").exists()
+
+
+def test_readme_lists_every_exit_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = [int(code) for code in re.findall(r"^\| (\d+) +\|", readme, re.MULTILINE)]
+    assert listed == sorted({0, *(code for _, code, _ in EXIT_CODES)})
