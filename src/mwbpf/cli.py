@@ -1,7 +1,14 @@
 """Command-line surface: synth, simulate, layout, materials, compare.
 
 Config and design files are JSON (nested key/value); see CONFIG_HELP.
-Each failure class has its exit code and ``error:`` line in EXIT_CODES.
+Each failure class has its exit code and ``error:`` line in EXIT_CODES, and
+each warning prints one ``warning:`` line.
+
+Only the materials registry, which every command reads, is imported here;
+each command imports the rest of what it runs, so that ``materials list``
+loads no sweep, layout or emitter code. The registry's substrate model
+imports numpy, which perfbench's ``startup_ms`` (``perfbench/run.py``) reads
+from ``python -X importtime -c "import mwbpf.cli"``.
 """
 
 from __future__ import annotations
@@ -9,26 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
+import warnings
 from pathlib import Path
 
-from .design import (
-    DEFAULT_ARM_GAP,
-    DEFAULT_OVERLAP,
-    DEFAULT_PLANAR_GAP,
-    SPEC_KEYS,
-    design_layout,
-    load_design,
-    save_design,
-    simulate,
-    synthesize_design,
-)
-from .layout import FoldTooTight, export_svg
 from .materials import UnknownMaterial, default_registry, expect_json, read_record
 from .microstrip import CouplingUnreachable, NoConvergence
-from .prototype import FilterSpec, UnsatisfiableSpec
-from .rfsim import BandEdgeOutOfRange, FrequencySweep, extract_metrics
-from .touchstone import write_csv, write_touchstone
 
 CONFIG_HELP = """\
 Config file (JSON):
@@ -49,25 +41,48 @@ pointing at a JSON file {"materials": [{"name", "eps_r", "tan_d", "h",
 
 # (failure classes, exit code, prefix of the "error:" line). The first row
 # that matches wins, so a typed failure precedes the ValueError or KeyError
-# it derives from; exit 7 is invalid input of any kind (see the README).
+# it derives from; exit 7 is invalid input of any kind (see the README). A
+# class named "module.Class" is looked up when a failure is matched, in its
+# module if the command loaded it: a failure cannot be an instance of a
+# class whose module was never imported.
 EXIT_CODES = (
-    (UnsatisfiableSpec, 2, "unsatisfiable specification: "),
+    ("prototype.UnsatisfiableSpec", 2, "unsatisfiable specification: "),
     (UnknownMaterial, 3, ""),
     ((NoConvergence, CouplingUnreachable), 4, "synthesis failed: "),
-    (BandEdgeOutOfRange, 5, ""),
-    (FoldTooTight, 6, "layout infeasible: "),
+    ("rfsim.BandEdgeOutOfRange", 5, ""),
+    ("layout.FoldTooTight", 6, "layout infeasible: "),
     (KeyError, 7, "invalid input: missing key "),
     ((ValueError, OverflowError, OSError, MemoryError), 7, "invalid input: "),
 )
 
 
-def _load_spec_config(path: str) -> tuple[FilterSpec, str]:
+def _load_spec_config(path: str):
+    """The ``FilterSpec`` and the substrate name of a config file."""
+    from .design import SPEC_KEYS
+    from .prototype import FilterSpec
+
     data = expect_json(json.loads(Path(path).read_text()), dict, "config")
     spec = read_record(FilterSpec, data["spec"], "spec", SPEC_KEYS)
     return spec, expect_json(data["substrate"], str, "substrate")
 
 
+def _given(args, *names) -> dict:
+    """The options among ``names`` given on the command line. They default to
+    ``argparse.SUPPRESS``, so an option left out takes the library's default."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _sweep(args):
+    from .rfsim import FrequencySweep
+
+    return FrequencySweep(**_given(args, "f_start", "f_stop", "n_points"))
+
+
 def cmd_synth(args) -> int:
+    from datetime import datetime, timezone
+
+    from .design import save_design, synthesize_design
+
     spec, substrate_name = _load_spec_config(args.config)
     sub = default_registry().get(substrate_name)
     created = None
@@ -89,10 +104,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .design import load_design, simulate
+    from .rfsim import extract_metrics
+    from .touchstone import write_csv, write_touchstone
+
     doc = load_design(args.design)
     sub = default_registry().get(doc.substrate)
-    sweep = FrequencySweep(f_start=args.f_start, f_stop=args.f_stop, n_points=args.n_points)
-    result = simulate(doc, sub, args.mode, sweep, lossy=args.lossy)
+    result = simulate(doc, sub, args.mode, _sweep(args), lossy=args.lossy)
     # metrics first: a sweep that misses the band edges writes no artifact
     m = extract_metrics(result, rl_band=(doc.spec.f_lower, doc.spec.f_upper))
 
@@ -122,9 +140,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_layout(args) -> int:
+    from .design import design_layout, load_design
+    from .layout import export_svg
+
     doc = load_design(args.design)
     sub = default_registry().get(doc.substrate)
-    geometry = dict(arm_gap=args.arm_gap, overlap=args.overlap, planar_gap=args.planar_gap)
+    geometry = _given(args, "arm_gap", "overlap", "planar_gap")
     lay = design_layout(doc, sub, args.kind, **geometry)
     Path(args.out).write_text(export_svg(lay), encoding="ascii")
     print(f"{args.kind} bounding box: {lay.bounds[0]:.3f} x {lay.bounds[1]:.3f} mm "
@@ -150,9 +171,12 @@ def cmd_materials(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .design import design_layout, simulate, synthesize_design
+    from .rfsim import extract_metrics
+
     spec, _ = _load_spec_config(args.config)
     registry = default_registry()
-    sweep = FrequencySweep(f_start=args.f_start, f_stop=args.f_stop, n_points=args.n_points)
+    sweep = _sweep(args)
     names = ("FR4", "RO3003")
     rows = []
     for name in names:
@@ -182,10 +206,11 @@ def cmd_compare(args) -> int:
 
 
 def _add_sweep_options(p: argparse.ArgumentParser) -> None:
-    sweep = FrequencySweep()  # the defaults
-    p.add_argument("--f-start", type=float, default=sweep.f_start, dest="f_start")
-    p.add_argument("--f-stop", type=float, default=sweep.f_stop, dest="f_stop")
-    p.add_argument("--points", type=int, default=sweep.n_points, dest="n_points", metavar="POINTS")
+    # defaults: FrequencySweep's (see _given)
+    p.add_argument("--f-start", type=float, default=argparse.SUPPRESS, dest="f_start")
+    p.add_argument("--f-stop", type=float, default=argparse.SUPPRESS, dest="f_stop")
+    p.add_argument("--points", type=int, default=argparse.SUPPRESS, dest="n_points",
+                   metavar="POINTS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True)
     p.add_argument("--kind", choices=("pcl", "ml"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--arm-gap", type=float, default=DEFAULT_ARM_GAP, dest="arm_gap")
-    p.add_argument("--overlap", type=float, default=DEFAULT_OVERLAP)
-    p.add_argument("--planar-gap", type=float, default=DEFAULT_PLANAR_GAP,
-                   dest="planar_gap")
+    # defaults: design_layout's (see _given)
+    p.add_argument("--arm-gap", type=float, default=argparse.SUPPRESS, dest="arm_gap")
+    p.add_argument("--overlap", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--planar-gap", type=float, default=argparse.SUPPRESS, dest="planar_gap")
     p.add_argument("--compare", action="store_true",
                    help="also print the multilayer/edge-coupled area ratio")
     p.set_defaults(func=cmd_layout)
@@ -243,16 +268,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # one "warning:" line per warning, naming no source line; replaced by hand
+    # because warnings.catch_warnings resets the registry of warnings already
+    # shown, and identical lines would then repeat
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except Exception as exc:
         for classes, code, prefix in EXIT_CODES:
+            if isinstance(classes, str):
+                module, _, name = classes.partition(".")
+                classes = getattr(sys.modules.get(f"{__package__}.{module}"), name, ())
             if isinstance(exc, classes):
                 print(f"error: {prefix}{exc}", file=sys.stderr)
                 return code
         raise
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .coupling import (
@@ -21,15 +22,6 @@ from .coupling import (
     CouplingSection,
     coupling_coefficients,
     design_coupling,
-)
-from .layout import (
-    FilterLayout,
-    FoldTooTight,
-    hairpin_fold,
-    ml_hairpin_layout,
-    multilayer_stackup,
-    pcl_layout,
-    single_layer_stackup,
 )
 from .materials import expect_json, read_record
 from .microstrip import (
@@ -44,12 +36,12 @@ from .microstrip import (
     unloaded_q,
 )
 from .prototype import ChebyshevPrototype, FilterSpec, design_prototype
-from .rfsim import FrequencySweep, SParamResult, sweep_coupling_matrix, sweep_pcl
 
-# multilayer hairpin layout defaults, mm
-DEFAULT_ARM_GAP = 4.0
-DEFAULT_OVERLAP = 1.0
-DEFAULT_PLANAR_GAP = 1.0
+# rfsim and layout are imported by the functions that run them, so that
+# synthesis alone loads neither
+if TYPE_CHECKING:
+    from .layout import FilterLayout
+    from .rfsim import FrequencySweep, SParamResult
 
 # (field, JSON key) of a "spec" block and of a coupling section, in file order
 SPEC_KEYS = (
@@ -129,6 +121,8 @@ def simulate(
     (``check_fit_range``) on every section wherever the dimensions are read
     (``physical``, and lossy ``ml``).
     """
+    from .rfsim import sweep_coupling_matrix, sweep_pcl
+
     if mode == "physical" or (mode == "ml" and lossy):
         for d in doc.dims:
             check_fit_range(d.w, d.s, substrate)
@@ -150,14 +144,24 @@ def design_layout(
     doc: DesignDocument,
     substrate: Substrate,
     kind: str,
-    arm_gap: float = DEFAULT_ARM_GAP,
-    overlap: float = DEFAULT_OVERLAP,
-    planar_gap: float = DEFAULT_PLANAR_GAP,
+    arm_gap: float = 4.0,
+    overlap: float = 1.0,
+    planar_gap: float = 1.0,
 ) -> FilterLayout:
     """Layout of a design: ``pcl`` edge-coupled board with feed lines of the
     spec's impedance, or ``ml`` multilayer hairpin (order 4 only), each
     resonator folded from its two quarter-wave sections at their mean width.
+    The hairpin geometry (``arm_gap``, ``overlap``, ``planar_gap``) is in mm.
     """
+    from .layout import (
+        FoldTooTight,
+        hairpin_fold,
+        ml_hairpin_layout,
+        multilayer_stackup,
+        pcl_layout,
+        single_layer_stackup,
+    )
+
     if kind == "pcl":
         feed_w = synthesize_single_width(doc.spec.z0, substrate)
         return pcl_layout(

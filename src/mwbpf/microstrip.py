@@ -65,6 +65,8 @@ class Substrate:
             raise ValueError("substrate height must be positive")
         if self.t < 0:
             raise ValueError("conductor thickness must be >= 0")
+        if self.conductivity <= 0:
+            raise ValueError("conductivity must be positive")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -73,12 +74,15 @@ def _edited(doc, path, value):
     return doc
 
 
-def _run_cli(*argv):
+def _run_python(*args):
     env = dict(os.environ, PYTHONPATH=str(Path(mwbpf.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "mwbpf.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _run_cli(*argv):
+    return _run_python("-m", "mwbpf.cli", *argv)
 
 
 class TestSynth:
@@ -251,6 +255,81 @@ class TestMaterials:
         assert capsys.readouterr().out == builtins
 
 
+class TestWarnings:
+    def test_one_line_per_warning(self, tmp_path):
+        # section 0 of this band on FR4 has s/h = 0.0852, below the fit range;
+        # section 4 repeats its warning word for word, and is not shown again
+        spec = dict(f_lower_ghz=2.2, f_upper_ghz=2.9, ripple_db=0.1, stop_freq_ghz=3.6,
+                    stop_atten_db=25.0)
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"spec": spec, "substrate": "FR4"}))
+        proc = _run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "d.json"))
+        assert proc.returncode == 0
+        assert proc.stderr == ("warning: ModelValidityWarning: w/h=0.917, s/h=0.0852 "
+                               "outside the coupled-model fit range\n")
+        assert ".py:" not in proc.stderr
+
+    def test_format_restored(self, monkeypatch, capsys):
+        def formatwarning(*args, **kwargs):
+            return ""
+
+        monkeypatch.setattr(warnings, "formatwarning", formatwarning)
+        assert main(["materials", "list"]) == 0
+        assert warnings.formatwarning is formatwarning
+
+
+# runs a command, then prints the mwbpf modules loaded as its last line
+_REPORT_MODULES = """\
+import sys
+from mwbpf.cli import main
+code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("mwbpf.")))
+sys.exit(code)
+"""
+
+
+class TestCommandImports:
+    @pytest.mark.parametrize("argv, unused", [
+        (("materials", "list"), {"coupling", "design", "layout", "rfsim", "touchstone"}),
+        (("synth", "--config", "{config}", "--out", "{tmp}/d.json"),
+         {"layout", "rfsim", "touchstone"}),
+        (("simulate", "--design", "{design}", "--mode", "ml", "--lossy",
+          "--out-prefix", "{tmp}/run"), {"layout"}),
+        (("layout", "--design", "{design}", "--kind", "ml", "--out", "{tmp}/ml.svg",
+          "--compare"), {"rfsim", "touchstone"}),
+        (("compare", "--config", "{config}", "--points", "101"), {"touchstone"}),
+    ], ids=["materials", "synth", "simulate", "layout", "compare"])
+    def test_loads_only_what_it_runs(self, argv, unused, tmp_path, config_path, design_path):
+        names = dict(tmp=tmp_path, config=config_path, design=design_path)
+        proc = _run_python("-c", _REPORT_MODULES, *(a.format(**names) for a in argv))
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m.removeprefix("mwbpf.") for m in proc.stdout.splitlines()[-1].split()}
+        assert {"cli", "materials", "microstrip"} <= loaded
+        assert not loaded & unused
+
+    # the rows of EXIT_CODES looked up by name, each matched in a process
+    # that loaded the failure's module only to run the command
+    @pytest.mark.parametrize("argv, code", [
+        (("synth", "--config", "{unsat}", "--out", "{tmp}/d.json"), 2),
+        (("simulate", "--design", "{design}", "--f-start", "7.3", "--f-stop", "8.2",
+          "--out-prefix", "{tmp}/run"), 5),
+        (("layout", "--design", "{design}", "--kind", "ml", "--out", "{tmp}/ml.svg",
+          "--arm-gap", "30"), 6),
+    ], ids=["unsatisfiable", "band-edge", "fold"])
+    def test_exit_code_of_a_lazy_row(self, argv, code, tmp_path, design_path):
+        unsat = _write_config(tmp_path, ripple_db=1.0, stop_atten_db=0.5)
+        names = dict(tmp=tmp_path, unsat=unsat, design=design_path)
+        proc = _run_cli(*(a.format(**names) for a in argv))
+        assert proc.returncode == code
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_cli_import_loads_numpy(self):
+        # perfbench/run.py's startup_ms reads numpy's cumulative time from
+        # `python -X importtime -c "import mwbpf.cli"`, and fails without it
+        proc = _run_python("-c", "import sys, mwbpf.cli; print('numpy' in sys.modules)")
+        assert proc.stdout == "True\n"
+
+
 class TestCompare:
     def test_pcl_comparison_table(self, config_path, capsys):
         assert main(["compare", "--config", str(config_path), "--mode", "pcl",
@@ -391,6 +470,12 @@ class TestInvalidInput:
              "materials[1]: tan_d must be >= 0", id="materials-negative-tan-d"),
         case(MATERIALS, ("materials", ("materials", 0, "t"), -0.1),
              "materials[0]: conductor thickness must be >= 0", id="materials-negative-t"),
+        case(MATERIALS, ("materials", ("materials", 0, "conductivity"), -0.1),
+             "materials[0]: conductivity must be positive", id="materials-negative-conductivity"),
+        case(MATERIALS, ("materials", ("materials",), [
+                 {"name": "X", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0},
+                 {"name": "Y", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0, "conductivity": 0}]),
+             "materials[1]: conductivity must be positive", id="materials-zero-conductivity"),
         # a misspelled top-level key would leave the built-in FR4 in place
         case(MATERIALS, ("materials", (), {"material": [
                  {"name": "FR4", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}]}),
