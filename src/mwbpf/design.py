@@ -117,15 +117,12 @@ def simulate(
     ``ideal`` and ``physical`` sweep the edge-coupled cascade (see
     ``sweep_pcl``; ``ideal`` is lossless). ``ml`` sweeps the coupled-resonator
     model; with ``lossy`` its unloaded Q comes from the mean over sections of
-    the mode-average effective permittivity. Runs the validity step
-    (``check_fit_range``) on every section wherever the dimensions are read
-    (``physical``, and lossy ``ml``).
+    the mode-average effective permittivity. The modes that read the
+    dimensions (``physical``, and lossy ``ml``) read them through
+    ``analyze_dims``, which runs the validity step.
     """
     from .rfsim import sweep_coupling_matrix, sweep_pcl
 
-    if mode == "physical" or (mode == "ml" and lossy):
-        for d in doc.dims:
-            check_fit_range(d.w, d.s, substrate)
     if mode == "ml":
         qu = math.inf
         if lossy:
@@ -152,6 +149,7 @@ def design_layout(
     spec's impedance, or ``ml`` multilayer hairpin (order 4 only), each
     resonator folded from its two quarter-wave sections at their mean width.
     The hairpin geometry (``arm_gap``, ``overlap``, ``planar_gap``) is in mm.
+    Both kinds check the dimensions they read with ``analyze_dims``.
     """
     from .layout import (
         FoldTooTight,
@@ -162,13 +160,14 @@ def design_layout(
         single_layer_stackup,
     )
 
+    if kind not in ("pcl", "ml"):
+        raise ValueError("kind must be 'pcl' or 'ml'")
+    analyze_dims(doc.dims, substrate)
     if kind == "pcl":
         feed_w = synthesize_single_width(doc.spec.z0, substrate)
         return pcl_layout(
             doc.dims, feed_width=feed_w, stackup=single_layer_stackup(substrate)
         )
-    if kind != "ml":
-        raise ValueError("kind must be 'pcl' or 'ml'")
     n = doc.prototype.n
     if n != 4:
         raise FoldTooTight(

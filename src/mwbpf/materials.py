@@ -38,8 +38,9 @@ def expect_json(value, kind: type, where: str):
     """``value`` read from JSON at ``where``, checked to be a ``kind``.
 
     ``float`` accepts whatever ``float()`` takes and returns the float; the
-    other kinds are JSON types and the value is returned as is. A mismatch
-    is a ValueError naming ``where``.
+    other kinds are JSON types and the value is returned as is. A ``str``
+    must be one line of printable ASCII, since a name or a timestamp is
+    written into the artifacts. A mismatch is a ValueError naming ``where``.
     """
     if kind is float:
         try:
@@ -48,6 +49,8 @@ def expect_json(value, kind: type, where: str):
             raise ValueError(f"{where} must be a number, got {value!r}") from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if kind is str and not (value.isascii() and value.isprintable()):
+        raise ValueError(f"{where} must be one line of printable ASCII, got {value!a}")
     return value
 
 

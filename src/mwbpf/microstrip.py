@@ -54,6 +54,9 @@ class Substrate:
     conductivity: float = 5.8e7  # S/m
 
     def __post_init__(self):
+        if "--" in self.name:
+            # the SVG stackup record prints the name inside an XML comment
+            raise ValueError("name must not contain '--'")
         for name in ("eps_r", "tan_d", "h", "t", "conductivity"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -202,13 +205,15 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
 
 
 def analyze_dims(dims, sub: Substrate) -> list[ModeParams]:
-    """``analyze_coupled`` of each section; an error names it as ``dims_mm[i]``."""
+    """``analyze_coupled``, then the validity step ``check_fit_range``, of each
+    section; an error names it as ``dims_mm[i]``."""
     mps = []
     for i, d in enumerate(dims):
         try:
             mps.append(analyze_coupled(d.w, d.s, sub))
         except ValueError as exc:
             raise ValueError(f"dims_mm[{i}]: {exc}") from None
+        check_fit_range(d.w, d.s, sub)
     return mps
 
 
@@ -216,19 +221,18 @@ def check_fit_range(w: float, s: float, sub: Substrate) -> None:
     """The validity step of a coupled pair: warn GapTooSmallWarning when the
     gap is below the GAP_FLOOR_MM fabrication floor, and ModelValidityWarning
     when the pair lies outside the published fit range 0.1 <= w/h <= 10,
-    0.1 <= s/h <= 5 of the model."""
+    0.1 <= s/h <= 5 of the model. A warning's source is this function, not
+    its caller, so an identical one is shown once per process."""
     if s < GAP_FLOOR_MM:
         warnings.warn(
             f"gap {s:.4f} mm is below the {GAP_FLOOR_MM} mm fabrication floor",
             GapTooSmallWarning,
-            stacklevel=2,
         )
     u, g = w / sub.h, s / sub.h
     if not (VALID_U[0] <= u <= VALID_U[1]) or not (VALID_G[0] <= g <= VALID_G[1]):
         warnings.warn(
             f"w/h={u:.3g}, s/h={g:.3g} outside the coupled-model fit range",
             ModelValidityWarning,
-            stacklevel=2,
         )
 
 

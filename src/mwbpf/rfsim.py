@@ -158,7 +158,6 @@ def _section_twoport(mp: ModeParams, alpha_e, alpha_o, l: float, f: np.ndarray, 
             f"section is an exact multiple of pi at {', '.join(map(str, f[at].tolist()))} GHz; "
             "nudging by 1 ppm",
             SingularFrequencyWarning,
-            stacklevel=2,
         )
         modes = nudged
 
@@ -237,8 +236,8 @@ def sweep_pcl(
     mode velocities (every section a quarter wave at f0); it ignores
     ``dims`` and ``substrate`` and is lossless, so ``lossy`` is a
     ValueError there. ``physical`` mode derives per-mode parameters from the
-    synthesized dimensions; with ``lossy`` it attaches the substrate's
-    dielectric attenuation per frequency.
+    dimensions (``analyze_dims``, which warns); with ``lossy`` it attaches
+    the substrate's dielectric attenuation per frequency.
 
     Within a block of points, a mode angle bitwise equal to the one before
     it reuses that angle's sine and tangent: in ``ideal`` mode all sections
@@ -336,9 +335,9 @@ def sweep_coupling_matrix(
 
 # --- metric extraction ----------------------------------------------------------
 
-def _crossing(freqs, db, i, j, target):
+def _crossing(freqs, db, i, j, target) -> float:
     """Frequency where db, linear from point i to point j, equals target."""
-    return freqs[i] + (target - db[i]) / (db[j] - db[i]) * (freqs[j] - freqs[i])
+    return float(freqs[i] + (target - db[i]) / (db[j] - db[i]) * (freqs[j] - freqs[i]))
 
 
 def _edge_crossing(freqs, db, idx_inner, step, target):

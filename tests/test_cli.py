@@ -255,19 +255,43 @@ class TestMaterials:
         assert capsys.readouterr().out == builtins
 
 
+# section 0 of this band on FR4 has s/h = 0.0852, below the fit range, and
+# section 4 repeats its warning word for word; on RO3003 the end sections
+# are below the gap floor too
+WIDE_SPEC = dict(f_lower_ghz=2.2, f_upper_ghz=2.9, ripple_db=0.1, stop_freq_ghz=3.6,
+                 stop_atten_db=25.0)
+FR4_WARNING = "ModelValidityWarning: w/h=0.917, s/h=0.0852 outside the coupled-model fit range"
+RO3003_WARNINGS = (
+    "GapTooSmallWarning: gap 0.0459 mm is below the 0.1 mm fabrication floor",
+    "ModelValidityWarning: w/h=1.21, s/h=0.0612 outside the coupled-model fit range",
+)
+
+
 class TestWarnings:
     def test_one_line_per_warning(self, tmp_path):
-        # section 0 of this band on FR4 has s/h = 0.0852, below the fit range;
-        # section 4 repeats its warning word for word, and is not shown again
-        spec = dict(f_lower_ghz=2.2, f_upper_ghz=2.9, ripple_db=0.1, stop_freq_ghz=3.6,
-                    stop_atten_db=25.0)
-        cfg = tmp_path / "wide.json"
-        cfg.write_text(json.dumps({"spec": spec, "substrate": "FR4"}))
-        proc = _run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "d.json"))
-        assert proc.returncode == 0
-        assert proc.stderr == ("warning: ModelValidityWarning: w/h=0.917, s/h=0.0852 "
-                               "outside the coupled-model fit range\n")
-        assert ".py:" not in proc.stderr
+        # each distinct warning prints once per command: compare checks every
+        # section when it synthesizes and again when it sweeps
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"spec": WIDE_SPEC, "substrate": "FR4"}))
+        for argv, shown in (
+            (("synth", "--config", str(wide), "--out", str(tmp_path / "d.json")),
+             (FR4_WARNING,)),
+            (("compare", "--config", str(wide)), (FR4_WARNING, *RO3003_WARNINGS)),
+        ):
+            proc = _run_cli(*argv)
+            assert proc.returncode == 0
+            assert proc.stderr == "".join(f"warning: {line}\n" for line in shown)
+
+    def test_overflow_prints_only_its_error_line(self, tmp_path, design_path):
+        # the section overflows before it is checked, so no warning precedes
+        # the error (in a subprocess: capsys does not see warnings)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_edited(json.loads(design_path.read_text()),
+                                          ("dims_mm", 0, "s"), 1e300)))
+        proc = _run_cli("simulate", "--design", str(bad), "--mode", "physical",
+                        "--out-prefix", str(tmp_path / "bad"))
+        assert proc.returncode == 7
+        assert proc.stderr == f"error: invalid input: {_overflow_error('s', 1e300)}\n"
 
     def test_format_restored(self, monkeypatch, capsys):
         def formatwarning(*args, **kwargs):
@@ -414,23 +438,35 @@ class TestInvalidInput:
         case(SIMULATE + ("--design", "{bad}"),
              ("design", ("coupling", "sections", 1, "z0_ohm"), 50.0),
              "coupling.sections[1].z0_ohm is not a known key", id="simulate-unknown-section-key"),
-        # dimensions that overflow the coupled-line fits, after the validity step
-        # has warned; the error names the pair (a class name such as SIMULATE is out
-        # of a comprehension's scope)
+        # dimensions that overflow the coupled-line fits; the error names the
+        # pair (a class name such as SIMULATE is out of a comprehension's scope)
         *[case(("simulate", "--out-prefix", "{tmp}/bad", "--design", "{bad}",
                 "--mode", *mode),
                ("design", ("dims_mm", 0, key), value), _overflow_error(key, value),
-               id=f"simulate-{key}-{value:g}-{'-'.join(m.strip('-') for m in mode)}",
-               marks=pytest.mark.filterwarnings(
-                   "ignore::mwbpf.microstrip.ModelValidityWarning",
-                   "ignore::mwbpf.microstrip.GapTooSmallWarning"))
+               id=f"simulate-{key}-{value:g}-{'-'.join(m.strip('-') for m in mode)}")
           for key, value in (("s", 1e300), ("s", 1e-300), ("w", 1e300))
           for mode in (("physical",), ("physical", "--lossy"), ("ml", "--lossy"))],
         case(SIMULATE + ("--design", "{bad}", "--mode", "ml", "--lossy"),
              ("design", ("dims_mm", 2, "s"), 1e300),
              "dims_mm[2]: coupled pair w=3.08691 mm, s=1e+300 mm overflows the model",
-             id="simulate-s-1e+300-section-2-ml-lossy",
-             marks=pytest.mark.filterwarnings("ignore::mwbpf.microstrip.ModelValidityWarning")),
+             id="simulate-s-1e+300-section-2-ml-lossy"),
+        # both layouts read the dimensions through the same step
+        *[case(("layout", "--out", "{tmp}/bad.svg", "--design", "{bad}", "--kind", kind),
+               ("design", ("dims_mm", 0, "s"), 1e300), _overflow_error("s", 1e300),
+               id=f"layout-s-1e+300-{kind}")
+          for kind in ("pcl", "ml")],
+        # text that reaches an artifact is one line of printable ASCII
+        case(SIMULATE + ("--design", "{design}"),
+             ("materials", ("materials", 0, "name"), "FR4\u00fc"),
+             "materials[0].name must be one line of printable ASCII",
+             id="simulate-name-non-ascii"),
+        case(SIMULATE + ("--design", "{bad}"),
+             ("design", ("provenance", "created"), "2026\n1.0 0 0 0 0 0 0 0 0"),
+             "provenance.created must be one line of printable ASCII",
+             id="simulate-created-newline"),
+        # the SVG stackup record prints the name inside an XML comment
+        case(LAYOUT, ("materials", ("materials", 0, "name"), "FR--4"),
+             "materials[0]: name must not contain '--'", id="layout-name-double-hyphen"),
         case(SIMULATE + ("--design", "{design}", "--mode", "ideal", "--lossy"), None,
              "lossless", id="simulate-ideal-lossy"),
         case(SIMULATE + ("--design", "{design}", "--points", "1"), None,

@@ -107,9 +107,15 @@ class TestSimulate:
         data = to_dict(fr4_design)
         data["dims_mm"][0]["s"] = 0.05
         doc = from_dict(data)
-        for mode, lossy in (("physical", False), ("physical", True), ("ml", True)):
+        for read in (
+            lambda: simulate(doc, fr4, "physical", SWEEP),
+            lambda: simulate(doc, fr4, "physical", SWEEP, lossy=True),
+            lambda: simulate(doc, fr4, "ml", SWEEP, lossy=True),
+            lambda: design_layout(doc, fr4, "pcl"),
+            lambda: design_layout(doc, fr4, "ml"),
+        ):
             with pytest.warns((GapTooSmallWarning, ModelValidityWarning)) as rec:
-                simulate(doc, fr4, mode, SWEEP, lossy=lossy)
+                read()
             assert sum(r.category is GapTooSmallWarning for r in rec) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")

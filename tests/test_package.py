@@ -1,3 +1,7 @@
+import re
+import warnings
+from pathlib import Path
+
 import pytest
 
 import mwbpf
@@ -40,3 +44,16 @@ def test_star_import_binds_every_name():
 def test_unknown_name():
     with pytest.raises(AttributeError, match="no attribute 'sweep'"):
         mwbpf.sweep
+
+
+def test_readme_library_example(capsys):
+    # the python block of the README's Library section runs without a warning
+    # and prints plain numbers
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Library\n.*?^```python\n(.*?)^```$", readme, re.M | re.S)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(example.group(1), {})
+    out = capsys.readouterr().out
+    assert out.startswith("BandMetrics(f_c=2.5")
+    assert "np." not in out
