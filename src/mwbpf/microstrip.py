@@ -127,7 +127,7 @@ def _eps_eff_static(u: float, er: float) -> float:
 def analyze_single(w: float, sub: Substrate) -> tuple[float, float]:
     """Quasi-static characteristic impedance and effective permittivity of a
     single strip."""
-    if w <= 0:
+    if not w > 0:
         raise ValueError("width must be positive")
     u = w / sub.h
     ee = _eps_eff_static(u, sub.eps_r)
@@ -136,7 +136,7 @@ def analyze_single(w: float, sub: Substrate) -> tuple[float, float]:
 
 def synthesize_single_width(z0_target: float, sub: Substrate) -> float:
     """Width (mm) realizing a single-line impedance; bisection, z0 monotone in w."""
-    if z0_target <= 0:
+    if not z0_target > 0:
         raise ValueError("target impedance must be positive")
     lo, hi = WIDTH_RANGE_H[0] * sub.h, WIDTH_RANGE_H[1] * sub.h
     if analyze_single(lo, sub)[0] < z0_target:
@@ -162,7 +162,7 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     sweep code. A pair whose fits overflow a double is a ValueError naming
     its w and s.
     """
-    if w <= 0 or s <= 0:
+    if not (w > 0 and s > 0):
         raise ValueError("width and gap must be positive")
     try:
         u = w / sub.h
@@ -239,52 +239,66 @@ def check_fit_range(w: float, s: float, sub: Substrate) -> None:
 def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, float]:
     """Width and gap (mm) realizing the requested even/odd-mode impedances.
 
-    Damped Newton iteration on (ln w, ln s); a step where the model
-    overflows or gives a non-positive impedance is rejected like one that
-    does not reduce the residual. Converges to 1e-6 relative on both
-    impedances. Otherwise raises CouplingUnreachable when the requested
-    split exceeds the model's at the minimum gap, else NoConvergence.
-    Pure: it warns nothing (see ``check_fit_range``).
+    Damped Newton iteration on (ln w, ln s), started from the single-line
+    width of sqrt(z0e z0o) (found by bisection) and a gap of one substrate
+    height; a step where the model overflows or gives a non-positive
+    impedance is rejected like one that does not reduce the residual.
+    Converges to 1e-6 relative on both impedances. Otherwise raises
+    CouplingUnreachable when the requested split exceeds the model's at the
+    minimum gap, else NoConvergence. Pure: it warns nothing (see
+    ``check_fit_range``).
+
+    The iterate and residual are Python float pairs. numpy does only the
+    2x2 solve, because a Python LU rounds differently in the last bit and
+    moves the dimensions, and the line-search norm, because a Python norm
+    rounds differently too and could accept a different step.
     """
     if not (z0e > z0o > 0):
         raise ValueError("need z0e > z0o > 0")
     h = sub.h
 
-    def residual(x: np.ndarray) -> np.ndarray | None:
-        mp = _modes_or_none(math.exp(x[0]), math.exp(x[1]), sub)
+    def residual(lw: float, ls: float) -> tuple[float, float] | None:
+        mp = _modes_or_none(math.exp(lw), math.exp(ls), sub)
         if mp is None:
             return None
-        return np.array([math.log(mp.z0e / z0e), math.log(mp.z0o / z0o)])
+        return math.log(mp.z0e / z0e), math.log(mp.z0o / z0o)
 
-    lo = np.array([math.log(WIDTH_RANGE_H[0] * h), math.log(GAP_HARD_MIN_MM)])
-    hi = np.array([math.log(WIDTH_RANGE_H[1] * h), math.log(60.0 * h)])
+    lo_w, lo_s = math.log(WIDTH_RANGE_H[0] * h), math.log(GAP_HARD_MIN_MM)
+    hi_w, hi_s = math.log(WIDTH_RANGE_H[1] * h), math.log(60.0 * h)
     step = 1e-6
     w0 = synthesize_single_width(math.sqrt(z0e * z0o), sub)
-    x = np.array([math.log(w0), math.log(h)])
-    f = residual(x)
+    xw, xs = math.log(w0), math.log(h)
+    f = residual(xw, xs)
     for _ in range(200):
         if f is None:
             break
-        if max(abs(f)) < 1e-6:
-            return math.exp(x[0]), math.exp(x[1])
-        cols = [residual(x + d) for d in step * np.eye(2)]
-        if any(c is None for c in cols):
+        fe, fo = f
+        if max(abs(fe), abs(fo)) < 1e-6:
+            return math.exp(xw), math.exp(xs)
+        cw, cs = residual(xw + step, xs), residual(xw, xs + step)
+        if cw is None or cs is None:
             break
-        jac = np.column_stack([(c - f) / step for c in cols])
+        jac = np.array([
+            [(cw[0] - fe) / step, (cs[0] - fe) / step],
+            [(cw[1] - fo) / step, (cs[1] - fo) / step],
+        ])
         try:
-            dx = np.linalg.solve(jac, -f)
+            dw, ds = np.linalg.solve(jac, [-fe, -fo]).tolist()
         except np.linalg.LinAlgError:
             break
+        norm_f = np.linalg.norm(f)
         lam = 1.0
         while lam > 1e-8:
-            cand = np.clip(x + lam * dx, lo, hi)
-            fc = residual(cand)
-            if fc is not None and np.linalg.norm(fc) < np.linalg.norm(f):
+            # clip to the box; min(max(v, .), .) keeps a NaN v, as np.clip does
+            tw = min(max(xw + lam * dw, lo_w), hi_w)
+            ts = min(max(xs + lam * ds, lo_s), hi_s)
+            fc = residual(tw, ts)
+            if fc is not None and np.linalg.norm(fc) < norm_f:
                 break
             lam *= 0.5
         else:
             break
-        x, f = cand, fc
+        xw, xs, f = tw, ts, fc
 
     split = z0e - z0o
     mp = _modes_or_none(w0, GAP_HARD_MIN_MM, sub)
@@ -313,7 +327,7 @@ def _modes_or_none(w, s, sub):
 
 def resonator_length(mp: ModeParams, f0: float) -> float:
     """Quarter-wave section length (mm) at f0 GHz, using the mode-average permittivity."""
-    if f0 <= 0:
+    if not f0 > 0:
         raise ValueError("f0 must be positive")
     eps_avg = (mp.eps_eff_e + mp.eps_eff_o) / 2.0
     return C0 / (4.0 * f0 * 1e9 * math.sqrt(eps_avg)) * 1e3
@@ -326,7 +340,7 @@ def dielectric_loss(sub: Substrate, eps_eff: float, f):
     alpha_d = (pi/lambda0) * er (eps_eff - 1) / (sqrt(eps_eff) (er - 1)) * tan_d,
     degenerating to the homogeneous-fill form as er -> 1.
     """
-    if eps_eff < 1:
+    if not eps_eff >= 1:
         raise ValueError("eps_eff must be >= 1")
     if not (np.asarray(f) > 0).all():
         raise ValueError("frequency must be positive")

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -6,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mwbpf.design
+import mwbpf.microstrip
+from mwbpf.design import synthesize_design, to_dict
 from mwbpf.microstrip import (
     C0,
     GAP_FLOOR_MM,
+    GAP_HARD_MIN_MM,
+    WIDTH_RANGE_H,
     CoupledSectionDims,
     CouplingUnreachable,
     GapTooSmallWarning,
@@ -26,7 +32,108 @@ from mwbpf.microstrip import (
     unloaded_q,
 )
 
+from mwbpf.prototype import FilterSpec
+
 from conftest import TABLE1_ZE, TABLE1_ZO, TABLE2_FR4, TABLE3_RO3003
+
+
+# Reference copies of the numpy-array Newton synthesis and its bisection
+# seed. synthesize_coupled runs the same iteration on Python floats and must
+# give the same model evaluations and the same (w, s) bit for bit.
+def oracle_single_width(z0_target, sub):
+    if z0_target <= 0:
+        raise ValueError("target impedance must be positive")
+    lo, hi = WIDTH_RANGE_H[0] * sub.h, WIDTH_RANGE_H[1] * sub.h
+    if analyze_single(lo, sub)[0] < z0_target:
+        raise CouplingUnreachable(f"{z0_target} ohm is above the model range")
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if analyze_single(mid, sub)[0] > z0_target:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1 + 1e-13:
+            break
+    return math.sqrt(lo * hi)
+
+
+def oracle_modes_or_none(w, s, sub):
+    try:
+        mp = analyze_coupled(w, s, sub)
+    except ValueError:
+        return None
+    if 0 < mp.z0e < math.inf and 0 < mp.z0o < math.inf:
+        return mp
+    return None
+
+
+def oracle_synthesize_coupled(z0e, z0o, sub):
+    if not (z0e > z0o > 0):
+        raise ValueError("need z0e > z0o > 0")
+    h = sub.h
+
+    def residual(x):
+        mp = oracle_modes_or_none(math.exp(x[0]), math.exp(x[1]), sub)
+        if mp is None:
+            return None
+        return np.array([math.log(mp.z0e / z0e), math.log(mp.z0o / z0o)])
+
+    lo = np.array([math.log(WIDTH_RANGE_H[0] * h), math.log(GAP_HARD_MIN_MM)])
+    hi = np.array([math.log(WIDTH_RANGE_H[1] * h), math.log(60.0 * h)])
+    step = 1e-6
+    w0 = oracle_single_width(math.sqrt(z0e * z0o), sub)
+    x = np.array([math.log(w0), math.log(h)])
+    f = residual(x)
+    for _ in range(200):
+        if f is None:
+            break
+        if max(abs(f)) < 1e-6:
+            return math.exp(x[0]), math.exp(x[1])
+        cols = [residual(x + d) for d in step * np.eye(2)]
+        if any(c is None for c in cols):
+            break
+        jac = np.column_stack([(c - f) / step for c in cols])
+        try:
+            dx = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            break
+        lam = 1.0
+        while lam > 1e-8:
+            cand = np.clip(x + lam * dx, lo, hi)
+            fc = residual(cand)
+            if fc is not None and np.linalg.norm(fc) < np.linalg.norm(f):
+                break
+            lam *= 0.5
+        else:
+            break
+        x, f = cand, fc
+
+    split = z0e - z0o
+    mp = oracle_modes_or_none(w0, GAP_HARD_MIN_MM, sub)
+    if mp is None or mp.z0e - mp.z0o < split:
+        raise CouplingUnreachable("unreachable")
+    raise NoConvergence("no convergence")
+
+
+# substrates and mode impedances the synthesis property tests draw from
+SYNTHESIS_SPACE = dict(
+    eps_r=st.floats(2.0, 12.0),
+    h=st.floats(0.1, 3.0),
+    tan_d=st.floats(0.0, 0.03),
+    z0o=st.floats(5.0, 150.0),
+    split=st.floats(1.0001, 6.0),
+)
+
+
+def outcome(synthesize, *args):
+    """(w, s) as float.hex, or the type of the exception raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            w, s = synthesize(*args)
+        except (CouplingUnreachable, NoConvergence) as exc:
+            return type(exc)
+    return w.hex(), s.hex()
 
 
 class TestAnalyzeSingle:
@@ -173,13 +280,7 @@ class TestSynthesizeCoupled:
             synthesize_coupled(40.0, 50.0, fr4)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        eps_r=st.floats(2.0, 12.0),
-        h=st.floats(0.1, 3.0),
-        tan_d=st.floats(0.0, 0.03),
-        z0o=st.floats(5.0, 150.0),
-        split=st.floats(1.0001, 6.0),
-    )
+    @given(**SYNTHESIS_SPACE)
     def test_round_trip_or_typed_failure(self, eps_r, h, tan_d, z0o, split):
         # over the substrate and impedance space synthesis either realizes
         # both mode impedances to 1e-6 or says why it cannot
@@ -195,6 +296,105 @@ class TestSynthesizeCoupled:
         # the convergence test, in log space
         assert abs(math.log(mp.z0e / z0e)) < 1e-6
         assert abs(math.log(mp.z0o / z0o)) < 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SYNTHESIS_SPACE)
+    def test_matches_numpy_array_newton_bit_for_bit(self, eps_r, h, tan_d, z0o, split):
+        # same space as test_round_trip_or_typed_failure: same floats or the
+        # same typed failure as the numpy-array iteration
+        sub = Substrate(name="x", eps_r=eps_r, tan_d=tan_d, h=h)
+        args = (z0o * split, z0o, sub)
+        assert outcome(synthesize_coupled, *args) == outcome(oracle_synthesize_coupled, *args)
+
+    def test_design_documents_match_numpy_array_newton(self, registry, monkeypatch):
+        # seeded specs over perfbench's design_space ranges: the design
+        # document is the same whichever iteration synthesized it
+        def designs():
+            docs = []
+            for i in range(60):
+                rng = random.Random(i)
+                f0 = rng.uniform(1.0, 10.0)
+                bw = rng.uniform(0.02, 0.20) * f0
+                f_lower = (math.sqrt(bw * bw + 4.0 * f0 * f0) - bw) / 2.0
+                spec = FilterSpec(
+                    f_lower=f_lower, f_upper=f_lower + bw, f0=f0,
+                    ripple_db=rng.choice((0.01, 0.05, 0.1, 0.5)),
+                    stop_atten_db=rng.uniform(15.0, 45.0),
+                    stop_freq=f_lower + bw * rng.uniform(1.3, 2.5),
+                )
+                if rng.random() < 0.25:
+                    sub = registry.get(rng.choice(("FR4", "RO3003")))
+                else:
+                    sub = Substrate(
+                        name=f"gen{i}", eps_r=rng.uniform(2.0, 12.0),
+                        tan_d=rng.uniform(0.0, 0.03), h=rng.uniform(0.1, 3.0),
+                    )
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        doc = synthesize_design(spec, sub, created="2026-01-01T00:00:00+00:00")
+                    except (ValueError, RuntimeError) as exc:
+                        docs.append(type(exc))
+                        continue
+                docs.append(to_dict(doc))
+            return docs
+
+        got = designs()
+        monkeypatch.setattr(mwbpf.design, "synthesize_coupled", oracle_synthesize_coupled)
+        want = designs()
+        assert sum(isinstance(d, dict) for d in got) >= 50
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a == b, f"spec {i}"
+
+    @pytest.mark.parametrize(
+        "none_at, expected, n_calls",
+        [
+            ({0}, NoConvergence, 2),  # the start point, then the minimum-gap check
+            ({1}, NoConvergence, 4),  # the width column of the Jacobian
+            ({2}, NoConvergence, 4),  # the gap column
+            ({0, 1}, CouplingUnreachable, 2),  # the start point and the minimum gap
+        ],
+        ids=["start", "width-column", "gap-column", "start-and-minimum-gap"],
+    )
+    def test_rejected_model_point_ends_typed(self, fr4, monkeypatch, none_at, expected, n_calls):
+        # no input found reaches these exits, so the model is patched: call
+        # k of _modes_or_none gives None for each k in none_at
+        real = mwbpf.microstrip._modes_or_none
+        calls = []
+
+        def patched(w, s, sub):
+            calls.append((w, s))
+            return None if len(calls) - 1 in none_at else real(w, s, sub)
+
+        monkeypatch.setattr(mwbpf.microstrip, "_modes_or_none", patched)
+        with pytest.raises(expected):
+            synthesize_coupled(72.21, 38.89, fr4)
+        assert len(calls) == n_calls
+
+    def test_iteration_cap_ends_typed(self, monkeypatch):
+        # a split far beyond reach that the damped steps approach slowly:
+        # every one of the 200 Newton steps solves once, then the
+        # minimum-gap check names the failure
+        real = np.linalg.solve
+        solves = []
+
+        def counting(a, b):
+            solves.append(a)
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        sub = Substrate(name="x", eps_r=11.335601510110594, tan_d=0.0, h=3.3759498854097516)
+        with pytest.raises(CouplingUnreachable):
+            synthesize_coupled(347.1768385374477, 55.992775471987514, sub)
+        assert len(solves) == 200
+
+    def test_singular_jacobian_ends_typed(self, fr4, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NoConvergence):
+            synthesize_coupled(72.21, 38.89, fr4)
 
 
 class TestResonatorLength:
@@ -258,6 +458,23 @@ class TestLoss:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda sub: synthesize_single_width(math.nan, sub), "target impedance"),
+            (lambda sub: analyze_single(math.nan, sub), "width"),
+            (lambda sub: analyze_coupled(math.nan, 0.5, sub), "width and gap"),
+            (lambda sub: analyze_coupled(1.0, math.nan, sub), "width and gap"),
+            (lambda sub: resonator_length(ModeParams(50.0, 50.0, 3.0, 3.0), math.nan), "f0"),
+            (lambda sub: dielectric_loss(sub, math.nan, 2.0), "eps_eff"),
+        ],
+        ids=["single_width", "analyze_single", "coupled_w", "coupled_s", "resonator_length",
+             "dielectric_loss"],
+    )
+    def test_nan_is_rejected(self, fr4, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(fr4)
+
     def test_substrate_invariants(self):
         with pytest.raises(ValueError):
             Substrate(name="bad", eps_r=0.5, tan_d=0.0, h=1.0)
