@@ -25,6 +25,7 @@ from .coupling import (
 )
 from .materials import expect_json, read_record
 from .microstrip import (
+    C0,
     CoupledSectionDims,
     Substrate,
     analyze_coupled,
@@ -83,15 +84,25 @@ def synthesize_design(
     created: str | None = None,
 ) -> DesignDocument:
     """Run prototype -> coupling -> dimension synthesis for one substrate,
-    and the validity step (``check_fit_range``) once per section."""
+    and the validity step (``check_fit_range``) once per section.
+
+    Synthesis is pure, so a section whose (z0e, z0o) equals an earlier
+    section's reuses its dimensions. Mirror sections are often equal, but
+    not always: they may differ in the last bit, and are then synthesized
+    apart."""
     proto = design_prototype(spec)
     coupling = design_coupling(proto, spec.fbw(), spec.z0)
     dims = []
+    solved: dict[tuple[float, float], CoupledSectionDims] = {}
     for section in coupling.sections:
-        w, s = synthesize_coupled(section.z0e, section.z0o, substrate)
-        check_fit_range(w, s, substrate)
-        mp = analyze_coupled(w, s, substrate)
-        dims.append(CoupledSectionDims(w=w, s=s, l=resonator_length(mp, spec.f0)))
+        key = (section.z0e, section.z0o)
+        if key not in solved:
+            w, s = synthesize_coupled(section.z0e, section.z0o, substrate)
+            mp = analyze_coupled(w, s, substrate)
+            solved[key] = CoupledSectionDims(w=w, s=s, l=resonator_length(mp, spec.f0))
+        d = solved[key]
+        check_fit_range(d.w, d.s, substrate)
+        dims.append(d)
     if created is None:
         created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return DesignDocument(
@@ -149,7 +160,9 @@ def design_layout(
     spec's impedance, or ``ml`` multilayer hairpin (order 4 only), each
     resonator folded from its two quarter-wave sections at their mean width.
     The hairpin geometry (``arm_gap``, ``overlap``, ``planar_gap``) is in mm.
-    Both kinds check the dimensions they read with ``analyze_dims``.
+    Both kinds check the dimensions they read with ``analyze_dims``, and
+    refuse a section longer than the free-space wavelength at f0, four times
+    the longest quarter-wave section, since eps_eff >= 1.
     """
     from .layout import (
         FoldTooTight,
@@ -162,6 +175,13 @@ def design_layout(
 
     if kind not in ("pcl", "ml"):
         raise ValueError("kind must be 'pcl' or 'ml'")
+    wavelength = C0 / (doc.spec.f0 * 1e9) * 1e3
+    for i, d in enumerate(doc.dims):
+        if d.l > wavelength:
+            raise ValueError(
+                f"dims_mm[{i}].l = {d.l:g} mm is longer than the free-space "
+                f"wavelength {wavelength:g} mm at f0"
+            )
     analyze_dims(doc.dims, substrate)
     if kind == "pcl":
         feed_w = synthesize_single_width(doc.spec.z0, substrate)

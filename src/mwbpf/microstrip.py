@@ -135,21 +135,59 @@ def analyze_single(w: float, sub: Substrate) -> tuple[float, float]:
 
 
 def synthesize_single_width(z0_target: float, sub: Substrate) -> float:
-    """Width (mm) realizing a single-line impedance; bisection, z0 monotone in w."""
+    """Width (mm) realizing a single-line impedance, by geometric bisection of
+    the searched width range; z0 decreases monotonically in w.
+
+    A midpoint at or below a, or at or above b, of ``_certified_bracket``'s
+    (a, b) takes the branch the model would, without a model call. So only
+    the steps near the root call the model, and the width is the plain
+    bisection's bit for bit.
+    """
     if not z0_target > 0:
         raise ValueError("target impedance must be positive")
     lo, hi = WIDTH_RANGE_H[0] * sub.h, WIDTH_RANGE_H[1] * sub.h
-    if analyze_single(lo, sub)[0] < z0_target:
+    z_lo = analyze_single(lo, sub)[0]
+    if z_lo < z0_target:
         raise CouplingUnreachable(f"{z0_target} ohm is above the model range")
+    a, b = _certified_bracket(z0_target, sub, lo, z_lo, hi)
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if analyze_single(mid, sub)[0] > z0_target:
+        if mid <= a or (mid < b and analyze_single(mid, sub)[0] > z0_target):
             lo = mid
         else:
             hi = mid
         if hi / lo < 1 + 1e-13:
             break
     return math.sqrt(lo * hi)
+
+
+def _certified_bracket(
+    z0_target: float, sub: Substrate, lo: float, z_lo: float, hi: float
+) -> tuple[float, float]:
+    """Widths (a, b) about the root of z0(w) = z0_target: z0 exceeds the
+    target at a, and falls short of it at b, each by a relative 1e-12, many
+    times the model's rounding error. An end that misses its margin, such as
+    the upper one of a root beyond the widest strip, is lo or hi, which is
+    the plain bisection. The root estimate comes from secant steps on
+    (ln w, ln z0), started from both ends of the range and kept inside it."""
+    lt = math.log(z0_target)
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    x0, f0 = x_lo, math.log(z_lo) - lt
+    x1, f1 = x_hi, math.log(analyze_single(hi, sub)[0]) - lt
+    for _ in range(8):
+        if f1 == f0:
+            break
+        x0, f0, x1 = x1, f1, min(max(x1 - f1 * (x1 - x0) / (f1 - f0), x_lo), x_hi)
+        f1 = math.log(analyze_single(math.exp(x1), sub)[0]) - lt
+        if abs(x1 - x0) < 1e-12:
+            break
+    w = math.exp(x1)
+    a, b = w * (1.0 - 1e-11), w * (1.0 + 1e-11)
+    if not analyze_single(a, sub)[0] > z0_target * (1.0 + 1e-12):
+        a = lo
+    if not analyze_single(b, sub)[0] < z0_target * (1.0 - 1e-12):
+        b = hi
+    return a, b
 
 
 # --- Kirschning-Jansen static coupled pair ----------------------------------

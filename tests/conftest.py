@@ -1,10 +1,18 @@
 import math
+import os
 
 import pytest
+from hypothesis import settings
 
 from mwbpf.design import synthesize_design
 from mwbpf.materials import MaterialsRegistry
 from mwbpf.prototype import FilterSpec, design_prototype
+
+# HYPOTHESIS_PROFILE=ci prints the reproducing blob of a failing example
+# and drops the deadline, which a shared runner's timing would trip; example
+# counts and randomization stay the defaults
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # the 2.52-2.65 GHz design this toolkit reproduces out of the box
 PAPER_SPEC = dict(

@@ -455,6 +455,13 @@ class TestInvalidInput:
                ("design", ("dims_mm", 0, "s"), 1e300), _overflow_error("s", 1e300),
                id=f"layout-s-1e+300-{kind}")
           for kind in ("pcl", "ml")],
+        # no model reads a section's length in a layout; it is bounded by the
+        # free-space wavelength at f0 instead
+        *[case(("layout", "--out", "{tmp}/bad.svg", "--design", "{bad}", "--kind", kind),
+               ("design", ("dims_mm", 0, "l"), 1e300),
+               "dims_mm[0].l = 1e+300 mm is longer than the free-space wavelength",
+               id=f"layout-l-1e+300-{kind}")
+          for kind in ("pcl", "ml")],
         # text that reaches an artifact is one line of printable ASCII
         case(SIMULATE + ("--design", "{design}"),
              ("materials", ("materials", 0, "name"), "FR4\u00fc"),

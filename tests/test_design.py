@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mwbpf.design
 from mwbpf.coupling import coupling_coefficients, j_inverters
 from mwbpf.design import (
     DesignDocument,
@@ -18,12 +21,15 @@ from mwbpf.design import (
 )
 from mwbpf.layout import FoldTooTight, pcl_layout, single_layer_stackup
 from mwbpf.microstrip import (
+    C0,
     CouplingUnreachable,
     GapTooSmallWarning,
     ModelValidityWarning,
     NoConvergence,
     Substrate,
     analyze_coupled,
+    check_fit_range,
+    synthesize_coupled,
     synthesize_single_width,
     unloaded_q,
 )
@@ -68,6 +74,30 @@ class TestSynthesizeDesign:
         outside = [d for d in doc.dims if d.s / ro3003.h < 0.1]
         assert len(outside) == 2
         assert sum(r.category is ModelValidityWarning for r in rec) == len(outside)
+
+    @pytest.mark.parametrize("stop_atten_db, n_sections, n_distinct", [(25.0, 5, 5), (30.0, 6, 3)],
+                             ids=["reference", "mirror-equal"])
+    def test_synthesizes_each_distinct_section_once(self, paper_spec, fr4, monkeypatch,
+                                                    stop_atten_db, n_sections, n_distinct):
+        # the reference design's mirror pairs differ in the last bit, so all
+        # its sections are synthesized; at 30 dB the mirror pairs are equal
+        synthesized, checked = [], []
+
+        def counting_synthesis(z0e, z0o, sub):
+            synthesized.append((z0e, z0o))
+            return synthesize_coupled(z0e, z0o, sub)
+
+        def counting_check(w, s, sub):
+            checked.append((w, s))
+            check_fit_range(w, s, sub)
+
+        monkeypatch.setattr(mwbpf.design, "synthesize_coupled", counting_synthesis)
+        monkeypatch.setattr(mwbpf.design, "check_fit_range", counting_check)
+        doc = synthesize_design(dataclasses.replace(paper_spec, stop_atten_db=stop_atten_db), fr4)
+        keys = [(section.z0e, section.z0o) for section in doc.coupling.sections]
+        assert len(keys) == n_sections and len(set(keys)) == n_distinct
+        assert synthesized == list(dict.fromkeys(keys))
+        assert checked == [(d.w, d.s) for d in doc.dims]
 
 
 def _same(a, b):
@@ -206,6 +236,16 @@ class TestDesignLayout:
         assert doc.prototype.n != 4
         with pytest.raises(FoldTooTight, match="4 resonators"):
             design_layout(doc, fr4, "ml")
+
+    def test_section_length_is_at_most_a_free_space_wavelength(self, fr4_design, fr4):
+        wavelength = C0 / (fr4_design.spec.f0 * 1e9) * 1e3
+        data = to_dict(fr4_design)
+        data["dims_mm"][2]["l"] = wavelength
+        design_layout(from_dict(data), fr4, "pcl")
+        data["dims_mm"][2]["l"] = math.nextafter(wavelength, math.inf)
+        for kind in ("pcl", "ml"):
+            with pytest.raises(ValueError, match=r"dims_mm\[2\]\.l"):
+                design_layout(from_dict(data), fr4, kind)
 
     def test_unknown_kind(self, fr4_design, fr4):
         with pytest.raises(ValueError):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mwbpf.design
+import mwbpf
 import mwbpf.microstrip
-from mwbpf.design import synthesize_design, to_dict
+from mwbpf.coupling import design_coupling
+from mwbpf.design import DesignDocument, synthesize_design, to_dict
 from mwbpf.microstrip import (
     C0,
     GAP_FLOOR_MM,
@@ -32,7 +33,7 @@ from mwbpf.microstrip import (
     unloaded_q,
 )
 
-from mwbpf.prototype import FilterSpec
+from mwbpf.prototype import FilterSpec, design_prototype
 
 from conftest import TABLE1_ZE, TABLE1_ZO, TABLE2_FR4, TABLE3_RO3003
 
@@ -115,6 +116,23 @@ def oracle_synthesize_coupled(z0e, z0o, sub):
     raise NoConvergence("no convergence")
 
 
+def oracle_synthesize_design(spec, sub, created):
+    # synthesize_design without the reuse of repeated sections: one
+    # synthesis per section
+    proto = design_prototype(spec)
+    coupling = design_coupling(proto, spec.fbw(), spec.z0)
+    dims = []
+    for section in coupling.sections:
+        w, s = oracle_synthesize_coupled(section.z0e, section.z0o, sub)
+        check_fit_range(w, s, sub)
+        mp = analyze_coupled(w, s, sub)
+        dims.append(CoupledSectionDims(w=w, s=s, l=resonator_length(mp, spec.f0)))
+    return DesignDocument(
+        spec=spec, prototype=proto, coupling=coupling, dims=tuple(dims),
+        substrate=sub.name, tool=f"mwbpf {mwbpf.__version__}", created=created,
+    )
+
+
 # substrates and mode impedances the synthesis property tests draw from
 SYNTHESIS_SPACE = dict(
     eps_r=st.floats(2.0, 12.0),
@@ -126,14 +144,16 @@ SYNTHESIS_SPACE = dict(
 
 
 def outcome(synthesize, *args):
-    """(w, s) as float.hex, or the type of the exception raised."""
+    """The width, or (w, s), as float.hex, or the type of the exception raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            w, s = synthesize(*args)
+            result = synthesize(*args)
         except (CouplingUnreachable, NoConvergence) as exc:
             return type(exc)
-    return w.hex(), s.hex()
+    if isinstance(result, float):
+        return result.hex()
+    return tuple(v.hex() for v in result)
 
 
 class TestAnalyzeSingle:
@@ -163,6 +183,52 @@ class TestAnalyzeSingle:
         for z_target in (30.0, 50.0, 75.0, 110.0):
             w = synthesize_single_width(z_target, fr4)
             assert analyze_single(w, fr4)[0] == pytest.approx(z_target, rel=1e-9)
+
+    # air and dielectric boards, and targets from beyond the widest strip
+    # (a root pinned at the 40 h edge) to above the narrowest (unreachable)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps_r=st.one_of(st.just(1.0), st.floats(1.0, 12.0)),
+        h=st.floats(0.05, 3.5),
+        ln_target=st.floats(0.0, math.log(1000.0)),
+    )
+    def test_width_synthesis_matches_plain_bisection_bit_for_bit(self, eps_r, h, ln_target):
+        sub = Substrate(name="x", eps_r=eps_r, tan_d=0.0, h=h)
+        target = math.exp(ln_target)
+        assert outcome(synthesize_single_width, target, sub) == outcome(
+            oracle_single_width, target, sub
+        )
+
+    @pytest.mark.parametrize("lost", ["both", "lower", "upper"])
+    def test_width_synthesis_without_a_certified_end(self, fr4, monkeypatch, lost):
+        # an end of the bracket that fails its check is its end of the range:
+        # more model calls, the same width
+        real = mwbpf.microstrip._certified_bracket
+
+        def failed(z0_target, sub, lo, z_lo, hi):
+            a, b = real(z0_target, sub, lo, z_lo, hi)
+            return (lo if lost != "upper" else a), (hi if lost != "lower" else b)
+
+        targets = (12.0, 50.0, 140.0)
+
+        def widths_and_model_calls():
+            calls = []
+
+            def counting(w, sub):
+                calls.append(w)
+                return analyze_single(w, sub)
+
+            with monkeypatch.context() as m:
+                m.setattr(mwbpf.microstrip, "analyze_single", counting)
+                widths = [outcome(synthesize_single_width, z, fr4) for z in targets]
+            return widths, len(calls)
+
+        certified, n_certified = widths_and_model_calls()
+        monkeypatch.setattr(mwbpf.microstrip, "_certified_bracket", failed)
+        fallen_back, n_fallen_back = widths_and_model_calls()
+        want = [outcome(oracle_single_width, z, fr4) for z in targets]
+        assert certified == fallen_back == want
+        assert n_certified < n_fallen_back
 
 
 class TestAnalyzeCoupled:
@@ -306,10 +372,11 @@ class TestSynthesizeCoupled:
         args = (z0o * split, z0o, sub)
         assert outcome(synthesize_coupled, *args) == outcome(oracle_synthesize_coupled, *args)
 
-    def test_design_documents_match_numpy_array_newton(self, registry, monkeypatch):
+    def test_design_documents_match_numpy_array_newton(self, registry):
         # seeded specs over perfbench's design_space ranges: the design
-        # document is the same whichever iteration synthesized it
-        def designs():
+        # document is the same as the numpy-array iteration's, run once per
+        # section
+        def designs(synthesize):
             docs = []
             for i in range(60):
                 rng = random.Random(i)
@@ -332,16 +399,15 @@ class TestSynthesizeCoupled:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     try:
-                        doc = synthesize_design(spec, sub, created="2026-01-01T00:00:00+00:00")
+                        doc = synthesize(spec, sub, created="2026-01-01T00:00:00+00:00")
                     except (ValueError, RuntimeError) as exc:
                         docs.append(type(exc))
                         continue
                 docs.append(to_dict(doc))
             return docs
 
-        got = designs()
-        monkeypatch.setattr(mwbpf.design, "synthesize_coupled", oracle_synthesize_coupled)
-        want = designs()
+        got = designs(synthesize_design)
+        want = designs(oracle_synthesize_design)
         assert sum(isinstance(d, dict) for d in got) >= 50
         for i, (a, b) in enumerate(zip(got, want)):
             assert a == b, f"spec {i}"
