@@ -146,14 +146,15 @@ def cmd_layout(args) -> int:
     doc = load_design(args.design)
     sub = default_registry().get(doc.substrate)
     geometry = _given(args, "arm_gap", "overlap", "planar_gap")
-    lay = design_layout(doc, sub, args.kind, **geometry)
+    # build every layout reported before writing; the requested kind first, so its error wins
+    kinds = dict.fromkeys((args.kind, "pcl", "ml")) if args.compare else (args.kind,)
+    layouts = {kind: design_layout(doc, sub, kind, **geometry) for kind in kinds}
+    lay = layouts[args.kind]
     Path(args.out).write_text(export_svg(lay), encoding="ascii")
     print(f"{args.kind} bounding box: {lay.bounds[0]:.3f} x {lay.bounds[1]:.3f} mm "
           f"(area {lay.area():.1f} mm^2)")
     if args.compare:
-        pcl = lay if args.kind == "pcl" else design_layout(doc, sub, "pcl")
-        ml = lay if args.kind == "ml" else design_layout(doc, sub, "ml", **geometry)
-        ratio = ml.area() / pcl.area()
+        ratio = layouts["ml"].area() / layouts["pcl"].area()
         print(f"area ratio multilayer/edge-coupled = {ratio:.3f}")
     print(f"wrote {args.out}")
     return 0

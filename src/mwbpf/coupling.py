@@ -94,9 +94,9 @@ def even_odd_impedances(j_over_y0: float, z0: float) -> tuple[float, float]:
 
     z0e = z0 (1 + J/Y0 + (J/Y0)^2),  z0o = z0 (1 - J/Y0 + (J/Y0)^2)
     """
-    if j_over_y0 < 0:
+    if not j_over_y0 >= 0:
         raise ValueError("j_over_y0 must be non-negative")
-    if z0 <= 0:
+    if not z0 > 0:
         raise ValueError("z0 must be positive")
     j = j_over_y0
     return z0 * (1.0 + j + j * j), z0 * (1.0 - j + j * j)

@@ -159,10 +159,11 @@ def design_layout(
     """Layout of a design: ``pcl`` edge-coupled board with feed lines of the
     spec's impedance, or ``ml`` multilayer hairpin (order 4 only), each
     resonator folded from its two quarter-wave sections at their mean width.
-    The hairpin geometry (``arm_gap``, ``overlap``, ``planar_gap``) is in mm.
-    Both kinds check the dimensions they read with ``analyze_dims``, and
-    refuse a section longer than the free-space wavelength at f0, four times
-    the longest quarter-wave section, since eps_eff >= 1.
+    The hairpin geometry (``arm_gap``, ``overlap``, ``planar_gap``) is in mm;
+    both kinds check its range, and ``pcl`` does not read it. Both kinds
+    check the dimensions they read with ``analyze_dims``, and refuse a
+    section longer than the free-space wavelength at f0, four times the
+    longest quarter-wave section, since eps_eff >= 1.
     """
     from .layout import (
         FoldTooTight,
@@ -175,6 +176,12 @@ def design_layout(
 
     if kind not in ("pcl", "ml"):
         raise ValueError("kind must be 'pcl' or 'ml'")
+    if not 0 < arm_gap < math.inf:
+        raise ValueError("arm_gap must be positive and finite")
+    if not 0 <= overlap < math.inf:
+        raise ValueError("overlap must be non-negative and finite")
+    if not 0 < planar_gap < math.inf:
+        raise ValueError("planar_gap must be positive and finite")
     wavelength = C0 / (doc.spec.f0 * 1e9) * 1e3
     for i, d in enumerate(doc.dims):
         if d.l > wavelength:
@@ -234,13 +241,17 @@ def from_dict(data) -> DesignDocument:
     g = expect_json(proto["g"], list, "prototype.g")
     sections = expect_json(coupling["sections"], list, "coupling.sections")
     dims = expect_json(data["dims_mm"], list, "dims_mm")
+    spec = read_record(FilterSpec, data["spec"], "spec", SPEC_KEYS)
+    n = expect_json(proto["n"], int, "prototype.n")
+    ripple_db = expect_json(proto["ripple_db"], float, "prototype.ripple_db")
+    g = tuple(expect_json(v, float, f"prototype.g[{i}]") for i, v in enumerate(g))
+    try:
+        prototype = ChebyshevPrototype(n=n, ripple_db=ripple_db, g=g)
+    except ValueError as exc:
+        raise ValueError(f"prototype: {exc}") from None
     return DesignDocument(
-        spec=read_record(FilterSpec, data["spec"], "spec", SPEC_KEYS),
-        prototype=ChebyshevPrototype(
-            n=expect_json(proto["n"], int, "prototype.n"),
-            ripple_db=expect_json(proto["ripple_db"], float, "prototype.ripple_db"),
-            g=tuple(expect_json(v, float, f"prototype.g[{i}]") for i, v in enumerate(g)),
-        ),
+        spec=spec,
+        prototype=prototype,
         coupling=CouplingDesign(
             z0=expect_json(coupling["z0_ohm"], float, "coupling.z0_ohm"),
             sections=tuple(

@@ -113,7 +113,7 @@ class FilterLayout:
 
     elements: tuple[LayoutElement, ...]
     ports: tuple[Port, Port]
-    stackup: Stackup | None = None
+    stackup: Stackup
     bounds: tuple[float, float] = field(init=False)  # (width, height), mm; 0 x 0 if empty
 
     def __post_init__(self):
@@ -150,7 +150,7 @@ def _rect_element(layer, x0, y0, x1, y1) -> LayoutElement:
 def pcl_layout(
     dims: list[CoupledSectionDims] | tuple[CoupledSectionDims, ...],
     feed_width: float,
-    stackup: Stackup | None = None,
+    stackup: Stackup,
 ) -> FilterLayout:
     """Diagonally staggered edge-coupled filter on a single metal layer.
 
@@ -191,8 +191,6 @@ class Hairpin:
     w: float
     arm_gap: float
     arm_length: float
-    outline: tuple[tuple[float, float], ...] = field(repr=False)
-    rects: tuple[tuple[float, float, float, float], ...] = field(repr=False)
 
     @property
     def width(self) -> float:
@@ -201,6 +199,25 @@ class Hairpin:
     @property
     def height(self) -> float:
         return self.arm_length + self.w / 2.0
+
+    @property
+    def outline(self) -> tuple[tuple[float, float], ...]:
+        w, wd, ht = self.w, self.width, self.height
+        return (
+            (0.0, 0.0),
+            (wd, 0.0),
+            (wd, ht),
+            (wd - w, ht),
+            (wd - w, w),
+            (w, w),
+            (w, ht),
+            (0.0, ht),
+        )
+
+    @property
+    def rects(self) -> tuple[tuple[float, float, float, float], ...]:
+        w, wd, ht = self.w, self.width, self.height
+        return ((0.0, 0.0, w, ht), (wd - w, 0.0, wd, ht), (0.0, 0.0, wd, w))
 
     def centerline_length(self) -> float:
         return 2.0 * self.arm_length + self.arm_gap + self.w
@@ -220,26 +237,7 @@ def hairpin_fold(l_half_wave: float, arm_gap: float, w: float) -> Hairpin:
             f"half-wave length {l_half_wave:.3f} mm cannot fold with "
             f"arm_gap={arm_gap} mm and w={w} mm"
         )
-    arm = (l_half_wave - arm_gap - w) / 2.0
-    g = arm_gap
-    wd = g + 2.0 * w
-    ht = arm + w / 2.0
-    outline = (
-        (0.0, 0.0),
-        (wd, 0.0),
-        (wd, ht),
-        (wd - w, ht),
-        (wd - w, w),
-        (w, w),
-        (w, ht),
-        (0.0, ht),
-    )
-    rects = (
-        (0.0, 0.0, w, ht),
-        (wd - w, 0.0, wd, ht),
-        (0.0, 0.0, wd, w),
-    )
-    return Hairpin(w=w, arm_gap=arm_gap, arm_length=arm, outline=outline, rects=rects)
+    return Hairpin(w=w, arm_gap=arm_gap, arm_length=(l_half_wave - arm_gap - w) / 2.0)
 
 
 def ml_hairpin_layout(
@@ -324,9 +322,8 @@ def export_svg(layout: FilterLayout) -> str:
     )
     for p in layout.ports:
         meta.append(f"  port {p.name}: ({p.x:.4f}, {p.y:.4f}) mm")
-    if layout.stackup is not None:
-        for l, z in zip(layout.stackup.layers, layout.stackup.z_offsets()):
-            meta.append(f"  stackup {l.role}: {l.material} {l.thickness:.4f} mm at z={z:.4f}")
+    for l, z in zip(layout.stackup.layers, layout.stackup.z_offsets()):
+        meta.append(f"  stackup {l.role}: {l.material} {l.thickness:.4f} mm at z={z:.4f}")
     meta.append("-->")
     lines.extend(meta)
 

@@ -136,20 +136,33 @@ def analyze_single(w: float, sub: Substrate) -> tuple[float, float]:
 
 def synthesize_single_width(z0_target: float, sub: Substrate) -> float:
     """Width (mm) realizing a single-line impedance, by geometric bisection of
-    the searched width range; z0 decreases monotonically in w.
+    the searched width range; z0 decreases monotonically in w. A target
+    above z0 at the narrowest width, or below z0 at the widest, raises
+    CouplingUnreachable.
 
     A midpoint at or below a, or at or above b, of ``_certified_bracket``'s
     (a, b) takes the branch the model would, without a model call. So only
     the steps near the root call the model, and the width is the plain
     bisection's bit for bit.
     """
+    w, z_hi = _bisect_width(z0_target, sub)
+    if z_hi > z0_target:
+        raise CouplingUnreachable(f"{z0_target} ohm is below the model range")
+    return w
+
+
+def _bisect_width(z0_target: float, sub: Substrate) -> tuple[float, float]:
+    """``synthesize_single_width``'s bisection, and z0 at the widest searched
+    width. A target below that z0 gives the widest width, which seeds
+    ``synthesize_coupled``."""
     if not z0_target > 0:
         raise ValueError("target impedance must be positive")
     lo, hi = WIDTH_RANGE_H[0] * sub.h, WIDTH_RANGE_H[1] * sub.h
     z_lo = analyze_single(lo, sub)[0]
     if z_lo < z0_target:
         raise CouplingUnreachable(f"{z0_target} ohm is above the model range")
-    a, b = _certified_bracket(z0_target, sub, lo, z_lo, hi)
+    z_hi = analyze_single(hi, sub)[0]
+    a, b = _certified_bracket(z0_target, sub, lo, z_lo, hi, z_hi)
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         if mid <= a or (mid < b and analyze_single(mid, sub)[0] > z0_target):
@@ -158,11 +171,11 @@ def synthesize_single_width(z0_target: float, sub: Substrate) -> float:
             hi = mid
         if hi / lo < 1 + 1e-13:
             break
-    return math.sqrt(lo * hi)
+    return math.sqrt(lo * hi), z_hi
 
 
 def _certified_bracket(
-    z0_target: float, sub: Substrate, lo: float, z_lo: float, hi: float
+    z0_target: float, sub: Substrate, lo: float, z_lo: float, hi: float, z_hi: float
 ) -> tuple[float, float]:
     """Widths (a, b) about the root of z0(w) = z0_target: z0 exceeds the
     target at a, and falls short of it at b, each by a relative 1e-12, many
@@ -173,7 +186,7 @@ def _certified_bracket(
     lt = math.log(z0_target)
     x_lo, x_hi = math.log(lo), math.log(hi)
     x0, f0 = x_lo, math.log(z_lo) - lt
-    x1, f1 = x_hi, math.log(analyze_single(hi, sub)[0]) - lt
+    x1, f1 = x_hi, math.log(z_hi) - lt
     for _ in range(8):
         if f1 == f0:
             break
@@ -278,7 +291,8 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     """Width and gap (mm) realizing the requested even/odd-mode impedances.
 
     Damped Newton iteration on (ln w, ln s), started from the single-line
-    width of sqrt(z0e z0o) (found by bisection) and a gap of one substrate
+    width of sqrt(z0e z0o) (found by bisection; the widest searched width
+    when the target is below its range) and a gap of one substrate
     height; a step where the model overflows or gives a non-positive
     impedance is rejected like one that does not reduce the residual.
     Converges to 1e-6 relative on both impedances. Otherwise raises
@@ -304,7 +318,7 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     lo_w, lo_s = math.log(WIDTH_RANGE_H[0] * h), math.log(GAP_HARD_MIN_MM)
     hi_w, hi_s = math.log(WIDTH_RANGE_H[1] * h), math.log(60.0 * h)
     step = 1e-6
-    w0 = synthesize_single_width(math.sqrt(z0e * z0o), sub)
+    w0 = _bisect_width(math.sqrt(z0e * z0o), sub)[0]
     xw, xs = math.log(w0), math.log(h)
     f = residual(xw, xs)
     for _ in range(200):

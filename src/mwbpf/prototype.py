@@ -69,8 +69,15 @@ class ChebyshevPrototype:
     g: tuple[float, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("order n must be at least 1")
+        if not math.isfinite(self.ripple_db):
+            raise ValueError("ripple_db must be finite")
         if len(self.g) != self.n + 2:
             raise ValueError("g must have n+2 entries")
+        for k, gk in enumerate(self.g):
+            if not math.isfinite(gk):
+                raise ValueError(f"g[{k}] must be finite")
         if self.g[0] != 1.0:
             raise ValueError("g0 must be exactly 1")
         if any(gk <= 0 for gk in self.g):
@@ -79,7 +86,7 @@ class ChebyshevPrototype:
 
 def ripple_height(ripple_db: float) -> float:
     """Squared ripple height a_m^2 = 10^(ripple/10) - 1 of an equal-ripple response."""
-    if ripple_db <= 0:
+    if not ripple_db > 0:
         raise ValueError("ripple_db must be positive")
     return 10.0 ** (ripple_db / 10.0) - 1.0
 
@@ -90,9 +97,9 @@ def attenuation_height(stop_atten_db: float, ripple_height_sq: float) -> float:
     ``a`` is the value the Chebyshev polynomial must reach at the normalized
     stopband frequency (see ``required_order``).
     """
-    if stop_atten_db <= 0:
+    if not stop_atten_db > 0:
         raise ValueError("stop_atten_db must be positive")
-    if ripple_height_sq <= 0:
+    if not ripple_height_sq > 0:
         raise ValueError("ripple height must be positive")
     return math.sqrt((10.0 ** (stop_atten_db / 10.0) - 1.0) / ripple_height_sq)
 
@@ -104,7 +111,7 @@ def bandpass_to_lowpass(f, f0: float, fbw: float):
     the geometric edge mean; asymmetric by O(FBW^2) otherwise). ``f`` may
     be an array of positive frequencies; a scalar must be positive.
     """
-    if isinstance(f, (int, float)) and f <= 0:
+    if isinstance(f, (int, float)) and not f > 0:
         raise ValueError("frequency must be positive")
     return (f / f0 - f0 / f) / fbw
 
@@ -151,7 +158,7 @@ def g_values(n: int, ripple_db: float) -> ChebyshevPrototype:
     """
     if n < 1:
         raise ValueError("order must be at least 1")
-    if ripple_db <= 0:
+    if not ripple_db > 0:
         raise ValueError("ripple_db must be positive")
     beta = math.log(1.0 / math.tanh(ripple_db / 17.37))
     gamma = math.sinh(beta / (2.0 * n))

@@ -242,7 +242,8 @@ def sweep_pcl(
     Within a block of points, a mode angle bitwise equal to the one before
     it reuses that angle's sine and tangent: in ``ideal`` mode all sections
     and both modes share one angle, evaluated once per block. A span whose
-    angle at ``f_stop`` overflows is a ValueError.
+    angle at ``f_stop`` overflows is a ValueError, and so is a response
+    that overflows a double (a section impedance of 1e300 ohm, squared).
     """
     if mode not in ("ideal", "physical"):
         raise ValueError("mode must be 'ideal' or 'physical'")
@@ -276,14 +277,18 @@ def sweep_pcl(
     else:
         alphas = [(np.zeros_like(freqs),) * 2] * len(section_mps)
     s = np.empty((len(freqs), 2, 2), complex)
-    for lo in range(0, len(freqs), _BLOCK):
-        f = slice(lo, lo + _BLOCK)
-        last = [None, None]  # the block's last angle and its (sin, tan), see _sin_tan
-        sections = (
-            _section_twoport(mp, a_e[f], a_o[f], l, freqs[f], last)
-            for mp, l, (a_e, a_o) in zip(section_mps, lengths, alphas)
-        )
-        s[f] = abcd_to_s(cascade(sections), design.z0)
+    # an overflow leaves a non-finite S, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(freqs), _BLOCK):
+            f = slice(lo, lo + _BLOCK)
+            last = [None, None]  # the block's last angle and its (sin, tan), see _sin_tan
+            sections = (
+                _section_twoport(mp, a_e[f], a_o[f], l, freqs[f], last)
+                for mp, l, (a_e, a_o) in zip(section_mps, lengths, alphas)
+            )
+            s[f] = abcd_to_s(cascade(sections), design.z0)
+    if not np.isfinite(s).all():
+        raise ValueError("the sections' S-parameters overflow a double")
     return SParamResult(freqs, s, design.z0)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -218,6 +219,27 @@ class TestLayoutCommand:
                      "--out", str(out), "--arm-gap", "30.0"])
         assert code == 6
 
+    # a feed line outside the single-line model's range over 0.02 h to 40 h
+    # (4.26 ohm at 40 h = 64 mm on FR4) writes nothing, and neither does a
+    # comparison whose pcl layout fails after its ml layout is built
+    @pytest.mark.parametrize("argv, z0", [
+        (("--kind", "ml", "--compare"), 1000.0),
+        (("--kind", "pcl"), 2.0),
+    ], ids=["compare-feed-above-range", "feed-below-range"])
+    def test_feed_out_of_range_writes_nothing(self, argv, z0, tmp_path, design_path, capsys):
+        doc = json.loads(design_path.read_text())
+        doc["spec"]["z0_ohm"] = doc["coupling"]["z0_ohm"] = z0
+        design = tmp_path / "z0.json"
+        design.write_text(json.dumps(doc))
+        out = tmp_path / "bad.svg"
+        capsys.readouterr()
+        assert main(["layout", "--design", str(design), "--out", str(out), *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: synthesis failed: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_svg_deterministic(self, tmp_path, design_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         main(["layout", "--design", str(design_path), "--kind", "ml", "--out", str(a)])
@@ -386,6 +408,7 @@ def case(argv, edit, cause, code=7, **kwargs):
 
 class TestInvalidInput:
     LAYOUT = ("layout", "--kind", "ml", "--out", "{tmp}/bad.svg", "--design", "{design}")
+    LAYOUT_PCL = ("layout", "--kind", "pcl", "--out", "{tmp}/bad.svg", "--design", "{design}")
     SIMULATE = ("simulate", "--out-prefix", "{tmp}/bad")
     SYNTH = ("synth", "--config", "{bad}", "--out", "{tmp}/d.json")
     MATERIALS = ("materials", "list")
@@ -424,6 +447,18 @@ class TestInvalidInput:
         case(SIMULATE + ("--design", "{bad}", "--mode", "ml"),
              ("design", ("coupling", "z0_ohm"), 75.0), "z0_ohm",
              id="simulate-z0-mismatch"),
+        # a prototype error names its value, and a non-finite one exits 7 in
+        # every command, though only ml reads the g-values
+        case(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
+             ("design", ("prototype", "g", 1), "nan"), "prototype: g[1] must be finite",
+             id="simulate-g-nan"),
+        case(("layout", "--kind", "pcl", "--out", "{tmp}/bad.svg", "--design", "{bad}"),
+             ("design", ("prototype", "ripple_db"), "inf"),
+             "prototype: ripple_db must be finite", id="layout-ripple-inf"),
+        # a section impedance whose square overflows the cascade
+        case(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
+             ("design", ("coupling", "sections", 0, "z0e_ohm"), 1e300),
+             "S-parameters overflow a double", id="simulate-z0e-1e+300-ideal"),
         # a record error names the record by its JSON path
         case(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
              ("design", ("coupling", "sections", 2, "z0o_ohm"), 60.0),
@@ -499,6 +534,20 @@ class TestInvalidInput:
         case(LAYOUT + ("--planar-gap", "-1"), None, "planar_gap",
              id="layout-negative-gap"),
         case(LAYOUT + ("--overlap", "nan"), None, "overlap", id="layout-overlap-nan"),
+        # pcl reads no hairpin option, and checks each like ml
+        case(LAYOUT_PCL + ("--arm-gap", "-5"), None, "arm_gap", id="layout-pcl-arm-gap-negative"),
+        case(LAYOUT_PCL + ("--arm-gap", "inf"), None, "arm_gap", id="layout-pcl-arm-gap-inf"),
+        case(LAYOUT_PCL + ("--overlap", "nan"), None, "overlap", id="layout-pcl-overlap-nan"),
+        case(LAYOUT_PCL + ("--overlap", "-1"), None, "overlap", id="layout-pcl-overlap-negative"),
+        case(LAYOUT_PCL + ("--planar-gap", "-1"), None, "planar_gap",
+             id="layout-pcl-planar-gap-negative"),
+        case(LAYOUT_PCL + ("--planar-gap", "0"), None, "planar_gap",
+             id="layout-pcl-planar-gap-zero"),
+        case(LAYOUT_PCL + ("--arm-gap", "-5", "--overlap", "nan", "--planar-gap", "-1"), None,
+             "arm_gap", id="layout-pcl-all-three"),
+        # a comparison builds both layouts before it writes or prints anything
+        case(LAYOUT_PCL + ("--compare", "--arm-gap", "30"), None, "cannot fold", 6,
+             id="layout-pcl-compare-fold"),
         case(MATERIALS, ("materials", ("materials", 0, "tan_d"), DELETE),
              "missing key 'materials[0].tan_d'", id="materials-missing-key"),
         case(MATERIALS, ("materials", ("materials", 0, "eps_r"), None),
@@ -551,6 +600,79 @@ class TestInvalidInput:
         assert proc.stderr.startswith("error: invalid input: ")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "bad.svg").exists()
+
+
+# ROADMAP item 8's values: numbers across the double range, non-finite and
+# out-of-range spellings, and values of the wrong JSON type
+FIELD_VALUES = (0, -1, 1e-300, 1e300, 1e-30, 1e30, 1e-9, 1e9, 2.58, "nan", "inf", "-inf",
+                "1e400", 10**400, True, None, "x", [], {})
+NON_FINITE = ("nan", "inf", "-inf", "1e400")
+MAX_LINE = 120  # characters in a stdout line; the README quick start's longest is 99
+
+
+def _leaves(node, path=()):
+    """The paths of the scalar leaves of a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+class TestEveryInputField:
+    """Each scalar leaf of the reference design.json (bar its provenance), and
+    spec.z0_ohm with coupling.z0_ohm as one, takes a seeded sample of
+    FIELD_VALUES through the sweeps and layouts: every run ends in a result
+    or in one typed error line, and writes nothing when it fails."""
+
+    COMMANDS = (
+        ("simulate", "--mode", "ideal", "--out-prefix", "run"),
+        ("simulate", "--mode", "physical", "--lossy", "--out-prefix", "run"),
+        ("simulate", "--mode", "ml", "--lossy", "--out-prefix", "run"),
+        ("layout", "--kind", "pcl", "--out", "run.svg"),
+        ("layout", "--kind", "ml", "--compare", "--out", "run.svg"),
+    )
+    PER_INPUT = 7  # values drawn for each input, each run through every command
+
+    def test_result_or_one_error_line(self, tmp_path, design_path, monkeypatch, capsys):
+        reference = json.loads(design_path.read_text())
+        inputs = [(path,) for path in _leaves(reference) if path[0] != "provenance"]
+        inputs.append((("spec", "z0_ohm"), ("coupling", "z0_ohm")))
+        rng = random.Random(8)
+        cases = [(paths, value) for paths in inputs
+                 for value in rng.sample(FIELD_VALUES, self.PER_INPUT)]
+        # whatever the sample: a non-finite g-value, which only ml reads, and
+        # a feed above the range, found after the ml layout is built
+        cases += [((("prototype", "g", 1),), "nan"), (inputs[-1], 1e9)]
+        documented = {0, *(code for _, code, _ in EXIT_CODES)}
+        monkeypatch.chdir(tmp_path)
+        problems = []
+        for paths, value in cases:
+            doc = reference
+            for path in paths:
+                doc = _edited(doc, path, value)
+            Path("bad.json").write_text(json.dumps(doc))
+            for command in self.COMMANDS:
+                where = f"{'+'.join(map(str, paths))} = {value!r}, {' '.join(command)}"
+                code = main([*command, "--design", "bad.json"])
+                out, err = capsys.readouterr()
+                written = [p.name for p in Path().iterdir() if p.stem == "run"]
+                for name in written:
+                    Path(name).unlink()
+                if code not in documented:
+                    problems.append(f"{where}: exit {code} is undocumented")
+                elif code:
+                    errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+                    if out or written or len(errors) != 1 or not errors[0].startswith("error: "):
+                        problems.append(f"{where}: exit {code} printed {out!r} and {err!r}, "
+                                        f"wrote {written}")
+                elif value in NON_FINITE and paths != (("substrate",),):
+                    problems.append(f"{where}: a non-finite value exits 0")
+                elif re.search(r"\b(nan|inf)\b", out, re.IGNORECASE):
+                    problems.append(f"{where}: exit 0 printed {out!r}")
+                elif max(map(len, out.splitlines())) > MAX_LINE:
+                    problems.append(f"{where}: exit 0 printed a line over {MAX_LINE} characters")
+        assert not problems, "\n".join(problems)
 
 
 def test_readme_lists_every_exit_code():

@@ -61,6 +61,14 @@ class TestEvenOddImpedances:
     def test_uncoupled_degenerates(self):
         assert even_odd_impedances(0.0, 50.0) == (50.0, 50.0)
 
+    @pytest.mark.parametrize("j, z0, message", [
+        (math.nan, 50.0, "j_over_y0 must be non-negative"),
+        (0.1, math.nan, "z0 must be positive"),
+    ])
+    def test_nan_is_rejected(self, j, z0, message):
+        with pytest.raises(ValueError, match=message):
+            even_odd_impedances(j, z0)
+
     def test_weak_section(self):
         z0e, z0o = even_odd_impedances(0.0628, 50.0)
         assert z0e == pytest.approx(53.34, abs=0.02)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mwbpf.layout import (
     FilterLayout,
     FoldTooTight,
+    Hairpin,
     LayoutElement,
     Port,
     Stackup,
@@ -45,31 +47,32 @@ def _ml_layout(design, fr4, arm_gap=4.0, overlap=1.0, planar_gap=1.0):
 
 
 class TestPclLayout:
-    def test_published_fr4_dims_bounding_box(self):
-        lay = pcl_layout(_dims(TABLE2_FR4), feed_width=3.1)
+    def test_published_fr4_dims_bounding_box(self, fr4):
+        lay = pcl_layout(_dims(TABLE2_FR4), feed_width=3.1, stackup=single_layer_stackup(fr4))
         assert lay.bounds[0] == pytest.approx(PCL_FR4_SIZE[0], rel=0.15)
         assert lay.bounds[1] == pytest.approx(PCL_FR4_SIZE[1], rel=0.15)
 
-    def test_single_section_arithmetic(self):
+    def test_single_section_arithmetic(self, fr4):
         d = CoupledSectionDims(w=2.0, s=0.5, l=16.0)
-        lay = pcl_layout([d], feed_width=1.5)
+        lay = pcl_layout([d], feed_width=1.5, stackup=single_layer_stackup(fr4))
         assert lay.bounds[0] == pytest.approx(16.0 + 2.0)
         assert lay.bounds[1] == pytest.approx(2 * 2.0 + 0.5)
 
-    def test_ro3003_is_longer_than_fr4(self):
+    def test_ro3003_is_longer_than_fr4(self, fr4, ro3003):
         # lower permittivity means longer resonators, hence a longer board
-        fr4 = pcl_layout(_dims(TABLE2_FR4), feed_width=3.1)
-        ro = pcl_layout(_dims(TABLE3_RO3003), feed_width=1.9)
-        assert ro.bounds[0] > fr4.bounds[0]
+        on_fr4 = pcl_layout(_dims(TABLE2_FR4), feed_width=3.1, stackup=single_layer_stackup(fr4))
+        on_ro = pcl_layout(_dims(TABLE3_RO3003), feed_width=1.9,
+                           stackup=single_layer_stackup(ro3003))
+        assert on_ro.bounds[0] > on_fr4.bounds[0]
 
-    def test_ports_at_either_end(self):
-        lay = pcl_layout(_dims(TABLE2_FR4), feed_width=3.1)
+    def test_ports_at_either_end(self, fr4):
+        lay = pcl_layout(_dims(TABLE2_FR4), feed_width=3.1, stackup=single_layer_stackup(fr4))
         p1, p2 = lay.ports
         assert p1.x == pytest.approx(0.0)
         assert p2.x == pytest.approx(lay.bounds[0])
 
-    def test_bounds_are_exact_vertex_extrema(self):
-        lay = pcl_layout(_dims(TABLE2_FR4), feed_width=3.1)
+    def test_bounds_are_exact_vertex_extrema(self, fr4):
+        lay = pcl_layout(_dims(TABLE2_FR4), feed_width=3.1, stackup=single_layer_stackup(fr4))
         xs = [x for el in lay.elements for x, _ in el.polygon]
         ys = [y for el in lay.elements for _, y in el.polygon]
         assert min(xs) == pytest.approx(0.0, abs=1e-12)
@@ -83,6 +86,15 @@ class TestHairpinFold:
         hp = hairpin_fold(32.1, 2.0, 3.3)
         assert hp.arm_length == pytest.approx(13.4, abs=0.01)
         assert hp.centerline_length() == pytest.approx(32.1, abs=1e-6)
+
+    def test_shape_derives_from_three_dimensions(self):
+        hp = hairpin_fold(32.1, 2.0, 3.3)
+        assert [f.name for f in dataclasses.fields(hp)] == ["w", "arm_gap", "arm_length"]
+        assert Hairpin(w=3.3, arm_gap=2.0, arm_length=hp.arm_length) == hp
+        xs, ys = zip(*hp.outline)
+        assert (max(xs), max(ys)) == (hp.width, hp.height)
+        assert [r[2:] for r in hp.rects] == [(3.3, hp.height), (hp.width, hp.height),
+                                             (hp.width, 3.3)]
 
     def test_too_tight(self):
         with pytest.raises(FoldTooTight):
@@ -139,7 +151,7 @@ class TestMlHairpinLayout:
     def test_smaller_than_edge_coupled(self, fr4_design, ro3003_design, fr4, ro3003):
         for design, sub in ((fr4_design, fr4), (ro3003_design, ro3003)):
             ml = _ml_layout(design, sub)
-            pcl = pcl_layout(design.dims, feed_width=3.0)
+            pcl = pcl_layout(design.dims, feed_width=3.0, stackup=single_layer_stackup(sub))
             assert ml.area() < pcl.area()
 
     def test_ports_on_top_layer_edge(self, fr4_design, fr4):
@@ -184,38 +196,41 @@ class TestStackup:
 
 
 class TestLayoutValidation:
-    def test_same_layer_overlap_rejected(self):
+    def test_same_layer_overlap_rejected(self, fr4):
         el1 = LayoutElement(0, ((0, 0), (2, 0), (2, 1), (0, 1)), ((0.0, 0.0, 2.0, 1.0),))
         el2 = LayoutElement(0, ((1, 0), (3, 0), (3, 1), (1, 1)), ((1.0, 0.0, 3.0, 1.0),))
         with pytest.raises(ValueError, match="overlapping"):
             FilterLayout(
                 elements=(el1, el2),
                 ports=(Port("P1", 0, 0), Port("P2", 3, 1)),
+                stackup=single_layer_stackup(fr4),
             )
 
-    def test_different_layer_overlap_allowed(self):
+    def test_different_layer_overlap_allowed(self, fr4):
         el1 = LayoutElement(0, ((0, 0), (2, 0), (2, 1), (0, 1)), ((0.0, 0.0, 2.0, 1.0),))
         el2 = LayoutElement(1, ((1, 0), (3, 0), (3, 1), (1, 1)), ((1.0, 0.0, 3.0, 1.0),))
         lay = FilterLayout(
             elements=(el1, el2),
             ports=(Port("P1", 0, 0), Port("P2", 3, 1)),
+            stackup=single_layer_stackup(fr4),
         )
         assert lay.area() == pytest.approx(3.0)
 
-    def test_moved_to_origin_with_derived_bounds(self):
+    def test_moved_to_origin_with_derived_bounds(self, fr4):
         el1 = LayoutElement(0, ((5, -2), (7, -2), (7, 1), (5, 1)), ((5.0, -2.0, 7.0, 1.0),))
         el2 = LayoutElement(1, ((4, 0), (6, 0), (6, 3), (4, 3)), ((4.0, 0.0, 6.0, 3.0),))
-        lay = FilterLayout(elements=(el1, el2), ports=(Port("P1", 4, 0), Port("P2", 7, 1)))
+        lay = FilterLayout(elements=(el1, el2), ports=(Port("P1", 4, 0), Port("P2", 7, 1)),
+                           stackup=single_layer_stackup(fr4))
         assert lay.bounds == (3, 5)
         assert lay.elements[0].polygon == ((1, 0), (3, 0), (3, 3), (1, 3))
         assert lay.elements[0].rects == ((1.0, 0.0, 3.0, 3.0),)
         assert lay.elements[1].polygon == ((0, 2), (2, 2), (2, 5), (0, 5))
         assert [(p.x, p.y) for p in lay.ports] == [(0, 2), (3, 3)]
 
-    def test_overflowing_extent_rejected(self):
+    def test_overflowing_extent_rejected(self, fr4):
         huge = CoupledSectionDims(w=2.0, s=0.5, l=1e308)
         with pytest.raises(ValueError, match="finite"):
-            pcl_layout([huge, huge], feed_width=1.5)
+            pcl_layout([huge, huge], feed_width=1.5, stackup=single_layer_stackup(fr4))
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -285,10 +300,11 @@ class TestLayoutProperties:
 
 
 class TestSvgExport:
-    def test_empty_layout(self):
+    def test_empty_layout(self, fr4):
         lay = FilterLayout(
             elements=(),
             ports=(Port("P1", 0, 0), Port("P2", 1, 1)),
+            stackup=single_layer_stackup(fr4),
         )
         svg = export_svg(lay)
         assert svg.startswith("<?xml")

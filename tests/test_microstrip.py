@@ -58,6 +58,15 @@ def oracle_single_width(z0_target, sub):
     return math.sqrt(lo * hi)
 
 
+def oracle_single_width_in_range(z0_target, sub):
+    # synthesize_single_width refuses a target below z0 at the widest width,
+    # where the bisection, kept as the Newton seed, gives that width
+    w = oracle_single_width(z0_target, sub)
+    if analyze_single(WIDTH_RANGE_H[1] * sub.h, sub)[0] > z0_target:
+        raise CouplingUnreachable(f"{z0_target} ohm is below the model range")
+    return w
+
+
 def oracle_modes_or_none(w, s, sub):
     try:
         mp = analyze_coupled(w, s, sub)
@@ -184,8 +193,8 @@ class TestAnalyzeSingle:
             w = synthesize_single_width(z_target, fr4)
             assert analyze_single(w, fr4)[0] == pytest.approx(z_target, rel=1e-9)
 
-    # air and dielectric boards, and targets from beyond the widest strip
-    # (a root pinned at the 40 h edge) to above the narrowest (unreachable)
+    # air and dielectric boards, and targets from below z0 at the widest
+    # strip to above z0 at the narrowest, both unreachable
     @settings(max_examples=300, deadline=None)
     @given(
         eps_r=st.one_of(st.just(1.0), st.floats(1.0, 12.0)),
@@ -196,8 +205,14 @@ class TestAnalyzeSingle:
         sub = Substrate(name="x", eps_r=eps_r, tan_d=0.0, h=h)
         target = math.exp(ln_target)
         assert outcome(synthesize_single_width, target, sub) == outcome(
-            oracle_single_width, target, sub
+            oracle_single_width_in_range, target, sub
         )
+
+    def test_width_synthesis_below_the_range(self, fr4):
+        # z0 at the widest searched strip, 40 h = 64 mm, is 4.26 ohm on FR4
+        assert analyze_single(WIDTH_RANGE_H[1] * fr4.h, fr4)[0] == pytest.approx(4.26, abs=0.01)
+        with pytest.raises(CouplingUnreachable, match="2.0 ohm is below the model range"):
+            synthesize_single_width(2.0, fr4)
 
     @pytest.mark.parametrize("lost", ["both", "lower", "upper"])
     def test_width_synthesis_without_a_certified_end(self, fr4, monkeypatch, lost):
@@ -205,8 +220,8 @@ class TestAnalyzeSingle:
         # more model calls, the same width
         real = mwbpf.microstrip._certified_bracket
 
-        def failed(z0_target, sub, lo, z_lo, hi):
-            a, b = real(z0_target, sub, lo, z_lo, hi)
+        def failed(z0_target, sub, lo, z_lo, hi, z_hi):
+            a, b = real(z0_target, sub, lo, z_lo, hi, z_hi)
             return (lo if lost != "upper" else a), (hi if lost != "lower" else b)
 
         targets = (12.0, 50.0, 140.0)

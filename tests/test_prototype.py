@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,38 @@ class TestGValues:
             g_values(3, -1.0)
         with pytest.raises(ValueError):
             ChebyshevPrototype(n=2, ripple_db=0.1, g=(1.0, 0.5))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["ripple_db", "g[1]", "g[5]"])
+    def test_prototype_rejects_non_finite(self, field, value):
+        ripple_db, g = 0.01, list(G_VALUES_REF)
+        if field == "ripple_db":
+            ripple_db = value
+        else:
+            g[int(field[2])] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite")):
+            ChebyshevPrototype(n=4, ripple_db=ripple_db, g=tuple(g))
+
+    def test_prototype_rejects_order_below_one(self):
+        # an empty g with n = -2 has its n + 2 entries, and no g0 to check
+        with pytest.raises(ValueError, match="order n must be at least 1"):
+            ChebyshevPrototype(n=-2, ripple_db=0.1, g=())
+
+
+class TestNanArguments:
+    # each guard is written so that NaN fails it, with the message of a
+    # non-positive value
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ripple_height(math.nan), "ripple_db must be positive"),
+        (lambda: attenuation_height(math.nan, 0.1), "stop_atten_db must be positive"),
+        (lambda: attenuation_height(25.0, math.nan), "ripple height must be positive"),
+        (lambda: bandpass_to_lowpass(math.nan, 2.58, 0.05), "frequency must be positive"),
+        (lambda: g_values(4, math.nan), "ripple_db must be positive"),
+    ], ids=["ripple_height", "attenuation_height", "attenuation_height_ripple",
+            "bandpass_to_lowpass", "g_values"])
+    def test_nan_is_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestTransferComposition:

@@ -382,6 +382,16 @@ class TestSweepRange:
             sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 1e6, 11),
                       mode="physical", dims=fr4_design.dims, substrate=fr4, lossy=True)
 
+    def test_overflowing_cascade_is_rejected(self, fr4_design):
+        # z0e squared overflows a double in each section's chain matrix; the
+        # overflow is a ValueError, not a RuntimeWarning and a NaN response
+        sections = list(fr4_design.coupling.sections)
+        sections[0] = CouplingSection(j_over_y0=sections[0].j_over_y0, z0e=1e300,
+                                      z0o=sections[0].z0o)
+        design = CouplingDesign(z0=50.0, sections=tuple(sections))
+        with pytest.raises(ValueError, match="S-parameters overflow a double"):
+            sweep_pcl(design, fr4_design.spec.f0, SWEEP)
+
 
 def _recorded(fn):
     with warnings.catch_warnings(record=True) as rec:
