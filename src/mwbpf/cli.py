@@ -19,7 +19,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .materials import UnknownMaterial, default_registry, expect_json, read_record
+from .materials import UnknownMaterial, default_registry, read_record
 from .microstrip import CouplingUnreachable, NoConvergence
 
 CONFIG_HELP = """\
@@ -58,12 +58,11 @@ EXIT_CODES = (
 
 def _load_spec_config(path: str):
     """The ``FilterSpec`` and the substrate name of a config file."""
-    from .design import SPEC_KEYS
+    from .design import SPEC_KEYS, ConfigFile
     from .prototype import FilterSpec
 
-    data = expect_json(json.loads(Path(path).read_text()), dict, "config")
-    spec = read_record(FilterSpec, data["spec"], "spec", SPEC_KEYS)
-    return spec, expect_json(data["substrate"], str, "substrate")
+    config = read_record(ConfigFile, json.loads(Path(path).read_text()), "")
+    return read_record(FilterSpec, config.spec, "spec", SPEC_KEYS), config.substrate
 
 
 def _given(args, *names) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, make_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -23,9 +23,8 @@ from .coupling import (
     coupling_coefficients,
     design_coupling,
 )
-from .materials import expect_json, read_record
+from .materials import read_record
 from .microstrip import (
-    C0,
     CoupledSectionDims,
     Substrate,
     analyze_coupled,
@@ -55,6 +54,15 @@ SPEC_KEYS = (
     ("z0", "z0_ohm"),
 )
 SECTION_KEYS = (("j_over_y0", "j_over_y0"), ("z0e", "z0e_ohm"), ("z0o", "z0o_ohm"))
+# the objects that enclose the records of a config file and of a design
+# file, read like them; a file's top level is named by its class name
+ConfigFile = make_dataclass("config", [("spec", "dict"), ("substrate", "str")])
+_DesignFile = make_dataclass("design document", [
+    ("spec", "dict"), ("prototype", "dict"), ("coupling", "dict"),
+    ("dims_mm", "list"), ("substrate", "str"), ("provenance", "dict"),
+])
+_Coupling = make_dataclass("coupling", [("z0_ohm", "float"), ("sections", "list")])
+_Provenance = make_dataclass("provenance", [("tool", "str"), ("created", "str")])
 
 
 @dataclass(frozen=True)
@@ -130,14 +138,14 @@ def simulate(
     model; with ``lossy`` its unloaded Q comes from the mean over sections of
     the mode-average effective permittivity. The modes that read the
     dimensions (``physical``, and lossy ``ml``) read them through
-    ``analyze_dims``, which runs the validity step.
+    ``analyze_dims``, which bounds their lengths and runs the validity step.
     """
     from .rfsim import sweep_coupling_matrix, sweep_pcl
 
     if mode == "ml":
         qu = math.inf
         if lossy:
-            mps = analyze_dims(doc.dims, substrate)
+            mps = analyze_dims(doc.dims, substrate, doc.spec.f0)
             eps = sum((mp.eps_eff_e + mp.eps_eff_o) / 2.0 for mp in mps) / len(mps)
             qu = unloaded_q(substrate, eps, doc.spec.f0)
         model = coupling_coefficients(doc.prototype, doc.spec.fbw(), doc.spec.f0, qu=qu)
@@ -161,9 +169,8 @@ def design_layout(
     resonator folded from its two quarter-wave sections at their mean width.
     The hairpin geometry (``arm_gap``, ``overlap``, ``planar_gap``) is in mm;
     both kinds check its range, and ``pcl`` does not read it. Both kinds
-    check the dimensions they read with ``analyze_dims``, and refuse a
-    section longer than the free-space wavelength at f0, four times the
-    longest quarter-wave section, since eps_eff >= 1.
+    read the dimensions through ``analyze_dims``, as the sweeps do, so a
+    section longer than the free-space wavelength at f0 is refused alike.
     """
     from .layout import (
         FoldTooTight,
@@ -182,14 +189,7 @@ def design_layout(
         raise ValueError("overlap must be non-negative and finite")
     if not 0 < planar_gap < math.inf:
         raise ValueError("planar_gap must be positive and finite")
-    wavelength = C0 / (doc.spec.f0 * 1e9) * 1e3
-    for i, d in enumerate(doc.dims):
-        if d.l > wavelength:
-            raise ValueError(
-                f"dims_mm[{i}].l = {d.l:g} mm is longer than the free-space "
-                f"wavelength {wavelength:g} mm at f0"
-            )
-    analyze_dims(doc.dims, substrate)
+    analyze_dims(doc.dims, substrate, doc.spec.f0)
     if kind == "pcl":
         feed_w = synthesize_single_width(doc.spec.z0, substrate)
         return pcl_layout(
@@ -213,11 +213,7 @@ def design_layout(
 def to_dict(doc: DesignDocument) -> dict:
     return {
         "spec": {key: getattr(doc.spec, field) for field, key in SPEC_KEYS},
-        "prototype": {
-            "n": doc.prototype.n,
-            "ripple_db": doc.prototype.ripple_db,
-            "g": list(doc.prototype.g),
-        },
+        "prototype": asdict(doc.prototype),
         "coupling": {
             "z0_ohm": doc.coupling.z0,
             "sections": [
@@ -232,39 +228,26 @@ def to_dict(doc: DesignDocument) -> dict:
 
 
 def from_dict(data) -> DesignDocument:
-    """The design document of ``to_dict``'s JSON form, its types checked."""
-    data = expect_json(data, dict, "design document")
-    proto = expect_json(data["prototype"], dict, "prototype")
-    coupling = expect_json(data["coupling"], dict, "coupling")
-    provenance = expect_json(data["provenance"], dict, "provenance")
-
-    g = expect_json(proto["g"], list, "prototype.g")
-    sections = expect_json(coupling["sections"], list, "coupling.sections")
-    dims = expect_json(data["dims_mm"], list, "dims_mm")
-    spec = read_record(FilterSpec, data["spec"], "spec", SPEC_KEYS)
-    n = expect_json(proto["n"], int, "prototype.n")
-    ripple_db = expect_json(proto["ripple_db"], float, "prototype.ripple_db")
-    g = tuple(expect_json(v, float, f"prototype.g[{i}]") for i, v in enumerate(g))
-    try:
-        prototype = ChebyshevPrototype(n=n, ripple_db=ripple_db, g=g)
-    except ValueError as exc:
-        raise ValueError(f"prototype: {exc}") from None
+    """The design document of ``to_dict``'s JSON form, read by ``read_record``."""
+    top = read_record(_DesignFile, data, "")
+    coupling = read_record(_Coupling, top.coupling, "coupling")
+    provenance = read_record(_Provenance, top.provenance, "provenance")
     return DesignDocument(
-        spec=spec,
-        prototype=prototype,
+        spec=read_record(FilterSpec, top.spec, "spec", SPEC_KEYS),
+        prototype=read_record(ChebyshevPrototype, top.prototype, "prototype"),
         coupling=CouplingDesign(
-            z0=expect_json(coupling["z0_ohm"], float, "coupling.z0_ohm"),
+            z0=coupling.z0_ohm,
             sections=tuple(
                 read_record(CouplingSection, s, f"coupling.sections[{i}]", SECTION_KEYS)
-                for i, s in enumerate(sections)
+                for i, s in enumerate(coupling.sections)
             ),
         ),
         dims=tuple(
-            read_record(CoupledSectionDims, d, f"dims_mm[{i}]") for i, d in enumerate(dims)
+            read_record(CoupledSectionDims, d, f"dims_mm[{i}]") for i, d in enumerate(top.dims_mm)
         ),
-        substrate=expect_json(data["substrate"], str, "substrate"),
-        tool=expect_json(provenance["tool"], str, "provenance.tool"),
-        created=expect_json(provenance["created"], str, "provenance.created"),
+        substrate=top.substrate,
+        tool=provenance.tool,
+        created=provenance.created,
     )
 
 

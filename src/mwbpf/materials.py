@@ -38,7 +38,8 @@ def expect_json(value, kind: type, where: str):
     """``value`` read from JSON at ``where``, checked to be a ``kind``.
 
     ``float`` accepts whatever ``float()`` takes and returns the float; the
-    other kinds are JSON types and the value is returned as is. A ``str``
+    other kinds are JSON types and the value is returned as is (a ``list``
+    may be a tuple, which json.dumps writes as an array too). A ``str``
     must be one line of printable ASCII, since a name or a timestamp is
     written into the artifacts. A mismatch is a ValueError naming ``where``.
     """
@@ -47,46 +48,56 @@ def expect_json(value, kind: type, where: str):
             return float(value)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{where} must be a number, got {value!r}") from None
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, (list, tuple) if kind is list else kind) or isinstance(value, bool):
         raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
     if kind is str and not (value.isascii() and value.isprintable()):
         raise ValueError(f"{where} must be one line of printable ASCII, got {value!a}")
     return value
 
 
-def expect_keys(obj: dict, keys, where: str) -> dict:
-    """``obj``, checked to hold no key outside ``keys``: a misspelled optional
-    key would otherwise leave its default in place. An unknown key is a
-    ValueError naming it."""
-    for key in obj:
-        if key not in keys:
-            raise ValueError(f"{where}.{key} is not a known key")
-    return obj
+# a field's annotation -> the JSON type it is read as; any other is a number
+_KINDS = {"str": str, "int": int, "dict": dict, "list": list, "tuple[float, ...]": tuple}
 
 
 def read_record(cls, block, where: str, keys=()):
-    """The ``cls`` dataclass of the JSON object ``block`` at ``where``.
+    """The ``cls`` dataclass of the JSON object ``block`` at the JSON path
+    ``where``: "" for a file's top level, which ``cls``'s name labels.
 
-    ``keys`` pairs each field with its JSON key, in file order (default: the
-    field names). An unknown key is a ValueError. An absent key takes the
-    field's default, or is a KeyError naming ``<where>.<key>``. A field
-    annotated ``str`` is read as a string, any other as a number. A
-    ValueError of ``cls`` is raised again as ``<where>: <message>``.
+    The one reader of every object of the config, design and materials
+    files. ``keys`` pairs each field with its JSON key (default: the field
+    names). An unknown key is a ValueError. An absent key takes the field's
+    default, or is a KeyError naming its path. A field's annotation gives
+    its JSON type (see ``_KINDS``); ``tuple[float, ...]`` is an array of
+    numbers. A ValueError of ``cls`` is raised again as ``<where>: <message>``.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    keys = keys or [(name, name) for name in fields]
-    block = expect_keys(expect_json(block, dict, where), [key for _, key in keys], where)
+    keys = dict(keys or [(name, name) for name in fields])
+    block = expect_json(block, dict, where or cls.__name__)
+    prefix = f"{where}." if where else ""
+    for key in block:
+        if key not in keys.values():  # a misspelled optional key, say
+            raise ValueError(f"{prefix}{key} is not a known key")
     values = {}
-    for name, key in keys:
-        if key in block:
-            kind = str if fields[name].type in (str, "str") else float
-            values[name] = expect_json(block[key], kind, f"{where}.{key}")
-        elif fields[name].default is dataclasses.MISSING:
-            raise KeyError(f"{where}.{key}")
+    for name, key in keys.items():
+        path, kind = prefix + key, _KINDS.get(fields[name].type, float)
+        if key not in block:
+            if fields[name].default is dataclasses.MISSING:
+                raise KeyError(path)
+        elif kind is tuple:
+            items = enumerate(expect_json(block[key], list, path))
+            values[name] = tuple(expect_json(v, float, f"{path}[{i}]") for i, v in items)
+        else:
+            values[name] = expect_json(block[key], kind, path)
     try:
         return cls(**values)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+# the top level of a materials file
+_MaterialsFile = dataclasses.make_dataclass(
+    "materials file", [("materials", "list", dataclasses.field(default=()))]
+)
 
 
 class MaterialsRegistry:
@@ -113,11 +124,10 @@ class MaterialsRegistry:
 
     def merged_with_file(self, path: str | Path) -> "MaterialsRegistry":
         """New registry with user entries layered over (and shadowing) built-ins."""
-        data = expect_json(json.loads(Path(path).read_text()), dict, "materials file")
-        expect_keys(data, ("materials",), "materials file")
+        data = read_record(_MaterialsFile, json.loads(Path(path).read_text()), "")
         user = [
             read_record(Substrate, entry, f"materials[{i}]")
-            for i, entry in enumerate(expect_json(data.get("materials", []), list, "materials"))
+            for i, entry in enumerate(data.materials)
         ]
         # later keys shadow earlier ones, so user entries win
         return MaterialsRegistry((*self._by_key.values(), *user))

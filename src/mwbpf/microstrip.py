@@ -255,11 +255,18 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
 
 
-def analyze_dims(dims, sub: Substrate) -> list[ModeParams]:
-    """``analyze_coupled``, then the validity step ``check_fit_range``, of each
-    section; an error names it as ``dims_mm[i]``."""
+def analyze_dims(dims, sub: Substrate, f0: float) -> list[ModeParams]:
+    """``analyze_coupled`` and the validity step ``check_fit_range`` of each
+    section, an error naming it as ``dims_mm[i]``. No model reads a length, so
+    one above the free-space wavelength at ``f0`` GHz (eps_eff >= 1) is refused."""
+    if not f0 > 0:
+        raise ValueError("f0 must be positive")
+    wavelength = C0 / (f0 * 1e9) * 1e3
     mps = []
     for i, d in enumerate(dims):
+        if d.l > wavelength:
+            raise ValueError(f"dims_mm[{i}].l = {d.l:g} mm is longer than the free-space "
+                             f"wavelength {wavelength:g} mm at f0")
         try:
             mps.append(analyze_coupled(d.w, d.s, sub))
         except ValueError as exc:

@@ -24,8 +24,8 @@ class FilterSpec:
     """User intent for a bandpass filter.
 
     Frequencies are in GHz, ripple/attenuation in dB, impedance in ohms.
-    ``f0`` defaults to the geometric mean of the band edges but may be
-    pinned explicitly (e.g. to quote a round mid-band number). Construction
+    ``f0`` left out (``None``) is the geometric mean of the band edges; it
+    may be pinned explicitly (e.g. to quote a round mid-band number). Construction
     checks form only; ``required_order`` decides satisfiability.
     """
 
@@ -35,12 +35,10 @@ class FilterSpec:
     stop_freq: float
     stop_atten_db: float
     z0: float = 50.0
-    f0: float = 0.0
+    f0: float | None = None
 
     def __post_init__(self):
-        for name in (
-            "f_lower", "f_upper", "ripple_db", "stop_freq", "stop_atten_db", "z0", "f0"
-        ):
+        for name in ("f_lower", "f_upper", "ripple_db", "stop_freq", "stop_atten_db", "z0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not (0 < self.f_lower < self.f_upper):
@@ -48,7 +46,7 @@ class FilterSpec:
         for name in ("ripple_db", "stop_freq", "stop_atten_db", "z0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.f0 == 0.0:
+        if self.f0 is None:
             object.__setattr__(self, "f0", math.sqrt(self.f_lower * self.f_upper))
         if not (self.f_lower < self.f0 < self.f_upper):
             raise ValueError("f0 must lie inside the passband")
@@ -73,6 +71,8 @@ class ChebyshevPrototype:
             raise ValueError("order n must be at least 1")
         if not math.isfinite(self.ripple_db):
             raise ValueError("ripple_db must be finite")
+        if not self.ripple_db > 0:
+            raise ValueError("ripple_db must be positive")
         if len(self.g) != self.n + 2:
             raise ValueError("g must have n+2 entries")
         for k, gk in enumerate(self.g):

@@ -236,8 +236,8 @@ def sweep_pcl(
     mode velocities (every section a quarter wave at f0); it ignores
     ``dims`` and ``substrate`` and is lossless, so ``lossy`` is a
     ValueError there. ``physical`` mode derives per-mode parameters from the
-    dimensions (``analyze_dims``, which warns); with ``lossy`` it attaches
-    the substrate's dielectric attenuation per frequency.
+    dimensions (``analyze_dims``, which bounds their lengths and warns); with
+    ``lossy`` it attaches the substrate's dielectric attenuation per frequency.
 
     Within a block of points, a mode angle bitwise equal to the one before
     it reuses that angle's sine and tangent: in ``ideal`` mode all sections
@@ -252,7 +252,7 @@ def sweep_pcl(
             raise ValueError("physical mode needs dims and a substrate")
         if len(dims) != len(design.sections):
             raise ValueError("dims count must match the section count")
-        section_mps = analyze_dims(dims, substrate)
+        section_mps = analyze_dims(dims, substrate, f0)
         lengths = [d.l for d in dims]
     else:
         if lossy:

@@ -406,6 +406,41 @@ def case(argv, edit, cause, code=7, **kwargs):
     return pytest.param(argv, edit, cause, code, **kwargs)
 
 
+def _json_path(path):
+    """``("coupling", "sections", 1, "z0o_ohm")`` as ``coupling.sections[1].z0o_ohm``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+# each object of the three files: the command that reads it, the file, the
+# object's JSON path and one of its required keys (a materials file may
+# leave out its one top-level key)
+FILE_OBJECTS = [
+    (("synth", "--config", "{bad}", "--out", "{tmp}/d.json"), "config", path, required)
+    for path, required in (((), "substrate"), (("spec",), "f_lower_ghz"))
+] + [
+    (("simulate", "--out-prefix", "{tmp}/bad", "--design", "{bad}"), "design", path, required)
+    for path, required in (
+        ((), "prototype"), (("spec",), "ripple_db"), (("prototype",), "g"),
+        (("coupling",), "z0_ohm"), (("coupling", "sections", 1), "z0o_ohm"),
+        (("dims_mm", 2), "w"), (("provenance",), "tool"),
+    )
+] + [
+    (("materials", "list"), "materials", path, required)
+    for path, required in (((), None), (("materials", 0), "h"))
+]
+# an unknown key in each, and each required key left out, named by its path
+KEY_CASES = [
+    case(argv, (base, (*path, key), value), message.format(_json_path((*path, key))),
+         id=f"{base}-{_json_path(path) or 'top'}-{kind}")
+    for argv, base, path, required in FILE_OBJECTS
+    for kind, key, value, message in (
+        ("unknown-key", "extra", 1, "{} is not a known key"),
+        ("missing-key", required, DELETE, "missing key '{}'"),
+    )
+    if key is not None
+]
+
+
 class TestInvalidInput:
     LAYOUT = ("layout", "--kind", "ml", "--out", "{tmp}/bad.svg", "--design", "{design}")
     LAYOUT_PCL = ("layout", "--kind", "pcl", "--out", "{tmp}/bad.svg", "--design", "{design}")
@@ -571,7 +606,19 @@ class TestInvalidInput:
         # a misspelled top-level key would leave the built-in FR4 in place
         case(MATERIALS, ("materials", (), {"material": [
                  {"name": "FR4", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}]}),
-             "materials file.material", id="materials-misspelled-top-key"),
+             "material is not a known key", id="materials-misspelled-top-key"),
+        *KEY_CASES,
+        # a prototype states a positive ripple, though only synthesis reads it
+        *[case(argv + ("--design", "{bad}"), ("design", ("prototype", "ripple_db"), -1),
+               "prototype: ripple_db must be positive", id=f"ripple-db-negative-{argv[0]}-{argv[2]}")
+          for argv in (("simulate", "--mode", "physical", "--out-prefix", "{tmp}/bad"),
+                       ("simulate", "--mode", "ml", "--out-prefix", "{tmp}/bad"),
+                       ("layout", "--kind", "pcl", "--out", "{tmp}/bad.svg"))],
+        # an explicit f0 of 0 is not the left-out f0
+        *[case(argv, (base, ("spec", "f0_ghz"), value), "spec: f0 must lie inside the passband",
+               id=f"{base}-f0-{json.dumps(value)}")
+          for argv, base in ((SYNTH, "config"), (SIMULATE + ("--design", "{bad}"), "design"))
+          for value in (0, -0.0, "0")],
     ])
     def test_exit_code(self, argv, edit, cause, code, tmp_path, config_path, design_path,
                        monkeypatch, capsys):
@@ -592,6 +639,30 @@ class TestInvalidInput:
         assert cause in captured.err
         assert captured.err.count("\n") == 1
         assert not [p.name for p in tmp_path.iterdir() if p.suffix in (".s2p", ".csv", ".svg")]
+
+    def test_length_bound_in_every_reader_of_the_dimensions(self, tmp_path, design_path,
+                                                             capsys):
+        doc = _edited(json.loads(design_path.read_text()), ("dims_mm", 1, "l"), 1e9)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        errors = []
+        for argv in (("simulate", "--mode", "physical", "--lossy", "--out-prefix", "run"),
+                     ("simulate", "--mode", "ml", "--lossy", "--out-prefix", "run"),
+                     ("layout", "--kind", "pcl", "--out", "run.svg"),
+                     ("layout", "--kind", "ml", "--out", "run.svg")):
+            assert main([*argv[:-1], str(tmp_path / argv[-1]), "--design", str(bad)]) == 7
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        assert set(errors) == {
+            "error: invalid input: dims_mm[1].l = 1e+09 mm is longer than the free-space "
+            "wavelength 116.199 mm at f0\n"
+        }
+        assert not [p.name for p in tmp_path.iterdir() if p.stem == "run"]
+        # the ideal cascade and the lossless coupled-resonator model read no dimensions
+        for mode in ("ideal", "ml"):
+            argv = ["simulate", "--mode", mode, "--out-prefix", str(tmp_path / mode)]
+            assert main([*argv, "--design", str(bad)]) == 0
 
     def test_no_traceback(self, tmp_path, design_path):
         proc = _run_cli("layout", "--design", str(design_path), "--kind", "ml",

@@ -24,6 +24,7 @@ from mwbpf.microstrip import (
     NoConvergence,
     Substrate,
     analyze_coupled,
+    analyze_dims,
     analyze_single,
     check_fit_range,
     dielectric_loss,
@@ -356,6 +357,25 @@ class TestSynthesizeCoupled:
         with pytest.raises(CouplingUnreachable):
             synthesize_coupled(337.267, 80.273, sub)
 
+    def test_zero_mode_impedance_is_a_rejected_point(self, monkeypatch):
+        # a Newton step clipped to the minimum gap, where the odd-mode fit
+        # underflows to 0 ohm without overflowing: _modes_or_none rejects the
+        # point like an overflow
+        real = mwbpf.microstrip.analyze_coupled
+        zeros = []
+
+        def recording(w, s, sub):
+            mp = real(w, s, sub)
+            if mp.z0o == 0.0:
+                zeros.append((w, s))
+            return mp
+
+        monkeypatch.setattr(mwbpf.microstrip, "analyze_coupled", recording)
+        sub = Substrate(name="g", eps_r=1.8613603514084298, tan_d=0.0, h=1.720828003464973)
+        with pytest.raises(CouplingUnreachable):
+            synthesize_coupled(483.14078682918034, 85.27575811703669, sub)
+        assert zeros and all(s == pytest.approx(GAP_HARD_MIN_MM) for _, s in zeros)
+
     def test_rejects_bad_targets(self, fr4):
         with pytest.raises(ValueError):
             synthesize_coupled(40.0, 50.0, fr4)
@@ -548,9 +568,10 @@ class TestValidation:
             (lambda sub: analyze_coupled(1.0, math.nan, sub), "width and gap"),
             (lambda sub: resonator_length(ModeParams(50.0, 50.0, 3.0, 3.0), math.nan), "f0"),
             (lambda sub: dielectric_loss(sub, math.nan, 2.0), "eps_eff"),
+            (lambda sub: analyze_dims([CoupledSectionDims(2.0, 0.5, 10.0)], sub, math.nan), "f0"),
         ],
         ids=["single_width", "analyze_single", "coupled_w", "coupled_s", "resonator_length",
-             "dielectric_loss"],
+             "dielectric_loss", "analyze_dims"],
     )
     def test_nan_is_rejected(self, fr4, call, message):
         with pytest.raises(ValueError, match=message):

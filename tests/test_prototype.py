@@ -210,7 +210,7 @@ class TestRequiredOrder:
         spec = FilterSpec(
             f_lower=f_lower, f_upper=f_upper, ripple_db=draw["ripple_db"],
             stop_freq=stop_freq, stop_atten_db=draw["stop_atten_db"],
-            f0=0.0 if f0_at is None else f_lower + f0_at * bw,
+            f0=None if f0_at is None else f_lower + f0_at * bw,
         )
         try:
             n = required_order(spec)
@@ -291,6 +291,12 @@ class TestGValues:
         with pytest.raises(ValueError, match=re.escape(f"{field} must be finite")):
             ChebyshevPrototype(n=4, ripple_db=ripple_db, g=tuple(g))
 
+    @pytest.mark.parametrize("ripple_db", [0.0, -0.0, -1.0])
+    def test_prototype_rejects_non_positive_ripple(self, ripple_db):
+        # the rule ripple_height and g_values apply
+        with pytest.raises(ValueError, match="ripple_db must be positive"):
+            ChebyshevPrototype(n=4, ripple_db=ripple_db, g=G_VALUES_REF)
+
     def test_prototype_rejects_order_below_one(self):
         # an empty g with n = -2 has its n + 2 entries, and no g0 to check
         with pytest.raises(ValueError, match="order n must be at least 1"):
@@ -330,6 +336,12 @@ class TestFilterSpec:
         )
         assert spec.f0 == pytest.approx(math.sqrt(2.52 * 2.65), rel=1e-12)
         assert 0 < spec.fbw() < 1
+
+    @pytest.mark.parametrize("f0", [0.0, -0.0])
+    def test_explicit_zero_f0_is_not_the_default(self, f0):
+        with pytest.raises(ValueError, match="f0 must lie inside the passband"):
+            FilterSpec(f_lower=2.52, f_upper=2.65, ripple_db=0.01,
+                       stop_freq=2.77, stop_atten_db=25.0, f0=f0)
 
     def test_rejects_bad_band(self):
         with pytest.raises(ValueError):
