@@ -392,27 +392,23 @@ def resonator_length(mp: ModeParams, f0: float) -> float:
     return C0 / (4.0 * f0 * 1e9 * math.sqrt(eps_avg)) * 1e3
 
 
-def dielectric_loss(sub: Substrate, eps_eff: float, f):
+def dielectric_loss(sub: Substrate, eps_eff, f):
     """Dielectric attenuation (Np/m) of a quasi-TEM line at f GHz.
 
-    ``f`` may be an array, giving one attenuation per frequency.
+    ``eps_eff`` and ``f`` may be arrays, broadcast together; scalars give a float.
     alpha_d = (pi/lambda0) * er (eps_eff - 1) / (sqrt(eps_eff) (er - 1)) * tan_d,
     degenerating to the homogeneous-fill form as er -> 1.
     """
-    if not eps_eff >= 1:
+    if not (np.asarray(eps_eff) >= 1).all():
         raise ValueError("eps_eff must be >= 1")
     if not (np.asarray(f) > 0).all():
         raise ValueError("frequency must be positive")
     lam0 = C0 / (f * 1e9)
     er = sub.eps_r
+    root = np.sqrt(eps_eff) if np.ndim(eps_eff) else math.sqrt(eps_eff)
     if er == 1.0:
-        return math.pi / lam0 * math.sqrt(eps_eff) * sub.tan_d
-    return (
-        math.pi / lam0
-        * er * (eps_eff - 1.0)
-        / (math.sqrt(eps_eff) * (er - 1.0))
-        * sub.tan_d
-    )
+        return math.pi / lam0 * root * sub.tan_d
+    return math.pi / lam0 * er * (eps_eff - 1.0) / (root * (er - 1.0)) * sub.tan_d
 
 
 def unloaded_q(sub: Substrate, eps_eff: float, f: float) -> float:

@@ -9,6 +9,7 @@ unitary when lossless.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -101,74 +102,89 @@ def _entries(m: np.ndarray):
     return np.moveaxis(m.reshape(m.shape[:-2] + (4,)), -1, 0)  # a, b, c, d
 
 
+def _product(m, n):
+    """Entries of the chain product of two-ports given by their entries."""
+    (a, b, c, d), (ma, mb, mc, md) = m, n
+    return a * ma + b * mc, a * mb + b * md, c * ma + d * mc, c * mb + d * md
+
+
 def _cmath(fn, z: np.ndarray) -> np.ndarray:
     # elementwise cmath: numpy's complex tan differs from cmath.tan in the
     # last ulp, enough to flip a 9-decimal Touchstone field
     return np.fromiter(map(fn, z.ravel().tolist()), complex, count=z.size).reshape(z.shape)
 
 
-def _mode_angle(eps_eff: float, alpha, l: float, f):
-    """Complex electrical angle theta = (beta - j alpha) l of one mode (l mm, f GHz)."""
+def _mode_angle(root_eps, alpha, l, f):
+    """Complex electrical angle (beta - j alpha) l of a mode (l mm, f GHz)."""
     w_rad = 2.0 * math.pi * f * 1e9
-    return (w_rad * math.sqrt(eps_eff) / C0 - 1j * alpha) * (l * 1e-3)
+    return (w_rad * root_eps / C0 - 1j * alpha) * (l * 1e-3)
 
 
-def _sin_tan(th: np.ndarray, last: list) -> tuple[np.ndarray, np.ndarray]:
-    """(sin, tan) of an angle array, reused from ``last`` when its angle is bitwise equal.
-
-    ``last`` holds ``[(shape, bytes), (sin, tan)]`` of the last angle
-    evaluated only: the angles that repeat (every one in ``ideal`` mode)
-    follow each other. Holding every distinct angle of a block would raise
-    the peak memory of a lossy physical sweep, whose angles all differ, and
-    hashing them as dict keys would cost more than comparing with one.
-    """
-    key = (th.shape, th.tobytes())
-    if key != last[0]:
-        try:
-            last[:] = key, (_cmath(cmath.sin, th), _cmath(cmath.tan, th))
-        except OverflowError:
-            raise ValueError("section attenuation overflows the sine; narrow the span") from None
-    return last[1]
+def _trig(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sin, tan) of angles [..., P] by cmath; a row of P angles bitwise equal
+    to the row before it reuses that row's values."""
+    rows = theta.reshape(-1, theta.shape[-1])
+    new = [True] + [row.tobytes() != prev.tobytes() for row, prev in zip(rows[1:], rows)]
+    distinct, keep = (rows, slice(None)) if all(new) else (rows[new], np.cumsum(new) - 1)
+    return tuple(_cmath(fn, distinct)[keep].reshape(theta.shape) for fn in (cmath.sin, cmath.tan))
 
 
-def _section_twoport(mp: ModeParams, alpha_e, alpha_o, l: float, f: np.ndarray, last: list):
-    """``coupled_section_twoport`` with the attenuations passed apart from ``mp``
-    (no per-block ``ModeParams``) and the (sin, tan) evaluations shared through ``last``."""
-    if l <= 0 or not (f > 0).all():
-        raise ValueError("length and frequency must be positive")
+def _singular(sin: np.ndarray) -> np.ndarray:
+    return np.minimum(abs(sin[..., 0, :]), abs(sin[..., 1, :])) < 1e-9
 
-    def trig(f):
-        return (
-            _sin_tan(_mode_angle(mp.eps_eff_e, alpha_e, l, f), last),
-            _sin_tan(_mode_angle(mp.eps_eff_o, alpha_o, l, f), last),
-        )
 
-    def singular(modes):
-        (sin_e, _), (sin_o, _) = modes
-        return np.minimum(abs(sin_e), abs(sin_o)) < 1e-9
-
-    modes = trig(f)
-    at = singular(modes)
-    if at.any():
-        nudged = trig(np.where(at, f * (1.0 + 1e-6), f))
-        still = singular(nudged)
-        if still.any():
-            raise ValueError(f"section is a multiple of pi at {f[still][0]} GHz and 1 ppm above it")
-        warnings.warn(
-            f"section is an exact multiple of pi at {', '.join(map(str, f[at].tolist()))} GHz; "
-            "nudging by 1 ppm",
-            SingularFrequencyWarning,
-        )
-        modes = nudged
-
-    (sin_e, tan_e), (sin_o, tan_o) = modes
-    z_self = -0.5j * (mp.z0e / tan_e + mp.z0o / tan_o)
-    z_cross = -0.5j * (mp.z0e / sin_e - mp.z0o / sin_o)
+def _cascade_rows(zm, sin, tan):
+    """Entries (a, b, c, d) [P] of the cascade, from mode sines and tangents [n, 2, P]."""
+    z_self = -0.5j * (zm[:, 0] / tan[:, 0] + zm[:, 1] / tan[:, 1])
+    z_cross = -0.5j * (zm[:, 0] / sin[:, 0] - zm[:, 1] / sin[:, 1])
     # zero coupling: no transmission path; keep the matrix finite and small
     # enough that cascades of such sections stay finite too
     z_cross = np.where(abs(z_cross) < 1e-30, 1e-30, z_cross)
     a = z_self / z_cross
-    return _chain(a, (z_self * z_self - z_cross * z_cross) / z_cross, 1.0 / z_cross, a)
+    m = a, (z_self * z_self - z_cross * z_cross) / z_cross, 1.0 / z_cross, a
+    return functools.reduce(_product, ([x[i] for x in m] for i in range(len(a))))
+
+
+def _cascade_block(zm, root_eps, alpha, l, f) -> np.ndarray:
+    """Entries [4, P] of the cascade at the points f [P], in passes of up to
+    ``_BLOCK`` angles: mode impedances ``zm`` and sqrt(eps_eff) ``root_eps``
+    [n, 2, 1], attenuations ``alpha`` [n, 2, P], lengths ``l`` [n, 1, 1]. It
+    warns and raises as if each section were taken over all of f in turn."""
+    n = failed = live = len(l)  # the first failing section; the sections evaluated
+    error, nudged, out = None, [[] for _ in l], np.empty((4, len(f)), complex)
+    step = max(_BLOCK // (2 * n), 1)
+
+    def angle(sections, f):  # of the pass p
+        return _mode_angle(root_eps[sections], alpha[sections, :, p], l[sections], f)
+
+    for lo in range(0, len(f), step):
+        p, fp = slice(lo, lo + step), f[lo:lo + step]
+        while True:
+            try:
+                sin, tan = _trig(angle(slice(live), fp))
+                break
+            except OverflowError:  # drop the last section until none overflows
+                failed = live = live - 1
+                error = ValueError("section attenuation overflows the sine; narrow the span")
+        at = _singular(sin[:failed])
+        for i in np.flatnonzero(at.any(axis=1)):
+            sin[i], tan[i] = _trig(angle(i, np.where(at[i], fp * (1.0 + 1e-6), fp)))
+            still = _singular(sin[i])
+            if still.any():
+                failed, live = i, i + 1  # its sine may yet overflow later in f
+                error = ValueError(f"section is a multiple of pi at {fp[still][0]} GHz "
+                                   "and 1 ppm above it")
+                break
+            nudged[i] += fp[at[i]].tolist()
+        if failed == n:
+            out[:, p] = _cascade_rows(zm, sin, tan)
+        del sin, tan  # before the next pass allocates its own
+    for points in filter(None, nudged[:failed]):
+        warnings.warn(f"section is an exact multiple of pi at {', '.join(map(str, points))} GHz; "
+                      "nudging by 1 ppm", SingularFrequencyWarning)
+    if error:
+        raise error
+    return out
 
 
 def coupled_section_twoport(mp: ModeParams, l: float, f) -> np.ndarray:
@@ -182,9 +198,18 @@ def coupled_section_twoport(mp: ModeParams, l: float, f) -> np.ndarray:
       Z11 = Z22 = -j (Z0e cot(th_e) + Z0o cot(th_o)) / 2
       Z12 = Z21 = -j (Z0e csc(th_e) - Z0o csc(th_o)) / 2
     A point where an angle is a multiple of pi is taken once at f (1 + 1e-6),
-    with a warning; a point still singular there is a ValueError.
+    with a warning; a point still singular there is a ValueError. It is
+    ``sweep_pcl``'s kernel for one section.
     """
-    return _section_twoport(mp, mp.alpha_e, mp.alpha_o, l, np.asarray(f, dtype=float), [None, None])
+    f = np.asarray(f, dtype=float)
+    if l <= 0 or not (f > 0).all():
+        raise ValueError("length and frequency must be positive")
+    points = f.reshape(-1)
+    alpha = np.stack(np.broadcast_arrays(mp.alpha_e, mp.alpha_o, points)[:2])[None]
+    zm = np.array([[[mp.z0e], [mp.z0o]]])
+    root_eps = np.array([[[math.sqrt(mp.eps_eff_e)], [math.sqrt(mp.eps_eff_o)]]])
+    out = _cascade_block(zm, root_eps, alpha, np.array([[[l]]]), points)
+    return _chain(*out).reshape(f.shape + (2, 2))
 
 
 def cascade(sections) -> np.ndarray:
@@ -193,10 +218,7 @@ def cascade(sections) -> np.ndarray:
     out = next(sections, None)
     if out is None:
         raise ValueError("need at least one section")
-    for m in sections:
-        (a, b, c, d), (ma, mb, mc, md) = _entries(out), _entries(m)
-        out = _chain(a * ma + b * mc, a * mb + b * md, c * ma + d * mc, c * mb + d * md)
-    return out
+    return functools.reduce(lambda m, n: _chain(*_product(_entries(m), _entries(n))), sections, out)
 
 
 def abcd_to_s(m: np.ndarray, z0: float) -> np.ndarray:
@@ -218,7 +240,8 @@ def abcd_to_s(m: np.ndarray, z0: float) -> np.ndarray:
     )
 
 
-_BLOCK = 1024  # sweep points per pass: bounds the cascade's temporary arrays
+_BLOCK = 4096  # angles (sections x 2 modes x points) per pass: bounds the temporary arrays
+_POINTS = 1024  # sweep points per block: each nudged section warns once per block
 
 
 def sweep_pcl(
@@ -239,9 +262,9 @@ def sweep_pcl(
     dimensions (``analyze_dims``, which bounds their lengths and warns); with
     ``lossy`` it attaches the substrate's dielectric attenuation per frequency.
 
-    Within a block of points, a mode angle bitwise equal to the one before
-    it reuses that angle's sine and tangent: in ``ideal`` mode all sections
-    and both modes share one angle, evaluated once per block. A span whose
+    A pass takes all sections and modes at once, [sections, 2, points]; an
+    angle row bitwise equal to the one before it reuses its sine and tangent,
+    so ``ideal`` mode, with one angle, takes one per point. A span whose
     angle at ``f_stop`` overflows is a ValueError, and so is a response
     that overflows a double (a section impedance of 1e300 ohm, squared).
     """
@@ -264,29 +287,22 @@ def sweep_pcl(
         ]
         lengths = [resonator_length(mp, f0) for mp in section_mps]
 
+    eps = np.array([(mp.eps_eff_e, mp.eps_eff_o) for mp in section_mps])[..., None]
+    zm = np.array([(mp.z0e, mp.z0o) for mp in section_mps])[..., None]
     # a bound on every angle, at f_stop, must be a finite number before numpy sees one
-    eps_max = max(max(mp.eps_eff_e, mp.eps_eff_o) for mp in section_mps)
-    if not math.isfinite(_mode_angle(eps_max, 0.0, max(lengths), sweep.f_stop).real):
+    if not math.isfinite(_mode_angle(math.sqrt(eps.max()), 0.0, max(lengths), sweep.f_stop).real):
         raise ValueError(f"f_stop = {sweep.f_stop} GHz overflows the section angle")
-    freqs = sweep.frequencies()
-    if lossy:
-        alphas = [
-            (dielectric_loss(substrate, mp.eps_eff_e, freqs), dielectric_loss(substrate, mp.eps_eff_o, freqs))
-            for mp in section_mps
-        ]
-    else:
-        alphas = [(np.zeros_like(freqs),) * 2] * len(section_mps)
+    freqs, l = sweep.frequencies(), np.array(lengths)[:, None, None]
     s = np.empty((len(freqs), 2, 2), complex)
-    # an overflow leaves a non-finite S, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(freqs), _BLOCK):
-            f = slice(lo, lo + _BLOCK)
-            last = [None, None]  # the block's last angle and its (sin, tan), see _sin_tan
-            sections = (
-                _section_twoport(mp, a_e[f], a_o[f], l, freqs[f], last)
-                for mp, l, (a_e, a_o) in zip(section_mps, lengths, alphas)
-            )
-            s[f] = abcd_to_s(cascade(sections), design.z0)
+    for lo in range(0, len(freqs), _POINTS):
+        f = freqs[lo:lo + _POINTS]
+        # lossless: one zero attenuation, broadcast over every section, mode and point
+        alpha = (dielectric_loss(substrate, eps, f) if lossy
+                 else np.broadcast_to(0.0, eps.shape[:2] + f.shape))
+        # an overflow leaves a non-finite S, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _cascade_block(zm, np.sqrt(eps), alpha, l, f)
+            s[lo:lo + _POINTS] = abcd_to_s(_chain(*out), design.z0)
     if not np.isfinite(s).all():
         raise ValueError("the sections' S-parameters overflow a double")
     return SParamResult(freqs, s, design.z0)

@@ -550,6 +550,36 @@ class TestLoss:
         lam0 = C0 / 2.58e9
         assert got == pytest.approx(math.pi / lam0 * 0.001, rel=1e-12)
 
+    @pytest.mark.parametrize("eps_r", [4.3, 1.0], ids=["fr4", "homogeneous"])
+    def test_array_eps_eff_matches_scalar_calls_bit_for_bit(self, eps_r):
+        # one call over [sections, modes, 1] x [F] covers a whole sweep; each
+        # entry has the bits of the scalar call, which is still a float
+        sub = Substrate(name="x", eps_r=eps_r, tan_d=0.02, h=1.6)
+        eps = np.array([[3.27, 2.71], [3.31, 2.69], [1.0, 4.3]])[..., None]
+        if eps_r == 1.0:
+            eps = np.ones_like(eps)
+        f = np.linspace(2.0, 3.0, 11)
+        got = dielectric_loss(sub, eps, f)
+        assert got.shape == (3, 2, 11)
+        for (i, j), e in np.ndenumerate(eps[..., 0]):
+            assert got[i, j].tobytes() == dielectric_loss(sub, float(e), f).tobytes()
+            for k, fk in enumerate(f.tolist()):
+                scalar = dielectric_loss(sub, float(e), fk)
+                assert type(scalar) is float
+                assert got[i, j, k] == scalar
+
+    def test_scalar_call_is_the_stated_formula(self, fr4):
+        # the float unloaded_q and the loss-ordering criterion read, bit for bit
+        lam0 = C0 / (2.58 * 1e9)
+        want = math.pi / lam0 * fr4.eps_r * (3.27 - 1.0) / (math.sqrt(3.27) * (fr4.eps_r - 1.0)) * fr4.tan_d
+        got = dielectric_loss(fr4, 3.27, 2.58)
+        assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.5], ids=["nan", "below-one"])
+    def test_array_eps_eff_guard_is_elementwise(self, fr4, bad):
+        with pytest.raises(ValueError, match="eps_eff"):
+            dielectric_loss(fr4, np.array([3.27, bad, 2.7])[:, None], np.array([2.0, 2.5]))
+
     def test_unloaded_q_ordering(self, fr4, ro3003):
         q_fr4 = unloaded_q(fr4, 3.27, 2.58)
         q_ro = unloaded_q(ro3003, 2.38, 2.58)

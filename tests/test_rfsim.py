@@ -1,10 +1,16 @@
 import cmath
 import math
+import random
+import tracemalloc
 import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mwbpf.rfsim
 
 from mwbpf.coupling import (
     CouplingDesign,
@@ -12,15 +18,19 @@ from mwbpf.coupling import (
     CouplingSection,
     coupling_coefficients,
 )
+from mwbpf.design import synthesize_design
 from mwbpf.microstrip import (
     C0,
+    CoupledSectionDims,
     ModeParams,
+    Substrate,
     analyze_coupled,
+    analyze_dims,
     dielectric_loss,
     resonator_length,
     unloaded_q,
 )
-from mwbpf.prototype import bandpass_to_lowpass
+from mwbpf.prototype import FilterSpec, bandpass_to_lowpass
 from mwbpf.rfsim import (
     BandEdgeOutOfRange,
     FrequencySweep,
@@ -48,6 +58,129 @@ def _abcd(a, b, c, d):
 
 def _det(m):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+# --- oracle: the per-section sweep that the batched kernel replaced, frozen --
+# Each section was evaluated on its own over blocks of 1024 points, sharing
+# (sin, tan) with the last angle evaluated; a section warned once per block.
+# sweep_pcl must give the same S bytes, warnings and errors.
+
+def oracle_cmath(fn, z):
+    return np.fromiter(map(fn, z.ravel().tolist()), complex, count=z.size).reshape(z.shape)
+
+
+def oracle_mode_angle(eps_eff, alpha, l, f):
+    w_rad = 2.0 * math.pi * f * 1e9
+    return (w_rad * math.sqrt(eps_eff) / C0 - 1j * alpha) * (l * 1e-3)
+
+
+def oracle_sin_tan(th, last):
+    key = (th.shape, th.tobytes())
+    if key != last[0]:
+        try:
+            last[:] = key, (oracle_cmath(cmath.sin, th), oracle_cmath(cmath.tan, th))
+        except OverflowError:
+            raise ValueError("section attenuation overflows the sine; narrow the span") from None
+    return last[1]
+
+
+def oracle_chain(a, b, c, d):
+    return np.stack((a, b, c, d), axis=-1).reshape(np.shape(a) + (2, 2))
+
+
+def oracle_entries(m):
+    return np.moveaxis(m.reshape(m.shape[:-2] + (4,)), -1, 0)
+
+
+def oracle_section_twoport(mp, alpha_e, alpha_o, l, f, last):
+    if l <= 0 or not (f > 0).all():
+        raise ValueError("length and frequency must be positive")
+
+    def trig(f):
+        return (
+            oracle_sin_tan(oracle_mode_angle(mp.eps_eff_e, alpha_e, l, f), last),
+            oracle_sin_tan(oracle_mode_angle(mp.eps_eff_o, alpha_o, l, f), last),
+        )
+
+    def singular(modes):
+        (sin_e, _), (sin_o, _) = modes
+        return np.minimum(abs(sin_e), abs(sin_o)) < 1e-9
+
+    modes = trig(f)
+    at = singular(modes)
+    if at.any():
+        nudged = trig(np.where(at, f * (1.0 + 1e-6), f))
+        still = singular(nudged)
+        if still.any():
+            raise ValueError(f"section is a multiple of pi at {f[still][0]} GHz and 1 ppm above it")
+        warnings.warn(
+            f"section is an exact multiple of pi at {', '.join(map(str, f[at].tolist()))} GHz; "
+            "nudging by 1 ppm",
+            SingularFrequencyWarning,
+        )
+        modes = nudged
+
+    (sin_e, tan_e), (sin_o, tan_o) = modes
+    z_self = -0.5j * (mp.z0e / tan_e + mp.z0o / tan_o)
+    z_cross = -0.5j * (mp.z0e / sin_e - mp.z0o / sin_o)
+    z_cross = np.where(abs(z_cross) < 1e-30, 1e-30, z_cross)
+    a = z_self / z_cross
+    return oracle_chain(a, (z_self * z_self - z_cross * z_cross) / z_cross, 1.0 / z_cross, a)
+
+
+def oracle_cascade(sections):
+    sections = iter(sections)
+    out = next(sections)
+    for m in sections:
+        (a, b, c, d), (ma, mb, mc, md) = oracle_entries(out), oracle_entries(m)
+        out = oracle_chain(a * ma + b * mc, a * mb + b * md, c * ma + d * mc, c * mb + d * md)
+    return out
+
+
+def oracle_abcd_to_s(m, z0):
+    a, b, c, d = oracle_entries(m)
+    den = a + b / z0 + c * z0 + d
+    if (den == 0).any():
+        raise ZeroDivisionError("singular ABCD-to-S conversion")
+    s21 = 2.0 / den
+    return oracle_chain(
+        (a + b / z0 - c * z0 - d) / den, s21, s21, (-a + b / z0 - c * z0 + d) / den
+    )
+
+
+def oracle_dielectric_loss(sub, eps_eff, f):
+    lam0 = C0 / (f * 1e9)
+    er = sub.eps_r
+    if er == 1.0:
+        return math.pi / lam0 * math.sqrt(eps_eff) * sub.tan_d
+    return math.pi / lam0 * er * (eps_eff - 1.0) / (math.sqrt(eps_eff) * (er - 1.0)) * sub.tan_d
+
+
+def oracle_sweep_pcl(design, f0, sweep, mode="ideal", dims=None, substrate=None, lossy=False):
+    """S-parameters [F, 2, 2] of the cascade, one section at a time per 1024-point block."""
+    if mode == "physical":
+        section_mps = analyze_dims(dims, substrate, f0)
+        lengths = [d.l for d in dims]
+    else:
+        section_mps = [_ideal_mp(s.z0e, s.z0o) for s in design.sections]
+        lengths = [resonator_length(mp, f0) for mp in section_mps]
+    freqs = sweep.frequencies()
+    if lossy:
+        alphas = [(oracle_dielectric_loss(substrate, mp.eps_eff_e, freqs),
+                   oracle_dielectric_loss(substrate, mp.eps_eff_o, freqs)) for mp in section_mps]
+    else:
+        alphas = [(np.zeros_like(freqs),) * 2] * len(section_mps)
+    s = np.empty((len(freqs), 2, 2), complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(freqs), 1024):
+            f = slice(lo, lo + 1024)
+            last = [None, None]
+            sections = (
+                oracle_section_twoport(mp, a_e[f], a_o[f], l, freqs[f], last)
+                for mp, l, (a_e, a_o) in zip(section_mps, lengths, alphas)
+            )
+            s[f] = oracle_abcd_to_s(oracle_cascade(sections), design.z0)
+    return s
 
 
 def _fourport_reduction_oracle(mp: ModeParams, l_mm, f_ghz, z0):
@@ -418,8 +551,8 @@ class TestSharedSectionTrig:
         else:
             mps = [
                 ModeParams(mp.z0e, mp.z0o, mp.eps_eff_e, mp.eps_eff_o,
-                           dielectric_loss(sub, mp.eps_eff_e, freqs),
-                           dielectric_loss(sub, mp.eps_eff_o, freqs))
+                           oracle_dielectric_loss(sub, mp.eps_eff_e, freqs),
+                           oracle_dielectric_loss(sub, mp.eps_eff_o, freqs))
                 for mp in (analyze_coupled(d.w, d.s, sub) for d in design.dims)
             ]
             lengths = [d.l for d in design.dims]
@@ -427,8 +560,9 @@ class TestSharedSectionTrig:
             design.coupling, f0, sweep, mode=mode, dims=design.dims, substrate=sub,
             lossy=mode == "physical",
         ))
-        ref, ref_nudges = _recorded(lambda: abcd_to_s(
-            cascade(coupled_section_twoport(mp, l, freqs) for mp, l in zip(mps, lengths)),
+        ref, ref_nudges = _recorded(lambda: oracle_abcd_to_s(
+            oracle_cascade(oracle_section_twoport(mp, mp.alpha_e, mp.alpha_o, l, freqs, [None, None])
+                           for mp, l in zip(mps, lengths)),
             design.coupling.z0,
         ))
         assert result.s.tobytes() == ref.tobytes()
@@ -437,18 +571,158 @@ class TestSharedSectionTrig:
             assert nudges == n
 
     def test_ideal_sweep_calls_cmath_once_per_point(self, fr4_design, monkeypatch):
-        calls = {"sin": 0, "tan": 0}
-
-        def counted(name):
-            def fn(z):
-                calls[name] += 1
-                return getattr(cmath, name)(z)
-            return fn
-
-        monkeypatch.setattr("mwbpf.rfsim.cmath", types.SimpleNamespace(
-            sin=counted("sin"), tan=counted("tan")))
+        calls = _count_cmath(monkeypatch)
         sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, 10001))
         assert calls == {"sin": 10001, "tan": 10001}
+
+    def test_lossless_physical_sweep_calls_cmath_once_per_row_and_point(
+            self, fr4_design, fr4, monkeypatch):
+        # the 2n angle rows (sections x modes) of the reference design all
+        # differ, so each is evaluated at each point
+        calls = _count_cmath(monkeypatch)
+        sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, 10001),
+                  mode="physical", dims=fr4_design.dims, substrate=fr4)
+        rows = 2 * len(fr4_design.dims)
+        assert calls == {"sin": rows * 10001, "tan": rows * 10001}
+
+
+def _count_cmath(monkeypatch) -> dict:
+    """Count rfsim's cmath.sin and cmath.tan calls."""
+    calls = {"sin": 0, "tan": 0}
+
+    def counted(name):
+        def fn(z):
+            calls[name] += 1
+            return getattr(cmath, name)(z)
+        return fn
+
+    monkeypatch.setattr("mwbpf.rfsim.cmath", types.SimpleNamespace(
+        sin=counted("sin"), tan=counted("tan")))
+    return calls
+
+
+def _design_space_case(seed, registry):
+    """A spec and substrate drawn like perfbench's design_space workload."""
+    rng = random.Random(seed)
+    f0 = rng.uniform(1.0, 10.0)
+    bw = rng.uniform(0.02, 0.20) * f0
+    f_lower = (math.sqrt(bw * bw + 4.0 * f0 * f0) - bw) / 2.0
+    spec = FilterSpec(
+        f_lower=f_lower, f_upper=f_lower + bw, f0=f0,
+        ripple_db=rng.choice((0.01, 0.05, 0.1, 0.5)), stop_atten_db=rng.uniform(15.0, 45.0),
+        stop_freq=f_lower + bw * rng.uniform(1.3, 2.5),
+    )
+    if rng.random() < 0.25:
+        return spec, registry.get(rng.choice(("FR4", "RO3003")))
+    return spec, Substrate(name=f"gen{seed}", eps_r=rng.uniform(2.0, 12.0),
+                           tan_d=rng.uniform(0.0, 0.03), h=rng.uniform(0.1, 3.0))
+
+
+def _outcome(fn):
+    """(S bytes or the error, the SingularFrequencyWarning messages) of a sweep."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            s = fn()
+            out = (s.s if isinstance(s, SParamResult) else s).tobytes()
+        except ValueError as exc:
+            out = repr(exc)
+    assert not [w for w in rec if issubclass(w.category, RuntimeWarning)]
+    return out, [str(w.message) for w in rec if w.category is SingularFrequencyWarning]
+
+
+class TestBatchedKernelMatchesOracle:
+    """sweep_pcl's passes over all sections give the per-section sweep's bytes and warnings."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_design_space_sweeps(self, registry, seed):
+        spec, sub = _design_space_case(seed, registry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                doc = synthesize_design(spec, sub, created="2026-01-01T00:00:00+00:00")
+            except (ValueError, RuntimeError):
+                return
+        step = mwbpf.rfsim._BLOCK // (2 * len(doc.dims))  # sweep points per pass
+        bw = spec.f_upper - spec.f_lower
+        for points in (2, 21, step - 1, step, step + 1, 1025):
+            sweep = FrequencySweep(spec.f0 - 1.5 * bw, spec.f0 + 1.5 * bw, points)
+            for mode, lossy in (("ideal", False), ("physical", False), ("physical", True)):
+                kw = dict(mode=mode, dims=doc.dims, substrate=sub, lossy=lossy)
+                got = _outcome(lambda: sweep_pcl(doc.coupling, spec.f0, sweep, **kw))
+                want = _outcome(lambda: oracle_sweep_pcl(doc.coupling, spec.f0, sweep, **kw))
+                assert got == want, (points, mode, lossy)
+
+    @pytest.mark.parametrize("points", [1001, 3001], ids=["one-block", "three-blocks"])
+    def test_half_wave_section_in_physical_mode(self, fr4_design, fr4, points):
+        # section 2 an exact half wave (even mode) at one point of a lossless
+        # sweep: that section alone warns, once, naming the point
+        sweep = FrequencySweep(2.0, 3.0, points)
+        f = sweep.frequencies()[points // 3]
+        mp = analyze_coupled(fr4_design.dims[2].w, fr4_design.dims[2].s, fr4)
+        dims = list(fr4_design.dims)
+        dims[2] = CoupledSectionDims(w=dims[2].w, l=C0 / (2 * f * 1e9 * math.sqrt(mp.eps_eff_e)) * 1e3,
+                                     s=dims[2].s)
+        kw = dict(mode="physical", dims=tuple(dims), substrate=fr4)
+        got = _outcome(lambda: sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, sweep, **kw))
+        assert got[1] == [f"section is an exact multiple of pi at {f} GHz; nudging by 1 ppm"]
+        assert got == _outcome(lambda: oracle_sweep_pcl(fr4_design.coupling, fr4_design.spec.f0,
+                                                        sweep, **kw))
+
+    @pytest.mark.parametrize("span, points", [((5.16, 10.32), 1001), ((5.16, 10.32), 3000),
+                                              ((1e-10, 3.0), 2000)],
+                             ids=["2f0-4f0-one-block", "2f0-4f0-two-blocks", "still-singular"])
+    def test_nudges_group_by_block_as_the_oracle(self, fr4_design, span, points):
+        # 2 f0 and 4 f0 in one 1024-point block but in different passes give
+        # one warning per section listing both, as the per-section sweep did
+        sweep = FrequencySweep(*span, points)
+        got = _outcome(lambda: sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, sweep))
+        assert got == _outcome(lambda: oracle_sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, sweep))
+        assert len(got[1]) == {1001: 5, 3000: 10, 2000: 0}[points]
+
+    @pytest.mark.parametrize("points", [11, 900, 1500])
+    @pytest.mark.parametrize("singular", [0, 1])
+    def test_first_failing_section_wins(self, fr4_design, fr4, points, singular):
+        # one section a half wave at f_start on a nearly lossless board, the
+        # others long enough that their sine overflows near f_stop: the
+        # sections before the first overflowing one warn, then it raises
+        sub = Substrate(name="low-loss", eps_r=fr4.eps_r, tan_d=1e-12, h=fr4.h)
+        mp = analyze_coupled(fr4_design.dims[singular].w, fr4_design.dims[singular].s, sub)
+        dims = [CoupledSectionDims(w=d.w, l=100.0, s=d.s) for d in fr4_design.dims]
+        dims[singular] = CoupledSectionDims(
+            w=dims[singular].w, l=C0 / (2 * 2.321e9 * math.sqrt(mp.eps_eff_e)) * 1e3, s=dims[singular].s)
+        f_stop = 1e4 / dielectric_loss(sub, mp.eps_eff_e, 1.0)  # 1000 Np over 100 mm
+        sweep = FrequencySweep(2.321, f_stop, points)
+        kw = dict(mode="physical", dims=tuple(dims), substrate=sub, lossy=True)
+        got = _outcome(lambda: sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, sweep, **kw))
+        assert got == _outcome(lambda: oracle_sweep_pcl(fr4_design.coupling, fr4_design.spec.f0,
+                                                        sweep, **kw))
+        assert "overflows the sine" in got[0]
+
+
+class TestSweepMemory:
+    # traced peaks (KB) of the per-section sweep this kernel replaced, on the
+    # FR4 reference design; a pass holds at most _BLOCK angles, so the batched
+    # sweep stays within 10 % of them
+    PARENT_PEAK_KB = {(1001, False): 461, (1001, True): 565, (10001, False): 1173, (10001, True): 1910}
+
+    @pytest.mark.parametrize("points", [1001, 10001])
+    @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy-physical"])
+    def test_traced_peak(self, fr4_design, fr4, points, lossy):
+        def sweep():
+            sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, points),
+                      mode="physical" if lossy else "ideal", dims=fr4_design.dims, substrate=fr4,
+                      lossy=lossy)
+
+        sweep()
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.10 * self.PARENT_PEAK_KB[points, lossy] * 1024
 
 
 # --- scalar reference: one frequency at a time, Python complex arithmetic ---
