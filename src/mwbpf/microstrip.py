@@ -210,8 +210,9 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
 
     Pure: it does not check the fit range (see ``check_fit_range``).
     Attenuations are returned as 0; loss is attached per frequency by the
-    sweep code. A pair whose fits overflow a double is a ValueError naming
-    its w and s.
+    sweep code. A pair whose fits overflow a double, or give a mode
+    impedance that is not positive and finite, is a ValueError naming its w
+    and s.
     """
     if not (w > 0 and s > 0):
         raise ValueError("width and gap must be positive")
@@ -251,7 +252,9 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
         z0o = z_s * math.sqrt(ee_s / ee_o) / (1.0 - math.sqrt(ee_s) * q10 * z_s / ETA0)
     except OverflowError:
         raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm overflows the model") from None
-
+    if not (0 < z0e < math.inf and 0 < z0o < math.inf):
+        raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm gives a mode impedance "
+                         f"that is not positive and finite (z0e={z0e:g}, z0o={z0o:g} ohm)")
     return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
 
 
@@ -371,15 +374,10 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
 
 
 def _modes_or_none(w, s, sub):
-    # None where the fits overflow or give an impedance that is not
-    # positive and finite
     try:
-        mp = analyze_coupled(w, s, sub)
-    except ValueError:
+        return analyze_coupled(w, s, sub)
+    except ValueError:  # the fits overflow, or an impedance is not positive and finite
         return None
-    if 0 < mp.z0e < math.inf and 0 < mp.z0o < math.inf:
-        return mp
-    return None
 
 
 # --- derived quantities ------------------------------------------------------

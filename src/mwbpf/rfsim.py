@@ -121,12 +121,15 @@ def _mode_angle(root_eps, alpha, l, f):
 
 
 def _trig(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sin, tan) of angles [..., P] by cmath; a row of P angles bitwise equal
-    to the row before it reuses that row's values."""
-    rows = theta.reshape(-1, theta.shape[-1])
-    new = [True] + [row.tobytes() != prev.tobytes() for row, prev in zip(rows[1:], rows)]
-    distinct, keep = (rows, slice(None)) if all(new) else (rows[new], np.cumsum(new) - 1)
-    return tuple(_cmath(fn, distinct)[keep].reshape(theta.shape) for fn in (cmath.sin, cmath.tan))
+    """(sin, tan) of angles [..., P] by cmath: one row, broadcast, when every
+    row is bitwise equal to the first (``ideal`` mode). A sine that overflows is a ValueError."""
+    shape, rows = theta.shape, theta.reshape(-1, theta.shape[-1])
+    if all(row.tobytes() == rows[0].tobytes() for row in rows[1:]):
+        theta = rows[0]
+    try:
+        return tuple(np.broadcast_to(_cmath(fn, theta), shape) for fn in (cmath.sin, cmath.tan))
+    except OverflowError:
+        raise ValueError("section attenuation overflows the sine; narrow the span") from None
 
 
 def _singular(sin: np.ndarray) -> np.ndarray:
@@ -148,42 +151,36 @@ def _cascade_rows(zm, sin, tan):
 def _cascade_block(zm, root_eps, alpha, l, f) -> np.ndarray:
     """Entries [4, P] of the cascade at the points f [P], in passes of up to
     ``_BLOCK`` angles: mode impedances ``zm`` and sqrt(eps_eff) ``root_eps``
-    [n, 2, 1], attenuations ``alpha`` [n, 2, P], lengths ``l`` [n, 1, 1]. It
-    warns and raises as if each section were taken over all of f in turn."""
-    n = failed = live = len(l)  # the first failing section; the sections evaluated
-    error, nudged, out = None, [[] for _ in l], np.empty((4, len(f)), complex)
-    step = max(_BLOCK // (2 * n), 1)
-
-    def angle(sections, f):  # of the pass p
-        return _mode_angle(root_eps[sections], alpha[sections, :, p], l[sections], f)
-
-    for lo in range(0, len(f), step):
-        p, fp = slice(lo, lo + step), f[lo:lo + step]
-        while True:
-            try:
-                sin, tan = _trig(angle(slice(live), fp))
-                break
-            except OverflowError:  # drop the last section until none overflows
-                failed = live = live - 1
-                error = ValueError("section attenuation overflows the sine; narrow the span")
-        at = _singular(sin[:failed])
-        for i in np.flatnonzero(at.any(axis=1)):
-            sin[i], tan[i] = _trig(angle(i, np.where(at[i], fp * (1.0 + 1e-6), fp)))
-            still = _singular(sin[i])
-            if still.any():
-                failed, live = i, i + 1  # its sine may yet overflow later in f
-                error = ValueError(f"section is a multiple of pi at {fp[still][0]} GHz "
-                                   "and 1 ppm above it")
-                break
-            nudged[i] += fp[at[i]].tolist()
-        if failed == n:
+    [n, 2, 1], attenuations ``alpha`` [n, 2, P], lengths ``l`` [n, 1, 1]. A
+    pass with singular points is taken again with them at f (1 + 1e-6); one
+    still singular, or a sine that overflows, is a ValueError. Each nudged
+    section warns once, after the last pass. A failing block of several
+    sections is taken again one section at a time: the first that fails on
+    its own raises, after the warnings of the sections before it."""
+    nudged, out = [[] for _ in l], np.empty((4, len(f)), complex)
+    step = max(_BLOCK // (2 * len(l)), 1)
+    try:
+        for lo in range(0, len(f), step):
+            p, fp = slice(lo, lo + step), f[lo:lo + step]
+            sin, tan = _trig(_mode_angle(root_eps, alpha[:, :, p], l, fp))
+            if (at := _singular(sin)).any():
+                nudge = np.where(at, fp * (1.0 + 1e-6), fp)[:, None]
+                sin, tan = _trig(_mode_angle(root_eps, alpha[:, :, p], l, nudge))
+                if (still := _singular(sin).any(axis=0)).any():
+                    raise ValueError(f"section is a multiple of pi at {fp[still][0]} GHz "
+                                     "and 1 ppm above it")
+                for points, row in zip(nudged, at):
+                    points += fp[row].tolist()
             out[:, p] = _cascade_rows(zm, sin, tan)
-        del sin, tan  # before the next pass allocates its own
-    for points in filter(None, nudged[:failed]):
+            del sin, tan  # before the next pass allocates its own
+    except ValueError:
+        if len(l) > 1:
+            for i in range(len(l)):
+                _cascade_block(zm[i:i + 1], root_eps[i:i + 1], alpha[i:i + 1], l[i:i + 1], f)
+        raise
+    for points in filter(None, nudged):
         warnings.warn(f"section is an exact multiple of pi at {', '.join(map(str, points))} GHz; "
                       "nudging by 1 ppm", SingularFrequencyWarning)
-    if error:
-        raise error
     return out
 
 
@@ -198,8 +195,9 @@ def coupled_section_twoport(mp: ModeParams, l: float, f) -> np.ndarray:
       Z11 = Z22 = -j (Z0e cot(th_e) + Z0o cot(th_o)) / 2
       Z12 = Z21 = -j (Z0e csc(th_e) - Z0o csc(th_o)) / 2
     A point where an angle is a multiple of pi is taken once at f (1 + 1e-6),
-    with a warning; a point still singular there is a ValueError. It is
-    ``sweep_pcl``'s kernel for one section.
+    with a warning; a point still singular there, or a sine that overflows,
+    is a ValueError, raised by the first of its passes of 2048 points that
+    fails. It is ``sweep_pcl``'s kernel for one section.
     """
     f = np.asarray(f, dtype=float)
     if l <= 0 or not (f > 0).all():
@@ -263,10 +261,11 @@ def sweep_pcl(
     ``lossy`` it attaches the substrate's dielectric attenuation per frequency.
 
     A pass takes all sections and modes at once, [sections, 2, points]; an
-    angle row bitwise equal to the one before it reuses its sine and tangent,
-    so ``ideal`` mode, with one angle, takes one per point. A span whose
-    angle at ``f_stop`` overflows is a ValueError, and so is a response
-    that overflows a double (a section impedance of 1e300 ohm, squared).
+    ``ideal`` pass, one angle in every row, holds one row of sines and
+    tangents. A failing block of 1024 points is taken again one section at
+    a time, so the first failing section is reported. A span whose angle at
+    ``f_stop`` overflows is a ValueError, and so is a response that
+    overflows a double (a section impedance of 1e300 ohm, squared).
     """
     if mode not in ("ideal", "physical"):
         raise ValueError("mode must be 'ideal' or 'physical'")

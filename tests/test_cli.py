@@ -520,6 +520,15 @@ class TestInvalidInput:
              ("design", ("dims_mm", 2, "s"), 1e300),
              "dims_mm[2]: coupled pair w=3.08691 mm, s=1e+300 mm overflows the model",
              id="simulate-s-1e+300-section-2-ml-lossy"),
+        # a pair whose odd-mode fit underflows to exactly 0 ohm is refused by
+        # every reader of the dimensions, like an overflow
+        *[case(argv + ("--design", "{bad}"),
+               ("design", ("dims_mm", 0), {"w": 0.1587, "l": 16.4846, "s": 0.001}),
+               "dims_mm[0]: coupled pair w=0.1587 mm, s=0.001 mm gives a mode impedance "
+               "that is not positive and finite", id=f"zero-z0o-{argv[0]}-{argv[2]}")
+          for argv in (("simulate", "--mode", "physical", "--out-prefix", "{tmp}/bad"),
+                       ("simulate", "--mode", "ml", "--lossy", "--out-prefix", "{tmp}/bad"),
+                       ("layout", "--kind", "pcl", "--out", "{tmp}/bad.svg"))],
         # both layouts read the dimensions through the same step
         *[case(("layout", "--out", "{tmp}/bad.svg", "--design", "{bad}", "--kind", kind),
                ("design", ("dims_mm", 0, "s"), 1e300), _overflow_error("s", 1e300),
@@ -663,6 +672,15 @@ class TestInvalidInput:
         for mode in ("ideal", "ml"):
             argv = ["simulate", "--mode", mode, "--out-prefix", str(tmp_path / mode)]
             assert main([*argv, "--design", str(bad)]) == 0
+
+    def test_zero_mode_impedance_leaves_the_ideal_cascade_alone(self, tmp_path, design_path):
+        # ideal mode reads the sections' impedances, not the dimensions
+        doc = _edited(json.loads(design_path.read_text()), ("dims_mm", 0),
+                      {"w": 0.1587, "l": 16.4846, "s": 0.001})
+        (tmp_path / "zero.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--mode", "ideal", "--design", str(tmp_path / "zero.json"),
+                     "--out-prefix", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run.s2p").exists()
 
     def test_no_traceback(self, tmp_path, design_path):
         proc = _run_cli("layout", "--design", str(design_path), "--kind", "ml",

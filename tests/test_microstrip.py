@@ -284,6 +284,13 @@ class TestAnalyzeCoupled:
         ]
         assert all(a > b for a, b in zip(splits, splits[1:]))
 
+    def test_mode_impedance_must_be_positive_and_finite(self, fr4):
+        # the odd-mode fit underflows to exactly 0 ohm at a 1 um gap
+        with pytest.raises(ValueError, match=r"w=0\.1587 mm, s=0\.001 mm .* not positive"):
+            analyze_coupled(0.1587, 0.001, fr4)
+        # a positive underflow is a model point; only the fit range flags it
+        assert 0 < analyze_coupled(0.21, 0.001, fr4).z0o < 1e-80
+
     def test_validity_warning(self, fr4):
         with pytest.warns(ModelValidityWarning):
             check_fit_range(3.0, 20.0, fr4)
@@ -359,16 +366,18 @@ class TestSynthesizeCoupled:
 
     def test_zero_mode_impedance_is_a_rejected_point(self, monkeypatch):
         # a Newton step clipped to the minimum gap, where the odd-mode fit
-        # underflows to 0 ohm without overflowing: _modes_or_none rejects the
-        # point like an overflow
+        # underflows to 0 ohm without overflowing: analyze_coupled raises
+        # there, and _modes_or_none rejects the point like an overflow
         real = mwbpf.microstrip.analyze_coupled
         zeros = []
 
         def recording(w, s, sub):
-            mp = real(w, s, sub)
-            if mp.z0o == 0.0:
-                zeros.append((w, s))
-            return mp
+            try:
+                return real(w, s, sub)
+            except ValueError as exc:
+                if "not positive and finite" in str(exc):
+                    zeros.append((w, s))
+                raise
 
         monkeypatch.setattr(mwbpf.microstrip, "analyze_coupled", recording)
         sub = Substrate(name="g", eps_r=1.8613603514084298, tan_d=0.0, h=1.720828003464973)
