@@ -26,6 +26,11 @@ VALID_G = (0.1, 5.0)
 GAP_FLOOR_MM = 0.1  # typical PCB fabrication floor
 GAP_HARD_MIN_MM = 1e-3
 WIDTH_RANGE_H = (0.02, 40.0)  # strip widths synthesis searches, in substrate heights
+# substrate heights, mm: a physical range, from a 1 um film to a 1 m block. It lies
+# far inside the heights at which every searched width and the product of two is a
+# normal float (7.5e-153 to 3.3e152 mm; below 2e-162 mm the bisection's lo * hi is 0),
+# and keeps the stackup records short. A conductor thickness is at most the upper end.
+SUBSTRATE_RANGE_MM = (1e-3, 1e3)
 
 
 class NoConvergence(RuntimeError):
@@ -64,10 +69,11 @@ class Substrate:
             raise ValueError("eps_r must be >= 1")
         if self.tan_d < 0:
             raise ValueError("tan_d must be >= 0")
-        if self.h <= 0:
-            raise ValueError("substrate height must be positive")
-        if self.t < 0:
-            raise ValueError("conductor thickness must be >= 0")
+        lo, hi = SUBSTRATE_RANGE_MM
+        if not lo <= self.h <= hi:
+            raise ValueError(f"substrate height h = {self.h:g} mm must lie in [{lo:g}, {hi:g}] mm")
+        if not 0 <= self.t <= hi:
+            raise ValueError(f"conductor thickness must be >= 0 and <= {hi:g} mm, got {self.t:g}")
         if self.conductivity <= 0:
             raise ValueError("conductivity must be positive")
 

@@ -72,6 +72,12 @@ class BandMetrics:
     f_upper_3db: float
 
 
+# sweep points: 10^6 intervals, ten times a long end-to-end run's 10^5. The Touchstone
+# emitter peaks at about 222 bytes a point and the sweep and its metrics hold about 90
+# more, so a sweep at the bound peaks near 0.3 GB and writes about 165 MB of files
+MAX_POINTS = 1_000_001
+
+
 @dataclass(frozen=True)
 class FrequencySweep:
     f_start: float = 2.0
@@ -84,6 +90,8 @@ class FrequencySweep:
                 raise ValueError(f"{name} must be finite")
         if self.n_points < 2:
             raise ValueError("need at least 2 sweep points")
+        if self.n_points > MAX_POINTS:
+            raise ValueError(f"{self.n_points} sweep points exceed MAX_POINTS = {MAX_POINTS}")
         if not (0 < self.f_start < self.f_stop):
             raise ValueError("need 0 < f_start < f_stop")
 
@@ -291,6 +299,9 @@ def sweep_pcl(
     # a bound on every angle, at f_stop, must be a finite number before numpy sees one
     if not math.isfinite(_mode_angle(math.sqrt(eps.max()), 0.0, max(lengths), sweep.f_stop).real):
         raise ValueError(f"f_stop = {sweep.f_stop} GHz overflows the section angle")
+    # and the free-space wavelength of the dielectric loss, at f_start
+    if lossy and not math.isfinite(C0 / (sweep.f_start * 1e9)):
+        raise ValueError(f"f_start = {sweep.f_start} GHz overflows the free-space wavelength")
     freqs, l = sweep.frequencies(), np.array(lengths)[:, None, None]
     s = np.empty((len(freqs), 2, 2), complex)
     for lo in range(0, len(freqs), _POINTS):
@@ -338,6 +349,10 @@ def sweep_coupling_matrix(
     r[-1] += 1.0 / qen
     r += 1.0 / (model.qu * model.fbw)
 
+    # the prototype axis rises with f: finite at both ends before numpy sees the span
+    for name, f in (("f_start", sweep.f_start), ("f_stop", sweep.f_stop)):
+        if not math.isfinite(bandpass_to_lowpass(f, model.f0, model.fbw)):
+            raise ValueError(f"{name} = {f} GHz overflows the prototype frequency axis")
     freqs = sweep.frequencies()
     omega = bandpass_to_lowpass(freqs, model.f0, model.fbw)
     d = omega - 1j * r[0]

@@ -393,6 +393,7 @@ class TestCompare:
 
 
 MATERIALS = {"materials": [{"name": "X", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}]}
+FR4_ENTRY = {"name": "FR4", "eps_r": 4.3, "tan_d": 0.025, "h": 1.6}  # the built-in's values
 
 
 def _overflow_error(key, value):
@@ -571,10 +572,21 @@ class TestInvalidInput:
              "1 ppm above", id="simulate-f-start-1hz"),
         case(SIMULATE + ("--design", "{design}", "--f-stop", "1e300"), None,
              "overflows the section angle", id="simulate-f-stop-overflow"),
-        # 8 EiB of frequencies: more than any 64-bit address space, so the
-        # allocation is refused whatever the host's overcommit policy
+        # 8 EiB of frequencies, refused before anything is allocated
         case(SIMULATE + ("--design", "{design}", "--points", str(10**18)), None,
-             "Unable to allocate", id="simulate-huge-points"),
+             "sweep points exceed MAX_POINTS", id="simulate-huge-points"),
+        # spans whose dielectric loss or prototype axis overflows, refused
+        # before numpy warns; ml would exit 5 after the warning
+        case(SIMULATE + ("--design", "{design}", "--mode", "physical", "--lossy",
+                         "--f-start", "1e-320"), None,
+             "f_start = 1e-320 GHz overflows the free-space wavelength",
+             id="simulate-physical-f-start-1e-320"),
+        case(SIMULATE + ("--design", "{design}", "--mode", "ml", "--f-start", "2.3e-308"), None,
+             "f_start = 2.3e-308 GHz overflows the prototype frequency axis",
+             id="simulate-ml-f-start-2.3e-308"),
+        case(SIMULATE + ("--design", "{design}", "--mode", "ml", "--lossy", "--f-stop", "1e308"),
+             None, "f_stop = 1e+308 GHz overflows the prototype frequency axis",
+             id="simulate-ml-lossy-f-stop-1e308"),
         case(LAYOUT + ("--planar-gap", "-1"), None, "planar_gap",
              id="layout-negative-gap"),
         case(LAYOUT + ("--overlap", "nan"), None, "overlap", id="layout-overlap-nan"),
@@ -606,6 +618,18 @@ class TestInvalidInput:
              "materials[1]: tan_d must be >= 0", id="materials-negative-tan-d"),
         case(MATERIALS, ("materials", ("materials", 0, "t"), -0.1),
              "materials[0]: conductor thickness must be >= 0", id="materials-negative-t"),
+        # a substrate height or conductor thickness outside the physical range,
+        # where the width bisection underflows, the feed width is inf, or the
+        # SVG stackup prints a 300-digit thickness
+        *[case(argv, ("materials", ("materials",), [dict(FR4_ENTRY, **{key: value})]),
+               f"materials[0]: {cause}", id=f"materials-{key}-{value:g}-{argv[0]}")
+          for argv, key, value, cause in (
+              (("synth", "--config", "{config}", "--out", "{tmp}/d.json"), "h", 1e-300,
+               "substrate height h = 1e-300 mm must lie in [0.001, 1000] mm"),
+              (("synth", "--config", "{config}", "--out", "{tmp}/d.json"), "h", 1e-200,
+               "substrate height"),
+              (LAYOUT_PCL, "h", 1e154, "substrate height"),
+              (LAYOUT_PCL, "t", 1e300, "conductor thickness"))],
         case(MATERIALS, ("materials", ("materials", 0, "conductivity"), -0.1),
              "materials[0]: conductivity must be positive", id="materials-negative-conductivity"),
         case(MATERIALS, ("materials", ("materials",), [
@@ -648,6 +672,17 @@ class TestInvalidInput:
         assert cause in captured.err
         assert captured.err.count("\n") == 1
         assert not [p.name for p in tmp_path.iterdir() if p.suffix in (".s2p", ".csv", ".svg")]
+
+    def test_memory_error_exits_7(self, tmp_path, design_path, monkeypatch, capsys):
+        # a sweep below MAX_POINTS that the host still cannot allocate
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.63 MiB")
+
+        monkeypatch.setattr("mwbpf.design.simulate", out_of_memory)
+        capsys.readouterr()
+        assert main(["simulate", "--design", str(design_path),
+                     "--out-prefix", str(tmp_path / "bad")]) == 7
+        assert capsys.readouterr() == ("", "error: invalid input: Unable to allocate 7.63 MiB\n")
 
     def test_length_bound_in_every_reader_of_the_dimensions(self, tmp_path, design_path,
                                                              capsys):
@@ -711,8 +746,10 @@ def _leaves(node, path=()):
 class TestEveryInputField:
     """Each scalar leaf of the reference design.json (bar its provenance), and
     spec.z0_ohm with coupling.z0_ohm as one, takes a seeded sample of
-    FIELD_VALUES through the sweeps and layouts: every run ends in a result
-    or in one typed error line, and writes nothing when it fails."""
+    FIELD_VALUES through the sweeps and layouts; so do each scalar leaf of a
+    MWBPF_MATERIALS entry, through synthesis, a layout and a lossy sweep, and
+    the sweep span options, through simulate's three modes. Every run ends in a
+    result or in one typed error line, and writes nothing when it fails."""
 
     COMMANDS = (
         ("simulate", "--mode", "ideal", "--out-prefix", "run"),
@@ -721,7 +758,36 @@ class TestEveryInputField:
         ("layout", "--kind", "pcl", "--out", "run.svg"),
         ("layout", "--kind", "ml", "--compare", "--out", "run.svg"),
     )
+    MATERIALS_COMMANDS = (
+        ("synth", "--config", "config.json", "--out", "run.json"),
+        ("layout", "--kind", "pcl", "--out", "run.svg", "--design", "design.json"),
+        ("simulate", "--mode", "ml", "--lossy", "--out-prefix", "run", "--design", "design.json"),
+    )
     PER_INPUT = 7  # values drawn for each input, each run through every command
+
+    @staticmethod
+    def _run(argv, where, value, problems, capsys, may_pass=False):
+        """Run ``argv``, given ``value`` at ``where``, and add to ``problems``
+        what breaks the property; a non-finite value may exit 0 only where
+        ``may_pass``."""
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        written = [p.name for p in Path().iterdir() if p.stem == "run"]
+        for name in written:
+            Path(name).unlink()
+        if code not in {0, *(c for _, c, _ in EXIT_CODES)}:
+            problems.append(f"{where}: exit {code} is undocumented")
+        elif code:
+            errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+            if out or written or len(errors) != 1 or not errors[0].startswith("error: "):
+                problems.append(f"{where}: exit {code} printed {out!r} and {err!r}, "
+                                f"wrote {written}")
+        elif value in NON_FINITE and not may_pass:
+            problems.append(f"{where}: a non-finite value exits 0")
+        elif re.search(r"\b(nan|inf)\b", out, re.IGNORECASE):
+            problems.append(f"{where}: exit 0 printed {out!r}")
+        elif max(map(len, out.splitlines())) > MAX_LINE:
+            problems.append(f"{where}: exit 0 printed a line over {MAX_LINE} characters")
 
     def test_result_or_one_error_line(self, tmp_path, design_path, monkeypatch, capsys):
         reference = json.loads(design_path.read_text())
@@ -733,7 +799,6 @@ class TestEveryInputField:
         # whatever the sample: a non-finite g-value, which only ml reads, and
         # a feed above the range, found after the ml layout is built
         cases += [((("prototype", "g", 1),), "nan"), (inputs[-1], 1e9)]
-        documented = {0, *(code for _, code, _ in EXIT_CODES)}
         monkeypatch.chdir(tmp_path)
         problems = []
         for paths, value in cases:
@@ -743,24 +808,43 @@ class TestEveryInputField:
             Path("bad.json").write_text(json.dumps(doc))
             for command in self.COMMANDS:
                 where = f"{'+'.join(map(str, paths))} = {value!r}, {' '.join(command)}"
-                code = main([*command, "--design", "bad.json"])
-                out, err = capsys.readouterr()
-                written = [p.name for p in Path().iterdir() if p.stem == "run"]
-                for name in written:
-                    Path(name).unlink()
-                if code not in documented:
-                    problems.append(f"{where}: exit {code} is undocumented")
-                elif code:
-                    errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
-                    if out or written or len(errors) != 1 or not errors[0].startswith("error: "):
-                        problems.append(f"{where}: exit {code} printed {out!r} and {err!r}, "
-                                        f"wrote {written}")
-                elif value in NON_FINITE and paths != (("substrate",),):
-                    problems.append(f"{where}: a non-finite value exits 0")
-                elif re.search(r"\b(nan|inf)\b", out, re.IGNORECASE):
-                    problems.append(f"{where}: exit 0 printed {out!r}")
-                elif max(map(len, out.splitlines())) > MAX_LINE:
-                    problems.append(f"{where}: exit 0 printed a line over {MAX_LINE} characters")
+                self._run([*command, "--design", "bad.json"], where, value, problems, capsys,
+                          may_pass=paths == (("substrate",),))
+        assert not problems, "\n".join(problems)
+
+    def test_materials_entry(self, tmp_path, config_path, design_path, monkeypatch, capsys):
+        # the entry shadows the built-in FR4 that the config and the design name
+        entry = {**FR4_ENTRY, "t": 0.035, "conductivity": 5.8e7}
+        rng = random.Random(9)
+        cases = [(key, value) for key in entry
+                 for value in rng.sample(FIELD_VALUES, self.PER_INPUT)]
+        cases.append(("h", 1e-300))  # whatever the sample: the width bisection's underflow
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MWBPF_MATERIALS", "materials.json")
+        problems = []
+        for key, value in cases:
+            Path("materials.json").write_text(json.dumps({"materials": [{**entry, key: value}]}))
+            for command in self.MATERIALS_COMMANDS:
+                where = f"materials[0].{key} = {value!r}, {' '.join(command)}"
+                # a name is any one-line string, "nan" included
+                self._run(command, where, value, problems, capsys, may_pass=key == "name")
+        assert not problems, "\n".join(problems)
+
+    def test_sweep_span(self, tmp_path, design_path, monkeypatch, capsys):
+        # what argparse reads as a float; other words are usage errors (exit 2)
+        numbers = [v for v in FIELD_VALUES if type(v) in (int, float, str) and v != "x"]
+        rng = random.Random(10)
+        # whatever the sample: a dielectric loss and a prototype axis that overflow
+        cases = [(option, value) for option, extra in (("--f-start", (1e-320, 2.3e-308)),
+                                                       ("--f-stop", (1e308,)))
+                 for value in (*rng.sample(numbers, self.PER_INPUT), *extra)]
+        monkeypatch.chdir(tmp_path)
+        problems = []
+        for option, value in cases:
+            for command in self.COMMANDS[:3]:
+                where = f"{option} = {value!r}, {' '.join(command)}"
+                self._run([*command, "--design", "design.json", option, str(value)], where, value,
+                          problems, capsys)
         assert not problems, "\n".join(problems)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 
 import numpy as np
@@ -85,7 +86,7 @@ class TestHairpinFold:
     def test_reference_fold(self):
         hp = hairpin_fold(32.1, 2.0, 3.3)
         assert hp.arm_length == pytest.approx(13.4, abs=0.01)
-        assert hp.centerline_length() == pytest.approx(32.1, abs=1e-6)
+        assert 2.0 * hp.arm_length + hp.arm_gap + hp.w == pytest.approx(32.1, abs=1e-6)
 
     def test_shape_derives_from_three_dimensions(self):
         hp = hairpin_fold(32.1, 2.0, 3.3)
@@ -93,8 +94,6 @@ class TestHairpinFold:
         assert Hairpin(w=3.3, arm_gap=2.0, arm_length=hp.arm_length) == hp
         xs, ys = zip(*hp.outline)
         assert (max(xs), max(ys)) == (hp.width, hp.height)
-        assert [r[2:] for r in hp.rects] == [(3.3, hp.height), (hp.width, hp.height),
-                                             (hp.width, 3.3)]
 
     def test_too_tight(self):
         with pytest.raises(FoldTooTight):
@@ -117,7 +116,7 @@ class TestHairpinFold:
             if l <= 2 * (g + w):
                 continue
             hp = hairpin_fold(l, g, w)
-            assert hp.centerline_length() == pytest.approx(l, abs=1e-6)
+            assert 2.0 * hp.arm_length + hp.arm_gap + hp.w == pytest.approx(l, abs=1e-6)
 
     def test_outline_is_rectilinear(self):
         hp = hairpin_fold(32.1, 2.0, 3.3)
@@ -165,7 +164,7 @@ class TestStackup:
         st = multilayer_stackup(fr4)
         roles = [l.role for l in st.layers]
         assert roles == ["ground", "epoxy", "resonator-bottom", "core", "resonator-top"]
-        assert st.total_thickness() == pytest.approx(0.035 * 3 + 0.05 + 1.6)
+        assert sum(l.thickness for l in st.layers) == pytest.approx(0.035 * 3 + 0.05 + 1.6)
 
     def test_single_ground_enforced(self):
         with pytest.raises(ValueError, match="ground"):
@@ -185,7 +184,7 @@ class TestStackup:
         st = multilayer_stackup(bare)
         copper = [l.thickness for l in st.layers if l.material == "copper"]
         assert copper == [0.0, 0.0, 0.0]
-        assert st.total_thickness() == pytest.approx(0.55)
+        assert sum(l.thickness for l in st.layers) == pytest.approx(0.55)
         assert [l.thickness for l in single_layer_stackup(bare).layers] == [0.0, 0.5, 0.0]
 
     def test_dielectric_layers_need_thickness(self):
@@ -197,8 +196,8 @@ class TestStackup:
 
 class TestLayoutValidation:
     def test_same_layer_overlap_rejected(self, fr4):
-        el1 = LayoutElement(0, ((0, 0), (2, 0), (2, 1), (0, 1)), ((0.0, 0.0, 2.0, 1.0),))
-        el2 = LayoutElement(0, ((1, 0), (3, 0), (3, 1), (1, 1)), ((1.0, 0.0, 3.0, 1.0),))
+        el1 = LayoutElement(0, ((0, 0), (2, 0), (2, 1), (0, 1)))
+        el2 = LayoutElement(0, ((1, 0), (3, 0), (3, 1), (1, 1)))
         with pytest.raises(ValueError, match="overlapping"):
             FilterLayout(
                 elements=(el1, el2),
@@ -207,8 +206,8 @@ class TestLayoutValidation:
             )
 
     def test_different_layer_overlap_allowed(self, fr4):
-        el1 = LayoutElement(0, ((0, 0), (2, 0), (2, 1), (0, 1)), ((0.0, 0.0, 2.0, 1.0),))
-        el2 = LayoutElement(1, ((1, 0), (3, 0), (3, 1), (1, 1)), ((1.0, 0.0, 3.0, 1.0),))
+        el1 = LayoutElement(0, ((0, 0), (2, 0), (2, 1), (0, 1)))
+        el2 = LayoutElement(1, ((1, 0), (3, 0), (3, 1), (1, 1)))
         lay = FilterLayout(
             elements=(el1, el2),
             ports=(Port("P1", 0, 0), Port("P2", 3, 1)),
@@ -217,13 +216,14 @@ class TestLayoutValidation:
         assert lay.area() == pytest.approx(3.0)
 
     def test_moved_to_origin_with_derived_bounds(self, fr4):
-        el1 = LayoutElement(0, ((5, -2), (7, -2), (7, 1), (5, 1)), ((5.0, -2.0, 7.0, 1.0),))
-        el2 = LayoutElement(1, ((4, 0), (6, 0), (6, 3), (4, 3)), ((4.0, 0.0, 6.0, 3.0),))
+        el1 = LayoutElement(0, ((5, -2), (7, -2), (7, 1), (5, 1)))
+        el2 = LayoutElement(1, ((4, 0), (6, 0), (6, 3), (4, 3)))
         lay = FilterLayout(elements=(el1, el2), ports=(Port("P1", 4, 0), Port("P2", 7, 1)),
                            stackup=single_layer_stackup(fr4))
         assert lay.bounds == (3, 5)
         assert lay.elements[0].polygon == ((1, 0), (3, 0), (3, 3), (1, 3))
-        assert lay.elements[0].rects == ((1.0, 0.0, 3.0, 3.0),)
+        xs, ys = zip(*lay.elements[0].polygon)
+        assert (min(xs), min(ys), max(xs), max(ys)) == (1.0, 0.0, 3.0, 3.0)
         assert lay.elements[1].polygon == ((0, 2), (2, 2), (2, 5), (0, 5))
         assert [(p.x, p.y) for p in lay.ports] == [(0, 2), (3, 3)]
 
@@ -251,7 +251,6 @@ def _check_placed(lay):
     assert z[0] == 0.0
     for i in range(1, len(layers)):
         assert z[i] == z[i - 1] + layers[i - 1].thickness
-    assert z[-1] + layers[-1].thickness == lay.stackup.total_thickness()
 
 
 class TestLayoutProperties:
@@ -297,6 +296,84 @@ class TestLayoutProperties:
                 build()
             return
         _check_placed(build())
+
+
+def _rects_intersect(a, b):
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    return ax0 < bx1 - 1e-9 and bx0 < ax1 - 1e-9 and ay0 < by1 - 1e-9 and by0 < ay1 - 1e-9
+
+
+def _moved_rects(rects, dx, dy, mirror=False):
+    sy, lo, hi = (-1.0, 3, 1) if mirror else (1.0, 1, 3)
+    return [(r[0] + dx, dy + sy * r[lo], r[2] + dx, dy + sy * r[hi]) for r in rects]
+
+
+def _rect_rule_overlaps(resonators, overlap, planar_gap):
+    """Whether the former rectangle rule finds a same-layer overlap: each
+    hairpin as its two arm rectangles and its base rectangle, placed as
+    ml_hairpin_layout places it, moved to the origin as FilterLayout moves
+    it, and checked rectangle against rectangle."""
+    r1, r2, r3, r4 = resonators
+    total_h = max(r1.height, r4.height) + max(r2.height, r3.height) - overlap
+    x2 = 0.0 + r1.arm_gap + 1.5 * r1.w - 0.5 * r2.w
+    x3 = x2 + r2.width + planar_gap
+    x4 = x3 + r3.arm_gap + 1.5 * r3.w - 0.5 * r4.w
+    placed = []
+    for layer, hp, dx, dy, mirror in ((0, r1, 0.0, total_h, True), (1, r2, x2, 0.0, False),
+                                      (1, r3, x3, 0.0, False), (0, r4, x4, total_h, True)):
+        w, wd, ht = hp.w, hp.width, hp.height
+        rects = ((0.0, 0.0, w, ht), (wd - w, 0.0, wd, ht), (0.0, 0.0, wd, w))
+        placed.append((layer, _moved_rects(rects, dx, dy, mirror)))
+    x0 = min(r[i] for _, rects in placed for r in rects for i in (0, 2))
+    y0 = min(r[i] for _, rects in placed for r in rects for i in (1, 3))
+    placed = [(layer, _moved_rects(rects, -x0, -y0)) for layer, rects in placed]
+    return any(la == lb and any(_rects_intersect(a, b) for a in ra for b in rb)
+               for i, (la, ra) in enumerate(placed) for lb, rb in placed[i + 1:])
+
+
+class TestOverlapRule:
+    """The outline-box check refuses an ml layout exactly where the former
+    rectangle rule (a copy above) found a same-layer overlap: ml_hairpin_layout
+    never places a hairpin inside another's U."""
+
+    def test_same_refusals_as_the_rectangle_rule(self, fr4):
+        rng = random.Random(21)
+
+        def draw(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        refused = built = 0
+        for _ in range(6000):
+            arm_gap, planar_gap = draw(1e-12, 50.0), draw(1e-12, 50.0)
+            overlap = rng.choice((0.0, draw(1e-12, 20.0)))
+            try:
+                resonators = [hairpin_fold(draw(1e-3, 300.0), arm_gap, draw(1e-12, 100.0))
+                              for _ in range(4)]
+            except FoldTooTight:
+                continue
+            if overlap > min(r.arm_length for r in resonators):
+                continue
+            expected = _rect_rule_overlaps(resonators, overlap, planar_gap)
+            try:
+                ml_hairpin_layout(resonators, overlap, multilayer_stackup(fr4), planar_gap)
+            except ValueError as exc:
+                assert expected and "overlapping polygons on one layer" in str(exc)
+                refused += 1
+            else:
+                assert not expected
+                built += 1
+        assert refused >= 50 and built >= 50
+
+    def test_hand_built_element_inside_a_u_is_refused(self, fr4):
+        hp = Hairpin(w=1.0, arm_gap=4.0, arm_length=10.0)
+        inside = ((2, 2), (3, 2), (3, 5), (2, 5))  # between the arms, touching neither
+        assert not any(_rects_intersect(r, (2, 2, 3, 5)) for r in
+                       ((0, 0, 1, 10.5), (5, 0, 6, 10.5), (0, 0, 6, 1)))
+        with pytest.raises(ValueError, match="overlapping polygons on one layer"):
+            FilterLayout(elements=(LayoutElement(0, hp.outline), LayoutElement(0, inside)),
+                         ports=(Port("P1", 0, 0), Port("P2", 6, 0)),
+                         stackup=single_layer_stackup(fr4))
 
 
 class TestSvgExport:

@@ -15,6 +15,7 @@ from mwbpf.microstrip import (
     C0,
     GAP_FLOOR_MM,
     GAP_HARD_MIN_MM,
+    SUBSTRATE_RANGE_MM,
     WIDTH_RANGE_H,
     CoupledSectionDims,
     CouplingUnreachable,
@@ -621,6 +622,25 @@ class TestValidation:
             Substrate(name="bad", eps_r=0.5, tan_d=0.0, h=1.0)
         with pytest.raises(ValueError):
             Substrate(name="bad", eps_r=2.0, tan_d=0.0, h=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("h", 1e-300), ("h", 1e-162), ("h", 9.99e-4), ("h", 1000.5), ("h", 1e154),
+        ("t", 1000.5), ("t", 1e300),
+    ])
+    def test_substrate_dimensions_bounded(self, field, value):
+        # below 1e-162 mm the width bisection's sqrt(lo * hi) underflows to 0,
+        # above 1e154 mm the feed width is inf; both are far outside the range
+        kwargs = dict(name="x", eps_r=3.0, tan_d=0.001, h=0.5, t=0.035)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="height" if field == "h" else "thickness"):
+            Substrate(**kwargs)
+
+    @pytest.mark.parametrize("h", SUBSTRATE_RANGE_MM)
+    def test_substrate_range_ends_synthesize(self, h):
+        sub = Substrate(name="x", eps_r=3.0, tan_d=0.001, h=h, t=SUBSTRATE_RANGE_MM[1])
+        w = synthesize_single_width(50.0, sub)
+        assert WIDTH_RANGE_H[0] * h < w < WIDTH_RANGE_H[1] * h
+        assert analyze_single(w, sub)[0] == pytest.approx(50.0, rel=1e-9)
 
     @pytest.mark.parametrize("field", ["eps_r", "tan_d", "h", "t", "conductivity"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -32,6 +32,7 @@ from mwbpf.microstrip import (
 )
 from mwbpf.prototype import FilterSpec, bandpass_to_lowpass
 from mwbpf.rfsim import (
+    MAX_POINTS,
     BandEdgeOutOfRange,
     FrequencySweep,
     SingularFrequencyWarning,
@@ -481,6 +482,12 @@ class TestFrequencySweep:
         with pytest.raises(ValueError, match=field):
             FrequencySweep(**kwargs)
 
+    def test_points_bounded(self):
+        # the constructor allocates nothing, so neither sweep is ever swept here
+        assert FrequencySweep(2.0, 3.0, MAX_POINTS).n_points == MAX_POINTS >= 100001
+        with pytest.raises(ValueError, match="MAX_POINTS"):
+            FrequencySweep(2.0, 3.0, MAX_POINTS + 1)
+
 
 class TestSingularFrequency:
     def test_nudged_point_is_finite_and_matches_offset_sweep(self, fr4_design):
@@ -509,6 +516,23 @@ class TestSweepRange:
         with pytest.raises(ValueError, match="overflows the section angle"):
             sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 1e300, 11),
                       mode=mode, dims=fr4_design.dims, substrate=fr4, lossy=mode == "physical")
+
+    @pytest.mark.parametrize("f_start", [1e-320, 1e-310])
+    def test_overflowing_wavelength_is_rejected_before_numpy_sees_it(self, fr4_design, fr4,
+                                                                    f_start):
+        # the dielectric loss divides by the free-space wavelength, C0 / f
+        with pytest.raises(ValueError, match="f_start .* overflows the free-space wavelength"):
+            sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(f_start, 1e-300, 5),
+                      mode="physical", dims=fr4_design.dims, substrate=fr4, lossy=True)
+
+    @pytest.mark.parametrize("span, end", [((2.3e-308, 3.0), "f_start"), ((2.0, 1e308), "f_stop")],
+                             ids=["f-start-2.3e-308", "f-stop-1e308"])
+    @pytest.mark.parametrize("qu", [math.inf, 150.0], ids=["lossless", "lossy"])
+    def test_overflowing_prototype_axis_is_rejected_before_numpy_sees_it(
+            self, paper_proto, paper_spec, span, end, qu):
+        model = coupling_coefficients(paper_proto, paper_spec.fbw(), paper_spec.f0, qu=qu)
+        with pytest.raises(ValueError, match=f"{end} .* overflows the prototype frequency axis"):
+            sweep_coupling_matrix(model, FrequencySweep(*span, 5))
 
     def test_overflowing_lossy_sine_is_rejected(self, fr4_design, fr4):
         with pytest.raises(ValueError, match="overflows the sine"):
