@@ -12,6 +12,7 @@ Dimensions are millimeters at every interface; frequencies GHz.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +32,9 @@ WIDTH_RANGE_H = (0.02, 40.0)  # strip widths synthesis searches, in substrate he
 # normal float (7.5e-153 to 3.3e152 mm; below 2e-162 mm the bisection's lo * hi is 0),
 # and keeps the stackup records short. A conductor thickness is at most the upper end.
 SUBSTRATE_RANGE_MM = (1e-3, 1e3)
+# relative permittivities: vacuum to the densest microwave ceramics (titanates reach
+# a few thousand). Far below the 1e300 at which dielectric_loss overflowed
+EPS_R_RANGE = (1.0, 1e4)
 
 
 class NoConvergence(RuntimeError):
@@ -65,8 +69,9 @@ class Substrate:
         for name in ("eps_r", "tan_d", "h", "t", "conductivity"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.eps_r < 1:
-            raise ValueError("eps_r must be >= 1")
+        lo, hi = EPS_R_RANGE
+        if not lo <= self.eps_r <= hi:
+            raise ValueError(f"eps_r = {self.eps_r:g} must lie in [{lo:g}, {hi:g}]")
         if self.tan_d < 0:
             raise ValueError("tan_d must be >= 0")
         lo, hi = SUBSTRATE_RANGE_MM
@@ -218,50 +223,70 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     Attenuations are returned as 0; loss is attached per frequency by the
     sweep code. A pair whose fits overflow a double, or give a mode
     impedance that is not positive and finite, is a ValueError naming its w
-    and s.
+    and s. The model is the composition of its width-only terms, its
+    gap-only terms and the mixed step ``_mode_step``.
     """
     if not (w > 0 and s > 0):
         raise ValueError("width and gap must be positive")
     try:
-        u = w / sub.h
-        g = s / sub.h
-        er = sub.eps_r
-        z_s, ee_s = analyze_single(w, sub)
-
-        # even-mode permittivity: single-line form at the mode's equivalent width
-        v = u * (20.0 + g * g) / (10.0 + g * g) + g * math.exp(-g)
-        ee_e = _eps_eff_static(v, er)
-
-        # odd-mode permittivity
-        bo = 0.747 * er / (0.15 + er)
-        co = bo - (bo - 0.207) * math.exp(-0.414 * u)
-        do = 0.593 + 0.694 * math.exp(-0.562 * u)
-        ao = 0.7287 * (ee_s - (er + 1.0) / 2.0) * (1.0 - math.exp(-0.179 * u))
-        ee_o = ((er + 1.0) / 2.0 + ao - ee_s) * math.exp(-co * g**do) + ee_s
-
-        # mode impedances (q-polynomial fits)
-        q1 = 0.8695 * u**0.194
-        q2 = 1.0 + 0.7519 * g + 0.189 * g**2.31
-        q3 = 0.1975 + (16.6 + (8.4 / g) ** 6) ** (-0.387) + math.log(
-            g**10 / (1.0 + (g / 3.4) ** 10)
-        ) / 241.0
-        q4 = 2.0 * q1 / (q2 * (math.exp(-g) * u**q3 + (2.0 - math.exp(-g)) * u ** (-q3)))
-        q5 = 1.794 + 1.14 * math.log(1.0 + 0.638 / (g + 0.517 * g**2.43))
-        q6 = 0.2305 + math.log(g**10 / (1.0 + (g / 5.8) ** 10)) / 281.3 + math.log(
-            1.0 + 0.598 * g**1.154
-        ) / 5.1
-        q7 = (10.0 + 190.0 * g * g) / (1.0 + 82.3 * g**3)
-        q8 = math.exp(-6.5 - 0.95 * math.log(g) - (g / 0.15) ** 5)
-        q9 = math.log(q7) * (q8 + 1.0 / 16.5)
-        q10 = (q2 * q4 - q5 * math.exp(math.log(u) * q6 * u ** (-q9))) / q2
-        z0e = z_s * math.sqrt(ee_s / ee_e) / (1.0 - math.sqrt(ee_s) * q4 * z_s / ETA0)
-        z0o = z_s * math.sqrt(ee_s / ee_o) / (1.0 - math.sqrt(ee_s) * q10 * z_s / ETA0)
+        z0e, z0o, ee_e, ee_o = _mode_step(_width_terms(w, sub), _gap_terms(s, sub), sub.eps_r)
     except OverflowError:
         raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm overflows the model") from None
+    return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
+
+
+def _width_terms(w: float, sub: Substrate) -> tuple:
+    """The terms of the coupled model that depend on the width alone."""
+    u = w / sub.h
+    er = sub.eps_r
+    z_s, ee_s = analyze_single(w, sub)
+    bo = 0.747 * er / (0.15 + er)
+    co = bo - (bo - 0.207) * math.exp(-0.414 * u)
+    do = 0.593 + 0.694 * math.exp(-0.562 * u)
+    ao = 0.7287 * (ee_s - (er + 1.0) / 2.0) * (1.0 - math.exp(-0.179 * u))
+    # the odd-mode permittivity's amplitude, (er + 1) / 2 + ao - ee_s
+    amp_o = (er + 1.0) / 2.0 + ao - ee_s
+    q1 = 0.8695 * u**0.194
+    return w, u, z_s, ee_s, co, do, amp_o, q1, math.log(u), math.sqrt(ee_s)
+
+
+def _gap_terms(s: float, sub: Substrate) -> tuple:
+    """The terms of the coupled model that depend on the gap alone.
+    u (20 + g^2) / (10 + g^2) rounds left to right, so both sums are kept."""
+    g = s / sub.h
+    exp_g = math.exp(-g)
+    q2 = 1.0 + 0.7519 * g + 0.189 * g**2.31
+    q3 = 0.1975 + (16.6 + (8.4 / g) ** 6) ** (-0.387) + math.log(
+        g**10 / (1.0 + (g / 3.4) ** 10)
+    ) / 241.0
+    q5 = 1.794 + 1.14 * math.log(1.0 + 0.638 / (g + 0.517 * g**2.43))
+    q6 = 0.2305 + math.log(g**10 / (1.0 + (g / 5.8) ** 10)) / 281.3 + math.log(
+        1.0 + 0.598 * g**1.154
+    ) / 5.1
+    q7 = (10.0 + 190.0 * g * g) / (1.0 + 82.3 * g**3)
+    q8 = math.exp(-6.5 - 0.95 * math.log(g) - (g / 0.15) ** 5)
+    q9 = math.log(q7) * (q8 + 1.0 / 16.5)
+    return s, g, 20.0 + g * g, 10.0 + g * g, g * exp_g, exp_g, q2, q3, q5, q6, q9
+
+
+def _mode_step(wt: tuple, gt: tuple, er: float) -> tuple[float, float, float, float]:
+    """(z0e, z0o, eps_eff_e, eps_eff_o) of the width terms ``wt`` and the gap
+    terms ``gt``. A mode impedance that is not positive and finite is a
+    ValueError naming w and s; an overflow is an OverflowError."""
+    w, u, z_s, ee_s, co, do, amp_o, q1, ln_u, root_ee_s = wt
+    s, g, g20, g10, g_exp_g, exp_g, q2, q3, q5, q6, q9 = gt
+    # even-mode permittivity: single-line form at the mode's equivalent width
+    ee_e = _eps_eff_static(u * g20 / g10 + g_exp_g, er)
+    ee_o = amp_o * math.exp(-co * g**do) + ee_s
+    # mode impedances (q-polynomial fits)
+    q4 = 2.0 * q1 / (q2 * (exp_g * u**q3 + (2.0 - exp_g) * u ** (-q3)))
+    q10 = (q2 * q4 - q5 * math.exp(ln_u * q6 * u ** (-q9))) / q2
+    z0e = z_s * math.sqrt(ee_s / ee_e) / (1.0 - root_ee_s * q4 * z_s / ETA0)
+    z0o = z_s * math.sqrt(ee_s / ee_o) / (1.0 - root_ee_s * q10 * z_s / ETA0)
     if not (0 < z0e < math.inf and 0 < z0o < math.inf):
         raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm gives a mode impedance "
                          f"that is not positive and finite (z0e={z0e:g}, z0o={z0o:g} ohm)")
-    return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
+    return z0e, z0o, ee_e, ee_o
 
 
 def analyze_dims(dims, sub: Substrate, f0: float) -> list[ModeParams]:
@@ -316,61 +341,77 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     minimum gap, else NoConvergence. Pure: it warns nothing (see
     ``check_fit_range``).
 
-    The iterate and residual are Python float pairs. numpy does only the
-    2x2 solve, because a Python LU rounds differently in the last bit and
-    moves the dimensions, and the line-search norm, because a Python norm
-    rounds differently too and could accept a different step.
+    The iteration runs on Python floats and holds the width terms and the
+    gap terms of its current point: the finite-difference column that steps
+    the width reuses the gap terms, and the one that steps the gap reuses
+    the width terms. The 2x2 step (``_solve2``) and the line-search norm
+    (``_norm2``) are the sequences of roundings that LAPACK's dgesv and
+    numpy's norm take in OpenBLAS's fused kernels, with each fused
+    multiply-add done exactly in rational arithmetic. So the dimensions are
+    the same bits on every host, whatever its BLAS.
     """
     if not (z0e > z0o > 0):
         raise ValueError("need z0e > z0o > 0")
-    h = sub.h
+    h, er = sub.h, sub.eps_r
 
-    def residual(lw: float, ls: float) -> tuple[float, float] | None:
-        mp = _modes_or_none(math.exp(lw), math.exp(ls), sub)
-        if mp is None:
+    def terms(part, v):
+        try:
+            return part(v, sub)
+        except (OverflowError, ValueError):  # a rejected point
             return None
-        return math.log(mp.z0e / z0e), math.log(mp.z0o / z0o)
+
+    def modes(wt, gt) -> tuple[float, float] | None:
+        if wt is None or gt is None:
+            return None
+        try:
+            return _mode_step(wt, gt, er)[:2]
+        except (OverflowError, ValueError):  # the fits overflow, or an impedance is not positive
+            return None
+
+    def residual(wt, gt) -> tuple[float, float] | None:
+        z = modes(wt, gt)
+        return None if z is None else (math.log(z[0] / z0e), math.log(z[1] / z0o))
 
     lo_w, lo_s = math.log(WIDTH_RANGE_H[0] * h), math.log(GAP_HARD_MIN_MM)
     hi_w, hi_s = math.log(WIDTH_RANGE_H[1] * h), math.log(60.0 * h)
     step = 1e-6
     w0 = _bisect_width(math.sqrt(z0e * z0o), sub)[0]
     xw, xs = math.log(w0), math.log(h)
-    f = residual(xw, xs)
+    wt, gt = terms(_width_terms, math.exp(xw)), terms(_gap_terms, math.exp(xs))
+    f = residual(wt, gt)
     for _ in range(200):
         if f is None:
             break
         fe, fo = f
         if max(abs(fe), abs(fo)) < 1e-6:
             return math.exp(xw), math.exp(xs)
-        cw, cs = residual(xw + step, xs), residual(xw, xs + step)
+        cw = residual(terms(_width_terms, math.exp(xw + step)), gt)
+        cs = residual(wt, terms(_gap_terms, math.exp(xs + step)))
         if cw is None or cs is None:
             break
-        jac = np.array([
-            [(cw[0] - fe) / step, (cs[0] - fe) / step],
-            [(cw[1] - fo) / step, (cs[1] - fo) / step],
-        ])
-        try:
-            dw, ds = np.linalg.solve(jac, [-fe, -fo]).tolist()
-        except np.linalg.LinAlgError:
+        d = _solve2((cw[0] - fe) / step, (cs[0] - fe) / step,
+                    (cw[1] - fo) / step, (cs[1] - fo) / step, -fe, -fo)
+        if d is None:
             break
-        norm_f = np.linalg.norm(f)
+        dw, ds = d
+        norm_f = _norm2(fe, fo)
         lam = 1.0
         while lam > 1e-8:
             # clip to the box; min(max(v, .), .) keeps a NaN v, as np.clip does
             tw = min(max(xw + lam * dw, lo_w), hi_w)
             ts = min(max(xs + lam * ds, lo_s), hi_s)
-            fc = residual(tw, ts)
-            if fc is not None and np.linalg.norm(fc) < norm_f:
+            twt, tgt = terms(_width_terms, math.exp(tw)), terms(_gap_terms, math.exp(ts))
+            fc = residual(twt, tgt)
+            if fc is not None and _norm2(*fc) < norm_f:
                 break
             lam *= 0.5
         else:
             break
-        xw, xs, f = tw, ts, fc
+        xw, xs, wt, gt, f = tw, ts, twt, tgt, fc
 
     split = z0e - z0o
-    mp = _modes_or_none(w0, GAP_HARD_MIN_MM, sub)
-    if mp is None or mp.z0e - mp.z0o < split:
+    z = modes(terms(_width_terms, w0), terms(_gap_terms, GAP_HARD_MIN_MM))
+    if z is None or z[0] - z[1] < split:
         raise CouplingUnreachable(
             f"mode split {split:.2f} ohm not reachable at the minimum gap"
         )
@@ -379,11 +420,56 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     )
 
 
-def _modes_or_none(w, s, sub):
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it: the exact
+    rational value, which Python's int true division rounds correctly."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a * b + c
+    if not math.isfinite(c):
+        return c
+    na, da = a.as_integer_ratio()
+    nb, db = b.as_integer_ratio()
+    nc, dc = c.as_integer_ratio()
+    num = na * nb * dc + nc * da * db
+    if num == 0:
+        # an exact zero: IEEE gives -0.0 only for (-0.0) + (-0.0)
+        return a * b + c if a * b == 0 else 0.0
     try:
-        return analyze_coupled(w, s, sub)
-    except ValueError:  # the fits overflow, or an impedance is not positive and finite
+        return num / (da * db * dc)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _norm2(a: float, b: float) -> float:
+    """The Euclidean norm of (a, b) as numpy's ``norm`` rounds it: the
+    square root of a dot product that fuses its second term."""
+    return math.sqrt(_fma(b, b, a * a))
+
+
+def _solve2(a00: float, a01: float, a10: float, a11: float,
+            b0: float, b1: float) -> tuple[float, float] | None:
+    """x of [[a00, a01], [a10, a11]] x = (b0, b1), rounded as LAPACK's dgesv
+    (LU with partial pivoting, then two triangular solves) rounds it in
+    OpenBLAS's fused kernels; None where dgesv finds an exact zero pivot or
+    an entry is not finite.
+
+    dgesv pivots on the larger of |a00| and |a10|, keeping the first row on a
+    tie; scales the column below the pivot by the pivot's reciprocal, or
+    divides it when the pivot is below the smallest normal double; updates
+    u11 unfused; and fuses the multiply-add of each triangular solve.
+    """
+    if not all(map(math.isfinite, (a00, a01, a10, a11, b0, b1))):
         return None
+    if abs(a10) > abs(a00):
+        a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
+    if a00 == 0.0:
+        return None
+    l = a10 * (1.0 / a00) if abs(a00) >= sys.float_info.min else a10 / a00
+    u11 = a11 - a01 * l
+    if u11 == 0.0:
+        return None
+    x1 = _fma(-b0, l, b1) / u11
+    return _fma(-x1, a01, b0) / a00, x1
 
 
 # --- derived quantities ------------------------------------------------------

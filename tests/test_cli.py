@@ -630,6 +630,16 @@ class TestInvalidInput:
                "substrate height"),
               (LAYOUT_PCL, "h", 1e154, "substrate height"),
               (LAYOUT_PCL, "t", 1e300, "conductor thickness"))],
+        # a permittivity beyond the physical range, at which the lossy sweeps'
+        # dielectric loss overflowed
+        case(SIMULATE + ("--design", "{design}", "--mode", "physical", "--lossy"),
+             ("materials", ("materials",), [dict(FR4_ENTRY, eps_r=1e300)]),
+             "materials[0]: eps_r = 1e+300 must lie in [1, 10000]",
+             id="materials-eps_r-1e+300-physical-lossy"),
+        case(SIMULATE + ("--design", "{design}", "--mode", "ml", "--lossy"),
+             ("materials", ("materials",), [dict(FR4_ENTRY, eps_r=1e300)]),
+             "materials[0]: eps_r = 1e+300 must lie in [1, 10000]",
+             id="materials-eps_r-1e+300-ml-lossy"),
         case(MATERIALS, ("materials", ("materials", 0, "conductivity"), -0.1),
              "materials[0]: conductivity must be positive", id="materials-negative-conductivity"),
         case(MATERIALS, ("materials", ("materials",), [
@@ -818,7 +828,9 @@ class TestEveryInputField:
         rng = random.Random(9)
         cases = [(key, value) for key in entry
                  for value in rng.sample(FIELD_VALUES, self.PER_INPUT)]
-        cases.append(("h", 1e-300))  # whatever the sample: the width bisection's underflow
+        # whatever the sample: the width bisection's underflow, and the lossy
+        # sweeps' overflowing dielectric loss
+        cases += [("h", 1e-300), ("eps_r", 1e300)]
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("MWBPF_MATERIALS", "materials.json")
         problems = []

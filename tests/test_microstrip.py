@@ -13,6 +13,8 @@ from mwbpf.coupling import design_coupling
 from mwbpf.design import DesignDocument, synthesize_design, to_dict
 from mwbpf.microstrip import (
     C0,
+    EPS_R_RANGE,
+    ETA0,
     GAP_FLOOR_MM,
     GAP_HARD_MIN_MM,
     SUBSTRATE_RANGE_MM,
@@ -37,7 +39,7 @@ from mwbpf.microstrip import (
 
 from mwbpf.prototype import FilterSpec, design_prototype
 
-from conftest import TABLE1_ZE, TABLE1_ZO, TABLE2_FR4, TABLE3_RO3003
+from conftest import PAPER_SPEC, TABLE1_ZE, TABLE1_ZO, TABLE2_FR4, TABLE3_RO3003
 
 
 # Reference copies of the numpy-array Newton synthesis and its bisection
@@ -67,6 +69,47 @@ def oracle_single_width_in_range(z0_target, sub):
     if analyze_single(WIDTH_RANGE_H[1] * sub.h, sub)[0] > z0_target:
         raise CouplingUnreachable(f"{z0_target} ohm is below the model range")
     return w
+
+
+def oracle_analyze_coupled(w, s, sub):
+    # the coupled model as one list of expressions; analyze_coupled
+    # composes it from width-only, gap-only and mixed parts
+    if not (w > 0 and s > 0):
+        raise ValueError("width and gap must be positive")
+    try:
+        u = w / sub.h
+        g = s / sub.h
+        er = sub.eps_r
+        z_s, ee_s = analyze_single(w, sub)
+        v = u * (20.0 + g * g) / (10.0 + g * g) + g * math.exp(-g)
+        ee_e = mwbpf.microstrip._eps_eff_static(v, er)
+        bo = 0.747 * er / (0.15 + er)
+        co = bo - (bo - 0.207) * math.exp(-0.414 * u)
+        do = 0.593 + 0.694 * math.exp(-0.562 * u)
+        ao = 0.7287 * (ee_s - (er + 1.0) / 2.0) * (1.0 - math.exp(-0.179 * u))
+        ee_o = ((er + 1.0) / 2.0 + ao - ee_s) * math.exp(-co * g**do) + ee_s
+        q1 = 0.8695 * u**0.194
+        q2 = 1.0 + 0.7519 * g + 0.189 * g**2.31
+        q3 = 0.1975 + (16.6 + (8.4 / g) ** 6) ** (-0.387) + math.log(
+            g**10 / (1.0 + (g / 3.4) ** 10)
+        ) / 241.0
+        q4 = 2.0 * q1 / (q2 * (math.exp(-g) * u**q3 + (2.0 - math.exp(-g)) * u ** (-q3)))
+        q5 = 1.794 + 1.14 * math.log(1.0 + 0.638 / (g + 0.517 * g**2.43))
+        q6 = 0.2305 + math.log(g**10 / (1.0 + (g / 5.8) ** 10)) / 281.3 + math.log(
+            1.0 + 0.598 * g**1.154
+        ) / 5.1
+        q7 = (10.0 + 190.0 * g * g) / (1.0 + 82.3 * g**3)
+        q8 = math.exp(-6.5 - 0.95 * math.log(g) - (g / 0.15) ** 5)
+        q9 = math.log(q7) * (q8 + 1.0 / 16.5)
+        q10 = (q2 * q4 - q5 * math.exp(math.log(u) * q6 * u ** (-q9))) / q2
+        z0e = z_s * math.sqrt(ee_s / ee_e) / (1.0 - math.sqrt(ee_s) * q4 * z_s / ETA0)
+        z0o = z_s * math.sqrt(ee_s / ee_o) / (1.0 - math.sqrt(ee_s) * q10 * z_s / ETA0)
+    except OverflowError:
+        raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm overflows the model") from None
+    if not (0 < z0e < math.inf and 0 < z0o < math.inf):
+        raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm gives a mode impedance "
+                         f"that is not positive and finite (z0e={z0e:g}, z0o={z0o:g} ohm)")
+    return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
 
 
 def oracle_modes_or_none(w, s, sub):
@@ -249,6 +292,27 @@ class TestAnalyzeSingle:
 
 
 class TestAnalyzeCoupled:
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(
+        ln_u=st.floats(math.log(1e-3), math.log(1e3)),
+        ln_g=st.floats(math.log(1e-4), math.log(1e3)),
+        eps_r=st.floats(*EPS_R_RANGE),
+        h=st.floats(*SUBSTRATE_RANGE_MM),
+    )
+    def test_parts_compose_the_model_bit_for_bit(self, ln_u, ln_g, eps_r, h):
+        # the same record, or the same error, as the model in one piece
+        sub = Substrate(name="x", eps_r=eps_r, tan_d=0.0, h=h)
+        w, s = h * math.exp(ln_u), h * math.exp(ln_g)
+
+        def result(analyze):
+            try:
+                mp = analyze(w, s, sub)
+            except ValueError as exc:
+                return str(exc)
+            return hexes(vars(mp).values())
+
+        assert result(analyze_coupled) == result(oracle_analyze_coupled)
+
     def test_reference_dims_reproduce_impedances_loosely(self, fr4, ro3003):
         # inverse of the line-calculator step: published dims land within 15%
         for (w, l, s), ze_ref, zo_ref in zip(TABLE2_FR4, TABLE1_ZE, TABLE1_ZO):
@@ -367,20 +431,20 @@ class TestSynthesizeCoupled:
 
     def test_zero_mode_impedance_is_a_rejected_point(self, monkeypatch):
         # a Newton step clipped to the minimum gap, where the odd-mode fit
-        # underflows to 0 ohm without overflowing: analyze_coupled raises
-        # there, and _modes_or_none rejects the point like an overflow
-        real = mwbpf.microstrip.analyze_coupled
+        # underflows to 0 ohm without overflowing: the model's mixed step
+        # raises there, and the Newton rejects the point like an overflow
+        real = mwbpf.microstrip._mode_step
         zeros = []
 
-        def recording(w, s, sub):
+        def recording(wt, gt, er):
             try:
-                return real(w, s, sub)
+                return real(wt, gt, er)
             except ValueError as exc:
                 if "not positive and finite" in str(exc):
-                    zeros.append((w, s))
+                    zeros.append((wt[0], gt[0]))  # (w, s)
                 raise
 
-        monkeypatch.setattr(mwbpf.microstrip, "analyze_coupled", recording)
+        monkeypatch.setattr(mwbpf.microstrip, "_mode_step", recording)
         sub = Substrate(name="g", eps_r=1.8613603514084298, tan_d=0.0, h=1.720828003464973)
         with pytest.raises(CouplingUnreachable):
             synthesize_coupled(483.14078682918034, 85.27575811703669, sub)
@@ -469,15 +533,17 @@ class TestSynthesizeCoupled:
     )
     def test_rejected_model_point_ends_typed(self, fr4, monkeypatch, none_at, expected, n_calls):
         # no input found reaches these exits, so the model is patched: call
-        # k of _modes_or_none gives None for each k in none_at
-        real = mwbpf.microstrip._modes_or_none
+        # k of the mixed step, one per model point, fails for each k in none_at
+        real = mwbpf.microstrip._mode_step
         calls = []
 
-        def patched(w, s, sub):
-            calls.append((w, s))
-            return None if len(calls) - 1 in none_at else real(w, s, sub)
+        def patched(wt, gt, er):
+            calls.append((wt[0], gt[0]))
+            if len(calls) - 1 in none_at:
+                raise OverflowError("patched model failure")
+            return real(wt, gt, er)
 
-        monkeypatch.setattr(mwbpf.microstrip, "_modes_or_none", patched)
+        monkeypatch.setattr(mwbpf.microstrip, "_mode_step", patched)
         with pytest.raises(expected):
             synthesize_coupled(72.21, 38.89, fr4)
         assert len(calls) == n_calls
@@ -486,26 +552,163 @@ class TestSynthesizeCoupled:
         # a split far beyond reach that the damped steps approach slowly:
         # every one of the 200 Newton steps solves once, then the
         # minimum-gap check names the failure
-        real = np.linalg.solve
+        real = mwbpf.microstrip._solve2
         solves = []
 
-        def counting(a, b):
-            solves.append(a)
-            return real(a, b)
+        def counting(*system):
+            solves.append(system)
+            return real(*system)
 
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(mwbpf.microstrip, "_solve2", counting)
         sub = Substrate(name="x", eps_r=11.335601510110594, tan_d=0.0, h=3.3759498854097516)
         with pytest.raises(CouplingUnreachable):
             synthesize_coupled(347.1768385374477, 55.992775471987514, sub)
         assert len(solves) == 200
 
     def test_singular_jacobian_ends_typed(self, fr4, monkeypatch):
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(mwbpf.microstrip, "_solve2", lambda *system: None)
         with pytest.raises(NoConvergence):
             synthesize_coupled(72.21, 38.89, fr4)
+
+
+def hexes(values):
+    return tuple(v.hex() for v in values)
+
+
+def numpy_solve(system):
+    a00, a01, a10, a11, b0, b1 = system
+    try:
+        return tuple(np.linalg.solve(np.array([[a00, a01], [a10, a11]]), [b0, b1]).tolist())
+    except np.linalg.LinAlgError:
+        return None
+
+
+# a system and a pair on which a fused multiply-add changes the last bit of
+# the solve and of the norm; a BLAS that does not fuse gives other bits
+PROBE_SYSTEM = (0.51, 2.43, 1.09, 2.57, 2.14, 2.95)
+PROBE_PAIR = (2.64, 2.94)
+
+
+def host_blas_fuses():
+    return (numpy_solve(PROBE_SYSTEM) == mwbpf.microstrip._solve2(*PROBE_SYSTEM)
+            and float(np.linalg.norm(PROBE_PAIR)) == mwbpf.microstrip._norm2(*PROBE_PAIR))
+
+
+class TestFusedSolve:
+    """The Newton's 2x2 solve and norm are fixed sequences of IEEE operations,
+    so the expected bits below, recorded once, hold on every host."""
+
+    # the first Newton system of each section of the reference design on
+    # FR4: (a00, a01, a10, a11, b0, b1) -> (x0, x1), and the norm of (b0, b1)
+    REFERENCE_SYSTEMS = [
+        (("-0x1.3eb1f32b15b20p-1", "-0x1.51cf54fc80e80p-4", "-0x1.16d37ea5a5aa0p-1",
+          "0x1.1671fe47b15c0p-3", "0x1.93472e5013264p-3", "-0x1.5b7fb08a64a06p-3"),
+         ("-0x1.940b16222db7dp-4", "-0x1.a4a2d9e322017p+0"), "0x1.0a2bd8c36dbbfp-2"),
+        (("-0x1.4818f7f12026ap-1", "-0x1.420df82ef9bb0p-4", "-0x1.1f02fda23f580p-1",
+          "0x1.0b6f179310600p-3", "-0x1.87689411d252dp-6", "0x1.a03f79c6463a7p-5"),
+         ("-0x1.c124169ed7e98p-8", "0x1.70534484b1517p-2"), "0x1.cbf5917c3e94ep-5"),
+        (("-0x1.48622e5e2b2a4p-1", "-0x1.4192363e95940p-4", "-0x1.1f4385072c188p-1",
+          "0x1.0b182c0360100p-3", "-0x1.7ad54bdcefcf4p-5", "0x1.2ba6bb4dd9500p-4"),
+         ("0x1.273369965b884p-9", "0x1.242a556bfb4ccp-1"), "0x1.627fbed91160ep-4"),
+        (("-0x1.4818f7ef4720ep-1", "-0x1.420df82ef9bb0p-4", "-0x1.1f02fda23f580p-1",
+          "0x1.0b6f179310600p-3", "-0x1.87689411d252dp-6", "0x1.a03f79c6463a7p-5"),
+         ("-0x1.c12416a0800b6p-8", "0x1.7053448494de8p-2"), "0x1.cbf5917c3e94ep-5"),
+        (("-0x1.3eb1f32b15b20p-1", "-0x1.51cf54fc80e80p-4", "-0x1.16d37ea5e2b30p-1",
+          "0x1.1671fe46bd380p-3", "0x1.93472e5013264p-3", "-0x1.5b7fb08a64a00p-3"),
+         ("-0x1.940b16201044cp-4", "-0x1.a4a2d9e421696p+0"), "0x1.0a2bd8c36dbbdp-2"),
+    ]
+
+    @pytest.mark.parametrize("system, solution, norm", REFERENCE_SYSTEMS,
+                             ids=[f"section-{i}" for i in range(5)])
+    def test_reference_design_systems(self, system, solution, norm):
+        system = tuple(float.fromhex(v) for v in system)
+        assert hexes(mwbpf.microstrip._solve2(*system)) == solution
+        assert mwbpf.microstrip._norm2(-system[4], -system[5]).hex() == norm
+
+    def test_reference_design_solves_these_systems(self, fr4, monkeypatch):
+        # the recorded systems are the ones the reference design's Newton
+        # meets first, one per section
+        real = mwbpf.microstrip._solve2
+        systems = []
+
+        def recording(*system):
+            systems.append(hexes(system))
+            return real(*system)
+
+        monkeypatch.setattr(mwbpf.microstrip, "_solve2", recording)
+        spec = FilterSpec(**PAPER_SPEC)
+        firsts = []
+        for section in design_coupling(design_prototype(spec), spec.fbw(), spec.z0).sections:
+            synthesize_coupled(section.z0e, section.z0o, fr4)
+            firsts.append(systems[0])
+            systems.clear()
+        assert firsts == [system for system, _, _ in self.REFERENCE_SYSTEMS]
+
+    def test_row_tie_keeps_the_first_row(self):
+        # |a10| == |a00|: no row exchange. The same system with its rows
+        # exchanged pivots on the other row and rounds x0 differently
+        system = (2.019, -0.142, -2.019, -2.096, 0.809, 2.208)
+        assert hexes(mwbpf.microstrip._solve2(*system)) == (
+            "0x1.3938c04fa9959p-2", "-0x1.591bae8e4c695p+0")
+        a00, a01, a10, a11, b0, b1 = system
+        assert hexes(mwbpf.microstrip._solve2(a10, a11, a00, a01, b1, b0)) == (
+            "0x1.3938c04fa995dp-2", "-0x1.591bae8e4c695p+0")
+
+    def test_subnormal_pivot_divides(self):
+        # below the smallest normal double the pivot's reciprocal overflows,
+        # so the column is divided by the pivot, as LAPACK's dgetf2 does. The
+        # exact solution is (0.2, 0.4); subnormal entries carry few bits.
+        # (numpy's OpenBLAS 0.3.31 neither exchanges nor scales a column with
+        # a subnormal pivot, and gives (1/6, 1/2) here.)
+        system = (3e-310, 1e-310, 1e-310, 2e-310, 1e-310, 1e-310)
+        assert hexes(mwbpf.microstrip._solve2(*system)) == (
+            "0x1.9999999999836p-3", "0x1.9999999999a04p-2")
+
+    @pytest.mark.parametrize("system", [
+        (0.0, 1.0, 0.0, 2.0, 1.0, 1.0),  # zero pivot
+        (-0.0, 1.0, 0.0, 2.0, 1.0, 1.0),
+        (1.0, 2.0, 2.0, 4.0, 1.0, 1.0),  # zero u11
+        (1.0, 0.0, 0.0, math.inf, 1.0, 1.0),  # a non-finite entry
+        (1.0, 0.0, 0.0, 1.0, math.nan, 1.0),
+    ], ids=["zero-pivot", "negative-zero-pivot", "zero-u11", "inf-entry", "nan-entry"])
+    def test_singular_or_non_finite_is_none(self, system):
+        assert mwbpf.microstrip._solve2(*system) is None
+
+    def test_fma_rounds_once(self):
+        fma = mwbpf.microstrip._fma
+        assert fma(0.1, 10.0, -1.0) == 2.0**-54  # 0.1 * 10 rounds to 1.0
+        assert fma(1e308, 2.0, -1.5e308) == 5e307  # the product alone overflows
+        assert fma(1e308, 2.0, 1e308) == math.inf
+        assert math.copysign(1.0, fma(-0.0, 1.0, -0.0)) == -1.0
+        assert math.copysign(1.0, fma(1.0, 1.0, -1.0)) == 1.0
+        assert fma(2.0, 3.0, math.inf) == math.inf
+        assert math.isnan(fma(math.inf, 0.0, 1.0))
+
+    def test_norm_fuses_its_second_term(self):
+        a, b = PROBE_PAIR
+        assert mwbpf.microstrip._norm2(a, b).hex() == "0x1.f9c5f97030c0fp+1"
+        assert math.sqrt(a * a + b * b).hex() == "0x1.f9c5f97030c0ep+1"
+
+    @pytest.mark.skipif(not host_blas_fuses(), reason=(
+        "numpy's BLAS on this host does not fuse the multiply-adds of the probe "
+        "system and pair, so its solve and norm round differently"))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        system=st.tuples(*[st.floats(-1e6, 1e6, allow_subnormal=False)] * 6),
+        tie=st.sampled_from([None, 1.0, -1.0]),
+    )
+    def test_matches_numpy_where_its_blas_fuses(self, system, tie):
+        # normal or zero entries only: numpy's OpenBLAS mishandles a
+        # subnormal pivot (see test_subnormal_pivot_divides)
+        if tie is not None:
+            system = (system[0], system[1], tie * system[0]) + system[3:]
+        with np.errstate(all="ignore"):
+            want, norm = numpy_solve(system), float(np.linalg.norm(system[4:]))
+        got = mwbpf.microstrip._solve2(*system)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert hexes(got) == hexes(want)
+        assert mwbpf.microstrip._norm2(*system[4:]) == norm
 
 
 class TestResonatorLength:
@@ -634,6 +837,16 @@ class TestValidation:
         kwargs[field] = value
         with pytest.raises(ValueError, match="height" if field == "h" else "thickness"):
             Substrate(**kwargs)
+
+    @pytest.mark.parametrize("eps_r", [0.999, 1e4 * (1 + 1e-15), 1e300])
+    def test_eps_r_bounded(self, eps_r):
+        with pytest.raises(ValueError, match="eps_r"):
+            Substrate(name="x", eps_r=eps_r, tan_d=0.001, h=0.5)
+
+    @pytest.mark.parametrize("eps_r", EPS_R_RANGE)
+    def test_eps_r_range_ends_have_a_finite_loss(self, eps_r):
+        sub = Substrate(name="x", eps_r=eps_r, tan_d=0.03, h=0.5)
+        assert math.isfinite(unloaded_q(sub, eps_r, 10.0))
 
     @pytest.mark.parametrize("h", SUBSTRATE_RANGE_MM)
     def test_substrate_range_ends_synthesize(self, h):
