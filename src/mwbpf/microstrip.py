@@ -156,24 +156,28 @@ def synthesize_single_width(z0_target: float, sub: Substrate) -> float:
     the steps near the root call the model, and the width is the plain
     bisection's bit for bit.
     """
-    w, z_hi = _bisect_width(z0_target, sub)
-    if z_hi > z0_target:
+    w, below = _bisect_width(z0_target, sub)
+    if below:
         raise CouplingUnreachable(f"{z0_target} ohm is below the model range")
     return w
 
 
-def _bisect_width(z0_target: float, sub: Substrate) -> tuple[float, float]:
-    """``synthesize_single_width``'s bisection, and z0 at the widest searched
-    width. A target below that z0 gives the widest width, which seeds
-    ``synthesize_coupled``."""
+def _bisect_width(z0_target: float, sub: Substrate) -> tuple[float, bool]:
+    """``synthesize_single_width``'s bisection, and whether the target lies
+    below z0 at the widest searched width. Such a target gives the widest
+    width, which seeds ``synthesize_coupled``.
+
+    z0 at an end of the range is evaluated only where the bracket's end on
+    that side missed its margin: as for any midpoint, a certified a >= lo
+    puts z0 at lo above the target, and a certified b <= hi puts z0 at hi
+    below it."""
     if not z0_target > 0:
         raise ValueError("target impedance must be positive")
     lo, hi = WIDTH_RANGE_H[0] * sub.h, WIDTH_RANGE_H[1] * sub.h
-    z_lo = analyze_single(lo, sub)[0]
-    if z_lo < z0_target:
+    a, b = _certified_bracket(z0_target, sub, lo, hi)
+    if a == lo and analyze_single(lo, sub)[0] < z0_target:
         raise CouplingUnreachable(f"{z0_target} ohm is above the model range")
-    z_hi = analyze_single(hi, sub)[0]
-    a, b = _certified_bracket(z0_target, sub, lo, z_lo, hi, z_hi)
+    below = b == hi and analyze_single(hi, sub)[0] > z0_target
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         if mid <= a or (mid < b and analyze_single(mid, sub)[0] > z0_target):
@@ -182,36 +186,55 @@ def _bisect_width(z0_target: float, sub: Substrate) -> tuple[float, float]:
             hi = mid
         if hi / lo < 1 + 1e-13:
             break
-    return math.sqrt(lo * hi), z_hi
+    return math.sqrt(lo * hi), below
 
 
-def _certified_bracket(
-    z0_target: float, sub: Substrate, lo: float, z_lo: float, hi: float, z_hi: float
-) -> tuple[float, float]:
-    """Widths (a, b) about the root of z0(w) = z0_target: z0 exceeds the
-    target at a, and falls short of it at b, each by a relative 1e-12, many
-    times the model's rounding error. An end that misses its margin, such as
-    the upper one of a root beyond the widest strip, is lo or hi, which is
-    the plain bisection. The root estimate comes from secant steps on
-    (ln w, ln z0), started from both ends of the range and kept inside it."""
+def _certified_bracket(z0_target: float, sub: Substrate, lo: float,
+                       hi: float) -> tuple[float, float]:
+    """Widths (a, b) about the root of z0(w) = z0_target, inside [lo, hi]: z0
+    exceeds the target at a, and falls short of it at b, each by a relative
+    1e-12, many times the model's rounding error. An end that misses its
+    margin, such as the upper one of a root beyond the widest strip, is lo
+    or hi, which is the plain bisection. The root estimate comes from secant
+    steps on (ln w, ln z0), kept inside the range: the first from
+    Hammerstad's closed-form width with a slope of -0.6, the last where
+    ln z0 is within 1e-13 of the target's."""
     lt = math.log(z0_target)
     x_lo, x_hi = math.log(lo), math.log(hi)
-    x0, f0 = x_lo, math.log(z_lo) - lt
-    x1, f1 = x_hi, math.log(z_hi) - lt
+    x = min(max(math.log(sub.h) + _hammerstad_ln_u(z0_target, sub.eps_r), x_lo), x_hi)
+    fx, slope = math.log(analyze_single(math.exp(x), sub)[0]) - lt, -0.6
     for _ in range(8):
-        if f1 == f0:
+        # fx is -inf only for an infinite target, whose estimate is lo
+        if not 1e-13 <= abs(fx) < math.inf:
             break
-        x0, f0, x1 = x1, f1, min(max(x1 - f1 * (x1 - x0) / (f1 - f0), x_lo), x_hi)
-        f1 = math.log(analyze_single(math.exp(x1), sub)[0]) - lt
-        if abs(x1 - x0) < 1e-12:
+        xn = min(max(x - fx / slope, x_lo), x_hi)
+        if xn == x:
             break
-    w = math.exp(x1)
+        fn = math.log(analyze_single(math.exp(xn), sub)[0]) - lt
+        x, fx, slope = xn, fn, (fn - fx) / (xn - x)
+        if slope == 0.0:
+            break
+    w = math.exp(x)
     a, b = w * (1.0 - 1e-11), w * (1.0 + 1e-11)
-    if not analyze_single(a, sub)[0] > z0_target * (1.0 + 1e-12):
+    if not (a >= lo and analyze_single(a, sub)[0] > z0_target * (1.0 + 1e-12)):
         a = lo
-    if not analyze_single(b, sub)[0] < z0_target * (1.0 - 1e-12):
+    if not (b <= hi and analyze_single(b, sub)[0] < z0_target * (1.0 - 1e-12)):
         b = hi
     return a, b
+
+
+def _hammerstad_ln_u(z0: float, er: float) -> float:
+    """ln(w/h) of Hammerstad's closed-form synthesis of a strip of impedance
+    z0 (E. Hammerstad, "Equations for microstrip circuit design", EuMC 1975):
+    within 1 % of the model's root w/h over 0.02-40 and ``EPS_R_RANGE``, and
+    finite or -inf for every positive z0 and er >= 1."""
+    a = z0 / 60.0 * math.sqrt((er + 1.0) / 2.0) + (er - 1.0) / (er + 1.0) * (0.23 + 0.11 / er)
+    if a > 1.52:  # w/h < 2: 8 e^a / (e^2a - 2)
+        return math.log(8.0) - a - math.log1p(-2.0 * math.exp(-2.0 * a))
+    # a B above 1e6 is a strip far wider than 40 h, the widest searched
+    b = min(ETA0 * math.pi / (2.0 * z0 * math.sqrt(er)), 1e6)
+    return math.log(2.0 / math.pi * (b - 1.0 - math.log(2.0 * b - 1.0) + (er - 1.0) / (2.0 * er)
+                                     * (math.log(b - 1.0) + 0.39 - 0.61 / er)))
 
 
 # --- Kirschning-Jansen static coupled pair ----------------------------------
@@ -221,7 +244,8 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
 
     Pure: it does not check the fit range (see ``check_fit_range``).
     Attenuations are returned as 0; loss is attached per frequency by the
-    sweep code. A pair whose fits overflow a double, or give a mode
+    sweep code. A pair whose fits overflow a double, or underflow it (w/h or
+    s/h is 0, or a power of it that a logarithm reads is), or give a mode
     impedance that is not positive and finite, is a ValueError naming its w
     and s. The model is the composition of its width-only terms, its
     gap-only terms and the mixed step ``_mode_step``.
@@ -229,7 +253,12 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     if not (w > 0 and s > 0):
         raise ValueError("width and gap must be positive")
     try:
-        z0e, z0o, ee_e, ee_o = _mode_step(_width_terms(w, sub), _gap_terms(s, sub), sub.eps_r)
+        try:
+            wt, gt = _width_terms(w, sub), _gap_terms(s, sub)
+        except (ZeroDivisionError, ValueError):
+            raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm underflows the model "
+                             f"(w/h={w / sub.h:g}, s/h={s / sub.h:g})") from None
+        z0e, z0o, ee_e, ee_o = _mode_step(wt, gt, sub.eps_r)
     except OverflowError:
         raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm overflows the model") from None
     return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
@@ -421,8 +450,22 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
 
 
 def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add rounds it: the exact
-    rational value, which Python's int true division rounds correctly."""
+    """a * b + c rounded once, as a fused multiply-add rounds it. Where a and
+    b lie within 2**+-450 and |c| below 2**900, Veltkamp's split gives Dekker's
+    exact product a * b = p + e, and ``math.fsum`` rounds p + e + c once,
+    correctly. Elsewhere it is the exact rational value, which Python's int
+    true division rounds correctly. An exact zero is +0.0, as IEEE rounds
+    it, but for (-0.0) + (-0.0)."""
+    if 2.0**-450 < abs(a) < 2.0**450 and 2.0**-450 < abs(b) < 2.0**450 and abs(c) < 2.0**900:
+        p = a * b
+        t = 134217729.0 * a  # 2**27 + 1
+        ah = t - (t - a)
+        al = a - ah
+        t = 134217729.0 * b
+        bh = t - (t - b)
+        bl = b - bh
+        e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+        return math.fsum((p, e, c)) or 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return a * b + c
     if not math.isfinite(c):

@@ -530,6 +530,22 @@ class TestInvalidInput:
           for argv in (("simulate", "--mode", "physical", "--out-prefix", "{tmp}/bad"),
                        ("simulate", "--mode", "ml", "--lossy", "--out-prefix", "{tmp}/bad"),
                        ("layout", "--kind", "pcl", "--out", "{tmp}/bad.svg"))],
+        # a pair whose w/h or s/h underflows the fits: 0 on a 1000 mm board,
+        # or s/h whose tenth power underflows in a logarithm on FR4
+        *[case(argv + ("--design", "{bad}"), edit,
+               f"dims_mm[0]: coupled pair w={w} mm, s={s} mm underflows the model",
+               id=f"underflow-{key}-{value!r}-{argv[0]}-{argv[2]}")
+          for key, value, w, s, edit in (
+              ("s", 1e-322, "2.40775", "9.88131e-323",
+               [("materials", ("materials",), [dict(FR4_ENTRY, h=1000.0)]),
+                ("design", ("dims_mm", 0, "s"), 1e-322)]),
+              ("w", 1e-322, "9.88131e-323", "0.371901",
+               [("materials", ("materials",), [dict(FR4_ENTRY, h=1000.0)]),
+                ("design", ("dims_mm", 0, "w"), 1e-322)]),
+              ("s", 1e-40, "2.40775", "1e-40", ("design", ("dims_mm", 0, "s"), 1e-40)))
+          for argv in (("simulate", "--mode", "physical", "--out-prefix", "{tmp}/bad"),
+                       ("simulate", "--mode", "ml", "--lossy", "--out-prefix", "{tmp}/bad"),
+                       ("layout", "--kind", "pcl", "--out", "{tmp}/bad.svg"))],
         # both layouts read the dimensions through the same step
         *[case(("layout", "--out", "{tmp}/bad.svg", "--design", "{bad}", "--kind", kind),
                ("design", ("dims_mm", 0, "s"), 1e300), _overflow_error("s", 1e300),
@@ -666,13 +682,14 @@ class TestInvalidInput:
     def test_exit_code(self, argv, edit, cause, code, tmp_path, config_path, design_path,
                        monkeypatch, capsys):
         bad = tmp_path / "bad.json"
-        if edit is not None:
-            base, path, value = edit
+        # one edit, or a list of edits of different files
+        for base, path, value in [] if edit is None else edit if isinstance(edit, list) else [edit]:
             doc = {"config": PAPER_CONFIG, "materials": MATERIALS,
                    "design": json.loads(design_path.read_text())}[base]
-            bad.write_text(json.dumps(_edited(doc, path, value)))
+            target = tmp_path / "materials.json" if base == "materials" else bad
+            target.write_text(json.dumps(_edited(doc, path, value)))
             if base == "materials":
-                monkeypatch.setenv("MWBPF_MATERIALS", str(bad))
+                monkeypatch.setenv("MWBPF_MATERIALS", str(target))
         names = dict(tmp=tmp_path, bad=bad, config=config_path, design=design_path)
         capsys.readouterr()
         assert main([a.format(**names) for a in argv]) == code
@@ -757,8 +774,9 @@ class TestEveryInputField:
     """Each scalar leaf of the reference design.json (bar its provenance), and
     spec.z0_ohm with coupling.z0_ohm as one, takes a seeded sample of
     FIELD_VALUES through the sweeps and layouts; so do each scalar leaf of a
-    MWBPF_MATERIALS entry, through synthesis, a layout and a lossy sweep, and
-    the sweep span options, through simulate's three modes. Every run ends in a
+    MWBPF_MATERIALS entry, through synthesis, a layout and a lossy sweep, each
+    scalar leaf of the config, through synthesis and the comparison, and the
+    sweep span options, through simulate's three modes. Every run ends in a
     result or in one typed error line, and writes nothing when it fails."""
 
     COMMANDS = (
@@ -772,6 +790,10 @@ class TestEveryInputField:
         ("synth", "--config", "config.json", "--out", "run.json"),
         ("layout", "--kind", "pcl", "--out", "run.svg", "--design", "design.json"),
         ("simulate", "--mode", "ml", "--lossy", "--out-prefix", "run", "--design", "design.json"),
+    )
+    CONFIG_COMMANDS = (
+        ("synth", "--config", "config.json", "--out", "run.json"),
+        ("compare", "--config", "config.json"),
     )
     PER_INPUT = 7  # values drawn for each input, each run through every command
 
@@ -840,6 +862,26 @@ class TestEveryInputField:
                 where = f"materials[0].{key} = {value!r}, {' '.join(command)}"
                 # a name is any one-line string, "nan" included
                 self._run(command, where, value, problems, capsys, may_pass=key == "name")
+        assert not problems, "\n".join(problems)
+
+    def test_config_leaf(self, tmp_path, monkeypatch, capsys):
+        # every impedance the hostile spec asks for reaches the width
+        # bisection's closed-form estimate
+        rng = random.Random(12)
+        cases = [(path, value) for path in _leaves(PAPER_CONFIG)
+                 for value in rng.sample(FIELD_VALUES, self.PER_INPUT)]
+        # whatever the sample: section impedances whose product underflows
+        # or overflows a double
+        cases += [(("spec", "z0_ohm"), 1e-300), (("spec", "z0_ohm"), 1e300)]
+        monkeypatch.chdir(tmp_path)
+        problems = []
+        for path, value in cases:
+            Path("config.json").write_text(json.dumps(_edited(PAPER_CONFIG, path, value)))
+            for command in self.CONFIG_COMMANDS:
+                where = f"{'.'.join(path)} = {value!r}, {' '.join(command)}"
+                # compare runs both built-in substrates, whatever the config names
+                self._run(command, where, value, problems, capsys,
+                          may_pass=path == ("substrate",))
         assert not problems, "\n".join(problems)
 
     def test_sweep_span(self, tmp_path, design_path, monkeypatch, capsys):

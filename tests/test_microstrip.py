@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,6 +199,11 @@ SYNTHESIS_SPACE = dict(
 )
 
 
+def log_uniform(lo, hi):
+    """Floats in [lo, hi], uniform in their logarithm."""
+    return st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))
+
+
 def outcome(synthesize, *args):
     """The width, or (w, s), as float.hex, or the type of the exception raised."""
     with warnings.catch_warnings():
@@ -238,20 +245,37 @@ class TestAnalyzeSingle:
             w = synthesize_single_width(z_target, fr4)
             assert analyze_single(w, fr4)[0] == pytest.approx(z_target, rel=1e-9)
 
-    # air and dielectric boards, and targets from below z0 at the widest
-    # strip to above z0 at the narrowest, both unreachable
+    # every permittivity and height a Substrate takes, and targets from below
+    # z0 at the widest strip (0.09 ohm at eps_r 1e4) to above z0 at the
+    # narrowest (359 ohm in air), both unreachable, out to the ends of the
+    # double range
     @settings(max_examples=300, deadline=None)
     @given(
-        eps_r=st.one_of(st.just(1.0), st.floats(1.0, 12.0)),
-        h=st.floats(0.05, 3.5),
-        ln_target=st.floats(0.0, math.log(1000.0)),
+        eps_r=st.one_of(st.sampled_from(EPS_R_RANGE), log_uniform(*EPS_R_RANGE)),
+        h=st.one_of(st.sampled_from(SUBSTRATE_RANGE_MM), log_uniform(*SUBSTRATE_RANGE_MM)),
+        target=st.one_of(log_uniform(1e-3, 1e4),
+                         st.sampled_from([5e-324, 1e-300, 1e300, sys.float_info.max, math.inf])),
     )
-    def test_width_synthesis_matches_plain_bisection_bit_for_bit(self, eps_r, h, ln_target):
+    def test_width_synthesis_matches_plain_bisection_bit_for_bit(self, eps_r, h, target):
         sub = Substrate(name="x", eps_r=eps_r, tan_d=0.0, h=h)
-        target = math.exp(ln_target)
         assert outcome(synthesize_single_width, target, sub) == outcome(
             oracle_single_width_in_range, target, sub
         )
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(u=log_uniform(*WIDTH_RANGE_H), eps_r=log_uniform(*EPS_R_RANGE))
+    def test_closed_form_width_is_within_one_percent(self, u, eps_r):
+        # the secant steps start from Hammerstad's width, near the root
+        z0 = analyze_single(u, Substrate(name="x", eps_r=eps_r, tan_d=0.0, h=1.0))[0]
+        assert math.exp(mwbpf.microstrip._hammerstad_ln_u(z0, eps_r)) == pytest.approx(u, rel=0.01)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(z0=st.floats(min_value=5e-324, allow_infinity=False),
+           eps_r=st.one_of(st.sampled_from(EPS_R_RANGE), st.floats(*EPS_R_RANGE)))
+    def test_closed_form_width_is_never_nan(self, z0, eps_r):
+        # finite, or -inf far above the range; the bracket clips it into the range
+        ln_u = mwbpf.microstrip._hammerstad_ln_u(z0, eps_r)
+        assert ln_u < math.inf and ln_u == ln_u
 
     def test_width_synthesis_below_the_range(self, fr4):
         # z0 at the widest searched strip, 40 h = 64 mm, is 4.26 ohm on FR4
@@ -265,8 +289,8 @@ class TestAnalyzeSingle:
         # more model calls, the same width
         real = mwbpf.microstrip._certified_bracket
 
-        def failed(z0_target, sub, lo, z_lo, hi, z_hi):
-            a, b = real(z0_target, sub, lo, z_lo, hi, z_hi)
+        def failed(z0_target, sub, lo, hi):
+            a, b = real(z0_target, sub, lo, hi)
             return (lo if lost != "upper" else a), (hi if lost != "lower" else b)
 
         targets = (12.0, 50.0, 140.0)
@@ -594,6 +618,64 @@ def host_blas_fuses():
             and float(np.linalg.norm(PROBE_PAIR)) == mwbpf.microstrip._norm2(*PROBE_PAIR))
 
 
+def exact_fma(a, b, c):
+    """a * b + c of finite doubles in exact rational arithmetic, rounded once
+    to the nearest double, ties to even; an exact zero is -0.0 only where a
+    zero product and c are both negative zeros, as IEEE 754 rounds it."""
+    product = Fraction(a) * Fraction(b)
+    exact = product + Fraction(c)
+    if exact == 0:
+        negative = product == 0 and math.copysign(1.0, a) * math.copysign(1.0, b) < 0
+        return -0.0 if negative and math.copysign(1.0, c) < 0 else 0.0
+    try:
+        return float(exact)  # the numerator's int true division: correctly rounded
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def signed(magnitude):
+    return st.tuples(magnitude, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+# ends of the split-product path, zeros, subnormals and the largest double
+FMA_EDGES = [
+    (2.0**-450, 3.0, 1.0), (math.nextafter(2.0**-450, 1.0), 3.0, 1.0),
+    (2.0**450, -1.5, 7.0), (math.nextafter(2.0**450, 0.0), -1.5, 7.0),
+    (1.5, 1.25, 2.0**900), (1.5, 1.25, math.nextafter(2.0**900, 0.0)),
+    (0.0, 1.0, -0.0), (-0.0, 1.0, -0.0), (5e-324, 0.5, 0.0), (5e-324, -5e-324, -0.0),
+    (sys.float_info.max, 2.0, -sys.float_info.max), (sys.float_info.max, 1.0, 1e292),
+    (0.1, 10.0, -1.0), (3.0, 0.5, -1.5), (-3.0, 0.5, 1.5),
+]
+
+
+@st.composite
+def fma_operands(draw):
+    """Finite (a, b, c): unit-sized and arbitrary operands, subnormals, and
+    products near overflow or underflow; c arbitrary, or -(a * b) rounded,
+    which leaves the product's rounding error or an exact zero."""
+    def scaled(exponent):
+        return draw(signed(st.floats(0.5, 1.0, exclude_max=True))) * 2.0 ** exponent
+
+    kind = draw(st.sampled_from(["unit", "any", "subnormal", "huge product", "tiny product"]))
+    if kind == "unit":
+        a, b = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    elif kind == "any":
+        a, b = draw(st.floats(allow_nan=False, allow_infinity=False)), draw(
+            st.floats(allow_nan=False, allow_infinity=False))
+    elif kind == "subnormal":
+        a = draw(signed(st.floats(5e-324, sys.float_info.min, exclude_max=True)))
+        b = draw(st.floats(allow_nan=False, allow_infinity=False))
+    else:
+        ea = draw(st.integers(-1000, 1000))
+        product = draw(st.integers(1000, 1026) if kind == "huge product"
+                       else st.integers(-1100, -950))
+        a, b = scaled(ea), scaled(min(max(product - ea, -1070), 1020))
+    p = a * b
+    if math.isfinite(p) and draw(st.booleans()):
+        return a, b, -p
+    return a, b, draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestFusedSolve:
     """The Newton's 2x2 solve and norm are fixed sequences of IEEE operations,
     so the expected bits below, recorded once, hold on every host."""
@@ -683,6 +765,22 @@ class TestFusedSolve:
         assert math.copysign(1.0, fma(1.0, 1.0, -1.0)) == 1.0
         assert fma(2.0, 3.0, math.inf) == math.inf
         assert math.isnan(fma(math.inf, 0.0, 1.0))
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(operands=fma_operands())
+    def test_fma_is_the_exact_value_rounded_once(self, operands):
+        a, b, c = operands
+        # float.hex keeps the sign of a zero
+        assert mwbpf.microstrip._fma(a, b, c).hex() == exact_fma(a, b, c).hex()
+
+    def test_fma_at_the_ends_of_its_split_path(self):
+        # the split-product path takes |a|, |b| in (2**-450, 2**450) and
+        # |c| < 2**900; the rational path takes the rest
+        fast = [2.0**-450 < abs(a) < 2.0**450 and 2.0**-450 < abs(b) < 2.0**450
+                and abs(c) < 2.0**900 for a, b, c in FMA_EDGES]
+        assert any(fast) and not all(fast)
+        for a, b, c in FMA_EDGES:
+            assert mwbpf.microstrip._fma(a, b, c).hex() == exact_fma(a, b, c).hex()
 
     def test_norm_fuses_its_second_term(self):
         a, b = PROBE_PAIR
