@@ -25,6 +25,7 @@ from .coupling import (
 )
 from .materials import read_record
 from .microstrip import (
+    C0,
     CoupledSectionDims,
     Substrate,
     analyze_coupled,
@@ -170,7 +171,8 @@ def design_layout(
     The hairpin geometry (``arm_gap``, ``overlap``, ``planar_gap``) is in mm;
     both kinds check its range, and ``pcl`` does not read it. Both kinds
     read the dimensions through ``analyze_dims``, as the sweeps do, so a
-    section longer than the free-space wavelength at f0 is refused alike.
+    section longer than the free-space wavelength at f0 is refused alike; a
+    ``planar_gap`` longer than that wavelength is refused too.
     """
     from .layout import (
         FoldTooTight,
@@ -187,8 +189,10 @@ def design_layout(
         raise ValueError("arm_gap must be positive and finite")
     if not 0 <= overlap < math.inf:
         raise ValueError("overlap must be non-negative and finite")
-    if not 0 < planar_gap < math.inf:
-        raise ValueError("planar_gap must be positive and finite")
+    wavelength = C0 / (doc.spec.f0 * 1e9) * 1e3
+    if not 0 < planar_gap <= wavelength:
+        raise ValueError(f"planar_gap = {planar_gap:g} mm must be positive and at most the "
+                         f"free-space wavelength {wavelength:g} mm at f0")
     analyze_dims(doc.dims, substrate, doc.spec.f0)
     if kind == "pcl":
         feed_w = synthesize_single_width(doc.spec.z0, substrate)

@@ -12,7 +12,6 @@ Dimensions are millimeters at every interface; frequencies GHz.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -28,9 +27,8 @@ GAP_FLOOR_MM = 0.1  # typical PCB fabrication floor
 GAP_HARD_MIN_MM = 1e-3
 WIDTH_RANGE_H = (0.02, 40.0)  # strip widths synthesis searches, in substrate heights
 # substrate heights, mm: a physical range, from a 1 um film to a 1 m block. It lies
-# far inside the heights at which every searched width and the product of two is a
-# normal float (7.5e-153 to 3.3e152 mm; below 2e-162 mm the bisection's lo * hi is 0),
-# and keeps the stackup records short. A conductor thickness is at most the upper end.
+# far inside the heights at which every searched width is a normal float, and keeps
+# the stackup records short. A conductor thickness is at most the upper end.
 SUBSTRATE_RANGE_MM = (1e-3, 1e3)
 # relative permittivities: vacuum to the densest microwave ceramics (titanates reach
 # a few thousand). Far below the 1e300 at which dielectric_loss overflowed
@@ -146,81 +144,52 @@ def analyze_single(w: float, sub: Substrate) -> tuple[float, float]:
 
 
 def synthesize_single_width(z0_target: float, sub: Substrate) -> float:
-    """Width (mm) realizing a single-line impedance, by geometric bisection of
-    the searched width range; z0 decreases monotonically in w. A target
-    above z0 at the narrowest width, or below z0 at the widest, raises
-    CouplingUnreachable.
-
-    A midpoint at or below a, or at or above b, of ``_certified_bracket``'s
-    (a, b) takes the branch the model would, without a model call. So only
-    the steps near the root call the model, and the width is the plain
-    bisection's bit for bit.
-    """
-    w, below = _bisect_width(z0_target, sub)
+    """Width (mm) realizing a single-line impedance, by ``_search_width``'s
+    bracketed secant over the searched width range; z0 decreases
+    monotonically in w. A target above z0 at the narrowest width, or below
+    z0 at the widest, raises CouplingUnreachable."""
+    w, below = _search_width(z0_target, sub)
     if below:
         raise CouplingUnreachable(f"{z0_target} ohm is below the model range")
     return w
 
 
-def _bisect_width(z0_target: float, sub: Substrate) -> tuple[float, bool]:
-    """``synthesize_single_width``'s bisection, and whether the target lies
-    below z0 at the widest searched width. Such a target gives the widest
-    width, which seeds ``synthesize_coupled``.
+def _search_width(z0_target: float, sub: Substrate) -> tuple[float, bool]:
+    """``synthesize_single_width``'s width, and whether the target lies below
+    z0 at the widest searched width. Such a target gives the widest width,
+    which seeds ``synthesize_coupled``.
 
-    z0 at an end of the range is evaluated only where the bracket's end on
-    that side missed its margin: as for any midpoint, a certified a >= lo
-    puts z0 at lo above the target, and a certified b <= hi puts z0 at hi
-    below it."""
+    z0 at both ends of the range decides whether the target lies inside it.
+    Then secant steps on (ln w, ln z0), the first from Hammerstad's
+    closed-form width with a slope of -0.6, narrow the bracket with each
+    model call; a step that leaves the bracket takes its midpoint instead.
+    The search stops where ln z0 is within 1e-14 of the target's."""
     if not z0_target > 0:
         raise ValueError("target impedance must be positive")
     lo, hi = WIDTH_RANGE_H[0] * sub.h, WIDTH_RANGE_H[1] * sub.h
-    a, b = _certified_bracket(z0_target, sub, lo, hi)
-    if a == lo and analyze_single(lo, sub)[0] < z0_target:
+    if analyze_single(lo, sub)[0] < z0_target:
         raise CouplingUnreachable(f"{z0_target} ohm is above the model range")
-    below = b == hi and analyze_single(hi, sub)[0] > z0_target
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if mid <= a or (mid < b and analyze_single(mid, sub)[0] > z0_target):
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1 + 1e-13:
-            break
-    return math.sqrt(lo * hi), below
-
-
-def _certified_bracket(z0_target: float, sub: Substrate, lo: float,
-                       hi: float) -> tuple[float, float]:
-    """Widths (a, b) about the root of z0(w) = z0_target, inside [lo, hi]: z0
-    exceeds the target at a, and falls short of it at b, each by a relative
-    1e-12, many times the model's rounding error. An end that misses its
-    margin, such as the upper one of a root beyond the widest strip, is lo
-    or hi, which is the plain bisection. The root estimate comes from secant
-    steps on (ln w, ln z0), kept inside the range: the first from
-    Hammerstad's closed-form width with a slope of -0.6, the last where
-    ln z0 is within 1e-13 of the target's."""
+    if analyze_single(hi, sub)[0] > z0_target:
+        return hi, True
     lt = math.log(z0_target)
-    x_lo, x_hi = math.log(lo), math.log(hi)
-    x = min(max(math.log(sub.h) + _hammerstad_ln_u(z0_target, sub.eps_r), x_lo), x_hi)
-    fx, slope = math.log(analyze_single(math.exp(x), sub)[0]) - lt, -0.6
-    for _ in range(8):
-        # fx is -inf only for an infinite target, whose estimate is lo
-        if not 1e-13 <= abs(fx) < math.inf:
+    a, b = math.log(lo), math.log(hi)  # ln z0 is above the target's at a, not above at b
+    x, x_prev, f_prev = math.log(sub.h) + _hammerstad_ln_u(z0_target, sub.eps_r), None, None
+    for _ in range(200):
+        if not a < x < b:  # NaN too: a slope that is not negative gives one
+            x = (a + b) / 2.0
+            if not a < x < b:  # a and b are adjacent doubles
+                break
+        w = math.exp(x)
+        f = math.log(analyze_single(w, sub)[0]) - lt
+        if abs(f) < 1e-14:
             break
-        xn = min(max(x - fx / slope, x_lo), x_hi)
-        if xn == x:
-            break
-        fn = math.log(analyze_single(math.exp(xn), sub)[0]) - lt
-        x, fx, slope = xn, fn, (fn - fx) / (xn - x)
-        if slope == 0.0:
-            break
-    w = math.exp(x)
-    a, b = w * (1.0 - 1e-11), w * (1.0 + 1e-11)
-    if not (a >= lo and analyze_single(a, sub)[0] > z0_target * (1.0 + 1e-12)):
-        a = lo
-    if not (b <= hi and analyze_single(b, sub)[0] < z0_target * (1.0 - 1e-12)):
-        b = hi
-    return a, b
+        if f > 0:
+            a = x
+        else:
+            b = x
+        slope = -0.6 if x_prev is None else (f - f_prev) / (x - x_prev)
+        x, x_prev, f_prev = (x - f / slope if slope < 0 else math.nan), x, f
+    return w, False
 
 
 def _hammerstad_ln_u(z0: float, er: float) -> float:
@@ -361,8 +330,8 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     """Width and gap (mm) realizing the requested even/odd-mode impedances.
 
     Damped Newton iteration on (ln w, ln s), started from the single-line
-    width of sqrt(z0e z0o) (found by bisection; the widest searched width
-    when the target is below its range) and a gap of one substrate
+    width of sqrt(z0e) sqrt(z0o) (``_search_width``'s; the widest searched
+    width when the target is below its range) and a gap of one substrate
     height; a step where the model overflows or gives a non-positive
     impedance is rejected like one that does not reduce the residual.
     Converges to 1e-6 relative on both impedances. Otherwise raises
@@ -374,10 +343,8 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     gap terms of its current point: the finite-difference column that steps
     the width reuses the gap terms, and the one that steps the gap reuses
     the width terms. The 2x2 step (``_solve2``) and the line-search norm
-    (``_norm2``) are the sequences of roundings that LAPACK's dgesv and
-    numpy's norm take in OpenBLAS's fused kernels, with each fused
-    multiply-add done exactly in rational arithmetic. So the dimensions are
-    the same bits on every host, whatever its BLAS.
+    (``_norm2``) are plain IEEE operations, each rounded on its own, so the
+    dimensions are the same bits on every host.
     """
     if not (z0e > z0o > 0):
         raise ValueError("need z0e > z0o > 0")
@@ -404,7 +371,7 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     lo_w, lo_s = math.log(WIDTH_RANGE_H[0] * h), math.log(GAP_HARD_MIN_MM)
     hi_w, hi_s = math.log(WIDTH_RANGE_H[1] * h), math.log(60.0 * h)
     step = 1e-6
-    w0 = _bisect_width(math.sqrt(z0e * z0o), sub)[0]
+    w0 = _search_width(math.sqrt(z0e) * math.sqrt(z0o), sub)[0]
     xw, xs = math.log(w0), math.log(h)
     wt, gt = terms(_width_terms, math.exp(xw)), terms(_gap_terms, math.exp(xs))
     f = residual(wt, gt)
@@ -442,77 +409,36 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     z = modes(terms(_width_terms, w0), terms(_gap_terms, GAP_HARD_MIN_MM))
     if z is None or z[0] - z[1] < split:
         raise CouplingUnreachable(
-            f"mode split {split:.2f} ohm not reachable at the minimum gap"
+            f"mode split {split:.6g} ohm not reachable at the minimum gap"
         )
     raise NoConvergence(
-        f"synthesis for (z0e={z0e:.3f}, z0o={z0o:.3f}) did not converge"
+        f"synthesis for (z0e={z0e:.6g}, z0o={z0o:.6g}) did not converge"
     )
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add rounds it. Where a and
-    b lie within 2**+-450 and |c| below 2**900, Veltkamp's split gives Dekker's
-    exact product a * b = p + e, and ``math.fsum`` rounds p + e + c once,
-    correctly. Elsewhere it is the exact rational value, which Python's int
-    true division rounds correctly. An exact zero is +0.0, as IEEE rounds
-    it, but for (-0.0) + (-0.0)."""
-    if 2.0**-450 < abs(a) < 2.0**450 and 2.0**-450 < abs(b) < 2.0**450 and abs(c) < 2.0**900:
-        p = a * b
-        t = 134217729.0 * a  # 2**27 + 1
-        ah = t - (t - a)
-        al = a - ah
-        t = 134217729.0 * b
-        bh = t - (t - b)
-        bl = b - bh
-        e = al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-        return math.fsum((p, e, c)) or 0.0
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return a * b + c
-    if not math.isfinite(c):
-        return c
-    na, da = a.as_integer_ratio()
-    nb, db = b.as_integer_ratio()
-    nc, dc = c.as_integer_ratio()
-    num = na * nb * dc + nc * da * db
-    if num == 0:
-        # an exact zero: IEEE gives -0.0 only for (-0.0) + (-0.0)
-        return a * b + c if a * b == 0 else 0.0
-    try:
-        return num / (da * db * dc)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
 def _norm2(a: float, b: float) -> float:
-    """The Euclidean norm of (a, b) as numpy's ``norm`` rounds it: the
-    square root of a dot product that fuses its second term."""
-    return math.sqrt(_fma(b, b, a * a))
+    """The Euclidean norm of (a, b), each operation rounded on its own."""
+    return math.sqrt(a * a + b * b)
 
 
 def _solve2(a00: float, a01: float, a10: float, a11: float,
             b0: float, b1: float) -> tuple[float, float] | None:
-    """x of [[a00, a01], [a10, a11]] x = (b0, b1), rounded as LAPACK's dgesv
-    (LU with partial pivoting, then two triangular solves) rounds it in
-    OpenBLAS's fused kernels; None where dgesv finds an exact zero pivot or
-    an entry is not finite.
-
-    dgesv pivots on the larger of |a00| and |a10|, keeping the first row on a
-    tie; scales the column below the pivot by the pivot's reciprocal, or
-    divides it when the pivot is below the smallest normal double; updates
-    u11 unfused; and fuses the multiply-add of each triangular solve.
-    """
+    """x of [[a00, a01], [a10, a11]] x = (b0, b1) by LU with partial pivoting
+    in plain IEEE arithmetic, each operation rounded on its own; None where
+    a pivot is an exact zero or an entry is not finite. The pivot is the
+    larger of |a00| and |a10|, the first row on a tie."""
     if not all(map(math.isfinite, (a00, a01, a10, a11, b0, b1))):
         return None
     if abs(a10) > abs(a00):
         a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
     if a00 == 0.0:
         return None
-    l = a10 * (1.0 / a00) if abs(a00) >= sys.float_info.min else a10 / a00
+    l = a10 / a00
     u11 = a11 - a01 * l
     if u11 == 0.0:
         return None
-    x1 = _fma(-b0, l, b1) / u11
-    return _fma(-x1, a01, b0) / a00, x1
+    x1 = (b1 - b0 * l) / u11
+    return (b0 - x1 * a01) / a00, x1
 
 
 # --- derived quantities ------------------------------------------------------

@@ -464,6 +464,13 @@ class TestInvalidInput:
              id="synth-unknown-spec-key"),
         case(SIMULATE + ("--design", "{bad}"), ("design", ("spec", "f0"), 2.6),
              "spec.f0", id="simulate-unknown-spec-key"),
+        # section impedances far outside the model's range: the seed of the
+        # width search stays finite and positive, and the error names it
+        case(SYNTH, ("config", ("spec", "z0_ohm"), 1e300),
+             "1.0598837478382088e+300 ohm is above the model range", 4, id="synth-z0-1e+300"),
+        case(SYNTH, ("config", ("spec", "z0_ohm"), 1e-300),
+             "synthesis for (z0e=1.44423e-300, z0o=7.7782e-301) did not converge", 4,
+             id="synth-z0-1e-300"),
         case(("synth", "--config", "{config}", "--out", "{tmp}/d.json", "--epoch", "inf"),
              None, "timestamp out of range", id="synth-epoch-inf"),
         case(("synth", "--config", "{config}", "--out", "{tmp}/d.json",
@@ -635,7 +642,7 @@ class TestInvalidInput:
         case(MATERIALS, ("materials", ("materials", 0, "t"), -0.1),
              "materials[0]: conductor thickness must be >= 0", id="materials-negative-t"),
         # a substrate height or conductor thickness outside the physical range,
-        # where the width bisection underflows, the feed width is inf, or the
+        # where the former width bisection underflowed, the feed width is inf, or the
         # SVG stackup prints a 300-digit thickness
         *[case(argv, ("materials", ("materials",), [dict(FR4_ENTRY, **{key: value})]),
                f"materials[0]: {cause}", id=f"materials-{key}-{value:g}-{argv[0]}")
@@ -775,9 +782,11 @@ class TestEveryInputField:
     spec.z0_ohm with coupling.z0_ohm as one, takes a seeded sample of
     FIELD_VALUES through the sweeps and layouts; so do each scalar leaf of a
     MWBPF_MATERIALS entry, through synthesis, a layout and a lossy sweep, each
-    scalar leaf of the config, through synthesis and the comparison, and the
-    sweep span options, through simulate's three modes. Every run ends in a
-    result or in one typed error line, and writes nothing when it fails."""
+    scalar leaf of the config, through synthesis and the comparison, the
+    sweep span options and --points, through simulate's three modes, --epoch,
+    through synthesis, and the hairpin options, through both layouts. Every
+    run ends in a result or in one typed error line, and writes nothing when
+    it fails."""
 
     COMMANDS = (
         ("simulate", "--mode", "ideal", "--out-prefix", "run"),
@@ -850,7 +859,7 @@ class TestEveryInputField:
         rng = random.Random(9)
         cases = [(key, value) for key in entry
                  for value in rng.sample(FIELD_VALUES, self.PER_INPUT)]
-        # whatever the sample: the width bisection's underflow, and the lossy
+        # whatever the sample: the former width bisection's underflow, and the lossy
         # sweeps' overflowing dielectric loss
         cases += [("h", 1e-300), ("eps_r", 1e300)]
         monkeypatch.chdir(tmp_path)
@@ -866,7 +875,7 @@ class TestEveryInputField:
 
     def test_config_leaf(self, tmp_path, monkeypatch, capsys):
         # every impedance the hostile spec asks for reaches the width
-        # bisection's closed-form estimate
+        # search's closed-form start
         rng = random.Random(12)
         cases = [(path, value) for path in _leaves(PAPER_CONFIG)
                  for value in rng.sample(FIELD_VALUES, self.PER_INPUT)]
@@ -899,6 +908,38 @@ class TestEveryInputField:
                 where = f"{option} = {value!r}, {' '.join(command)}"
                 self._run([*command, "--design", "design.json", option, str(value)], where, value,
                           problems, capsys)
+        assert not problems, "\n".join(problems)
+
+    def test_numeric_options(self, tmp_path, design_path, monkeypatch, capsys):
+        # each option takes what its argparse type reads; other words are
+        # usage errors (exit 2)
+        def readable(kind, value):
+            try:
+                kind(str(value))
+            except ValueError:
+                return False
+            return True
+
+        synth = (("synth", "--config", "config.json", "--out", "run.json"),)
+        simulate = [(*command, "--design", "design.json") for command in self.COMMANDS[:3]]
+        layout = [(*command, "--design", "design.json") for command in self.COMMANDS[3:]]
+        rng = random.Random(13)
+        cases = []
+        # whatever the sample: a planar gap of 1e300 mm, which a layout drew
+        for option, kind, commands, extra in (
+                ("--points", int, simulate, ()), ("--epoch", float, synth, ()),
+                ("--arm-gap", float, layout, ()), ("--overlap", float, layout, ()),
+                ("--planar-gap", float, layout, (1e300,))):
+            values = [v for v in FIELD_VALUES if type(v) in (int, float, str)
+                      and readable(kind, v)]
+            for value in (*rng.sample(values, min(self.PER_INPUT, len(values))), *extra):
+                cases += [(command, option, value) for command in commands]
+        monkeypatch.chdir(tmp_path)
+        problems = []
+        for command, option, value in cases:
+            where = f"{option} = {value!r}, {' '.join(command)}"
+            # one word: argparse would read "-inf" alone as an option
+            self._run([*command, f"{option}={value}"], where, value, problems, capsys)
         assert not problems, "\n".join(problems)
 
 

@@ -2,7 +2,6 @@ import math
 import random
 import sys
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,9 +43,11 @@ from mwbpf.prototype import FilterSpec, design_prototype
 from conftest import PAPER_SPEC, TABLE1_ZE, TABLE1_ZO, TABLE2_FR4, TABLE3_RO3003
 
 
-# Reference copies of the numpy-array Newton synthesis and its bisection
-# seed. synthesize_coupled runs the same iteration on Python floats and must
-# give the same model evaluations and the same (w, s) bit for bit.
+# A reference copy of the numpy-array Newton synthesis: synthesize_coupled
+# runs the same iteration on Python floats and must give the same model
+# evaluations and the same (w, s) bit for bit. And the plain bisection of the
+# searched widths: the width search must end the same way, at a width within
+# 1e-13 in its logarithm.
 def oracle_single_width(z0_target, sub):
     if z0_target <= 0:
         raise ValueError("target impedance must be positive")
@@ -65,8 +66,7 @@ def oracle_single_width(z0_target, sub):
 
 
 def oracle_single_width_in_range(z0_target, sub):
-    # synthesize_single_width refuses a target below z0 at the widest width,
-    # where the bisection, kept as the Newton seed, gives that width
+    # synthesize_single_width refuses a target below z0 at the widest width
     w = oracle_single_width(z0_target, sub)
     if analyze_single(WIDTH_RANGE_H[1] * sub.h, sub)[0] > z0_target:
         raise CouplingUnreachable(f"{z0_target} ohm is below the model range")
@@ -124,6 +124,22 @@ def oracle_modes_or_none(w, s, sub):
     return None
 
 
+def oracle_solve(a, b):
+    """x of a x = b for a 2x2 array a: Gaussian elimination with partial
+    pivoting, the first row kept on a tie, each operation rounded on its
+    own; None at an exact zero pivot."""
+    if abs(a[1, 0]) > abs(a[0, 0]):
+        a, b = a[::-1], b[::-1]
+    if a[0, 0] == 0:
+        return None
+    l = a[1, 0] / a[0, 0]
+    u11 = a[1, 1] - a[0, 1] * l
+    if u11 == 0:
+        return None
+    x1 = (b[1] - b[0] * l) / u11
+    return np.array([(b[0] - x1 * a[0, 1]) / a[0, 0], x1])
+
+
 def oracle_synthesize_coupled(z0e, z0o, sub):
     if not (z0e > z0o > 0):
         raise ValueError("need z0e > z0o > 0")
@@ -135,10 +151,13 @@ def oracle_synthesize_coupled(z0e, z0o, sub):
             return None
         return np.array([math.log(mp.z0e / z0e), math.log(mp.z0o / z0o)])
 
+    def norm(v):
+        return math.sqrt(v[0] * v[0] + v[1] * v[1])
+
     lo = np.array([math.log(WIDTH_RANGE_H[0] * h), math.log(GAP_HARD_MIN_MM)])
     hi = np.array([math.log(WIDTH_RANGE_H[1] * h), math.log(60.0 * h)])
     step = 1e-6
-    w0 = oracle_single_width(math.sqrt(z0e * z0o), sub)
+    w0 = mwbpf.microstrip._search_width(math.sqrt(z0e) * math.sqrt(z0o), sub)[0]
     x = np.array([math.log(w0), math.log(h)])
     f = residual(x)
     for _ in range(200):
@@ -150,15 +169,14 @@ def oracle_synthesize_coupled(z0e, z0o, sub):
         if any(c is None for c in cols):
             break
         jac = np.column_stack([(c - f) / step for c in cols])
-        try:
-            dx = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
+        dx = oracle_solve(jac, -f)
+        if dx is None:
             break
         lam = 1.0
         while lam > 1e-8:
             cand = np.clip(x + lam * dx, lo, hi)
             fc = residual(cand)
-            if fc is not None and np.linalg.norm(fc) < np.linalg.norm(f):
+            if fc is not None and norm(fc) < norm(f):
                 break
             lam *= 0.5
         else:
@@ -256,11 +274,16 @@ class TestAnalyzeSingle:
         target=st.one_of(log_uniform(1e-3, 1e4),
                          st.sampled_from([5e-324, 1e-300, 1e300, sys.float_info.max, math.inf])),
     )
-    def test_width_synthesis_matches_plain_bisection_bit_for_bit(self, eps_r, h, target):
+    def test_width_synthesis_matches_plain_bisection(self, eps_r, h, target):
+        # the same outcome, and a width within 1e-13 in its logarithm
         sub = Substrate(name="x", eps_r=eps_r, tan_d=0.0, h=h)
-        assert outcome(synthesize_single_width, target, sub) == outcome(
-            oracle_single_width_in_range, target, sub
-        )
+        got = outcome(synthesize_single_width, target, sub)
+        want = outcome(oracle_single_width_in_range, target, sub)
+        if isinstance(want, str):
+            assert isinstance(got, str)
+            assert abs(math.log(float.fromhex(got) / float.fromhex(want))) <= 1e-13
+        else:
+            assert got == want
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(u=log_uniform(*WIDTH_RANGE_H), eps_r=log_uniform(*EPS_R_RANGE))
@@ -273,7 +296,7 @@ class TestAnalyzeSingle:
     @given(z0=st.floats(min_value=5e-324, allow_infinity=False),
            eps_r=st.one_of(st.sampled_from(EPS_R_RANGE), st.floats(*EPS_R_RANGE)))
     def test_closed_form_width_is_never_nan(self, z0, eps_r):
-        # finite, or -inf far above the range; the bracket clips it into the range
+        # finite, or -inf far above the range, where the search starts at the midpoint
         ln_u = mwbpf.microstrip._hammerstad_ln_u(z0, eps_r)
         assert ln_u < math.inf and ln_u == ln_u
 
@@ -282,37 +305,6 @@ class TestAnalyzeSingle:
         assert analyze_single(WIDTH_RANGE_H[1] * fr4.h, fr4)[0] == pytest.approx(4.26, abs=0.01)
         with pytest.raises(CouplingUnreachable, match="2.0 ohm is below the model range"):
             synthesize_single_width(2.0, fr4)
-
-    @pytest.mark.parametrize("lost", ["both", "lower", "upper"])
-    def test_width_synthesis_without_a_certified_end(self, fr4, monkeypatch, lost):
-        # an end of the bracket that fails its check is its end of the range:
-        # more model calls, the same width
-        real = mwbpf.microstrip._certified_bracket
-
-        def failed(z0_target, sub, lo, hi):
-            a, b = real(z0_target, sub, lo, hi)
-            return (lo if lost != "upper" else a), (hi if lost != "lower" else b)
-
-        targets = (12.0, 50.0, 140.0)
-
-        def widths_and_model_calls():
-            calls = []
-
-            def counting(w, sub):
-                calls.append(w)
-                return analyze_single(w, sub)
-
-            with monkeypatch.context() as m:
-                m.setattr(mwbpf.microstrip, "analyze_single", counting)
-                widths = [outcome(synthesize_single_width, z, fr4) for z in targets]
-            return widths, len(calls)
-
-        certified, n_certified = widths_and_model_calls()
-        monkeypatch.setattr(mwbpf.microstrip, "_certified_bracket", failed)
-        fallen_back, n_fallen_back = widths_and_model_calls()
-        want = [outcome(oracle_single_width, z, fr4) for z in targets]
-        assert certified == fallen_back == want
-        assert n_certified < n_fallen_back
 
 
 class TestAnalyzeCoupled:
@@ -469,9 +461,9 @@ class TestSynthesizeCoupled:
                 raise
 
         monkeypatch.setattr(mwbpf.microstrip, "_mode_step", recording)
-        sub = Substrate(name="g", eps_r=1.8613603514084298, tan_d=0.0, h=1.720828003464973)
+        sub = Substrate(name="g", eps_r=1.2430097646533145, tan_d=0.0, h=1.140642821453157)
         with pytest.raises(CouplingUnreachable):
-            synthesize_coupled(483.14078682918034, 85.27575811703669, sub)
+            synthesize_coupled(689.5866058368977, 85.12561245360463, sub)
         assert zeros and all(s == pytest.approx(GAP_HARD_MIN_MM) for _, s in zeros)
 
     def test_rejects_bad_targets(self, fr4):
@@ -584,9 +576,9 @@ class TestSynthesizeCoupled:
             return real(*system)
 
         monkeypatch.setattr(mwbpf.microstrip, "_solve2", counting)
-        sub = Substrate(name="x", eps_r=11.335601510110594, tan_d=0.0, h=3.3759498854097516)
+        sub = Substrate(name="x", eps_r=1.2261396146659593, tan_d=0.0, h=3.684766846860114)
         with pytest.raises(CouplingUnreachable):
-            synthesize_coupled(347.1768385374477, 55.992775471987514, sub)
+            synthesize_coupled(564.1761279668855, 139.46089657946007, sub)
         assert len(solves) == 200
 
     def test_singular_jacobian_ends_typed(self, fr4, monkeypatch):
@@ -599,105 +591,29 @@ def hexes(values):
     return tuple(v.hex() for v in values)
 
 
-def numpy_solve(system):
-    a00, a01, a10, a11, b0, b1 = system
-    try:
-        return tuple(np.linalg.solve(np.array([[a00, a01], [a10, a11]]), [b0, b1]).tolist())
-    except np.linalg.LinAlgError:
-        return None
-
-
-# a system and a pair on which a fused multiply-add changes the last bit of
-# the solve and of the norm; a BLAS that does not fuse gives other bits
-PROBE_SYSTEM = (0.51, 2.43, 1.09, 2.57, 2.14, 2.95)
-PROBE_PAIR = (2.64, 2.94)
-
-
-def host_blas_fuses():
-    return (numpy_solve(PROBE_SYSTEM) == mwbpf.microstrip._solve2(*PROBE_SYSTEM)
-            and float(np.linalg.norm(PROBE_PAIR)) == mwbpf.microstrip._norm2(*PROBE_PAIR))
-
-
-def exact_fma(a, b, c):
-    """a * b + c of finite doubles in exact rational arithmetic, rounded once
-    to the nearest double, ties to even; an exact zero is -0.0 only where a
-    zero product and c are both negative zeros, as IEEE 754 rounds it."""
-    product = Fraction(a) * Fraction(b)
-    exact = product + Fraction(c)
-    if exact == 0:
-        negative = product == 0 and math.copysign(1.0, a) * math.copysign(1.0, b) < 0
-        return -0.0 if negative and math.copysign(1.0, c) < 0 else 0.0
-    try:
-        return float(exact)  # the numerator's int true division: correctly rounded
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
-def signed(magnitude):
-    return st.tuples(magnitude, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
-
-
-# ends of the split-product path, zeros, subnormals and the largest double
-FMA_EDGES = [
-    (2.0**-450, 3.0, 1.0), (math.nextafter(2.0**-450, 1.0), 3.0, 1.0),
-    (2.0**450, -1.5, 7.0), (math.nextafter(2.0**450, 0.0), -1.5, 7.0),
-    (1.5, 1.25, 2.0**900), (1.5, 1.25, math.nextafter(2.0**900, 0.0)),
-    (0.0, 1.0, -0.0), (-0.0, 1.0, -0.0), (5e-324, 0.5, 0.0), (5e-324, -5e-324, -0.0),
-    (sys.float_info.max, 2.0, -sys.float_info.max), (sys.float_info.max, 1.0, 1e292),
-    (0.1, 10.0, -1.0), (3.0, 0.5, -1.5), (-3.0, 0.5, 1.5),
-]
-
-
-@st.composite
-def fma_operands(draw):
-    """Finite (a, b, c): unit-sized and arbitrary operands, subnormals, and
-    products near overflow or underflow; c arbitrary, or -(a * b) rounded,
-    which leaves the product's rounding error or an exact zero."""
-    def scaled(exponent):
-        return draw(signed(st.floats(0.5, 1.0, exclude_max=True))) * 2.0 ** exponent
-
-    kind = draw(st.sampled_from(["unit", "any", "subnormal", "huge product", "tiny product"]))
-    if kind == "unit":
-        a, b = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
-    elif kind == "any":
-        a, b = draw(st.floats(allow_nan=False, allow_infinity=False)), draw(
-            st.floats(allow_nan=False, allow_infinity=False))
-    elif kind == "subnormal":
-        a = draw(signed(st.floats(5e-324, sys.float_info.min, exclude_max=True)))
-        b = draw(st.floats(allow_nan=False, allow_infinity=False))
-    else:
-        ea = draw(st.integers(-1000, 1000))
-        product = draw(st.integers(1000, 1026) if kind == "huge product"
-                       else st.integers(-1100, -950))
-        a, b = scaled(ea), scaled(min(max(product - ea, -1070), 1020))
-    p = a * b
-    if math.isfinite(p) and draw(st.booleans()):
-        return a, b, -p
-    return a, b, draw(st.floats(allow_nan=False, allow_infinity=False))
-
-
 class TestFusedSolve:
     """The Newton's 2x2 solve and norm are fixed sequences of IEEE operations,
-    so the expected bits below, recorded once, hold on every host."""
+    each rounded on its own (none fused), so the expected bits below,
+    recorded once, hold on every host."""
 
     # the first Newton system of each section of the reference design on
     # FR4: (a00, a01, a10, a11, b0, b1) -> (x0, x1), and the norm of (b0, b1)
     REFERENCE_SYSTEMS = [
-        (("-0x1.3eb1f32b15b20p-1", "-0x1.51cf54fc80e80p-4", "-0x1.16d37ea5a5aa0p-1",
-          "0x1.1671fe47b15c0p-3", "0x1.93472e5013264p-3", "-0x1.5b7fb08a64a06p-3"),
-         ("-0x1.940b16222db7dp-4", "-0x1.a4a2d9e322017p+0"), "0x1.0a2bd8c36dbbfp-2"),
-        (("-0x1.4818f7f12026ap-1", "-0x1.420df82ef9bb0p-4", "-0x1.1f02fda23f580p-1",
-          "0x1.0b6f179310600p-3", "-0x1.87689411d252dp-6", "0x1.a03f79c6463a7p-5"),
-         ("-0x1.c124169ed7e98p-8", "0x1.70534484b1517p-2"), "0x1.cbf5917c3e94ep-5"),
-        (("-0x1.48622e5e2b2a4p-1", "-0x1.4192363e95940p-4", "-0x1.1f4385072c188p-1",
-          "0x1.0b182c0360100p-3", "-0x1.7ad54bdcefcf4p-5", "0x1.2ba6bb4dd9500p-4"),
-         ("0x1.273369965b884p-9", "0x1.242a556bfb4ccp-1"), "0x1.627fbed91160ep-4"),
-        (("-0x1.4818f7ef4720ep-1", "-0x1.420df82ef9bb0p-4", "-0x1.1f02fda23f580p-1",
-          "0x1.0b6f179310600p-3", "-0x1.87689411d252dp-6", "0x1.a03f79c6463a7p-5"),
-         ("-0x1.c12416a0800b6p-8", "0x1.7053448494de8p-2"), "0x1.cbf5917c3e94ep-5"),
-        (("-0x1.3eb1f32b15b20p-1", "-0x1.51cf54fc80e80p-4", "-0x1.16d37ea5e2b30p-1",
-          "0x1.1671fe46bd380p-3", "0x1.93472e5013264p-3", "-0x1.5b7fb08a64a00p-3"),
-         ("-0x1.940b16201044cp-4", "-0x1.a4a2d9e421696p+0"), "0x1.0a2bd8c36dbbdp-2"),
+        (("-0x1.3eb1f328b3580p-1", "-0x1.51cf550422080p-4", "-0x1.16d37ea28c350p-1",
+          "0x1.1671fe4d6a340p-3", "0x1.93472e501315dp-3", "-0x1.5b7fb08a64ae5p-3"),
+         ("-0x1.940b162486341p-4", "-0x1.a4a2d9d9f3a96p+0"), "0x1.0a2bd8c36dba4p-2"),
+        (("-0x1.4818f7ed667a0p-1", "-0x1.420df83dfef20p-4", "-0x1.1f02fda342be4p-1",
+          "0x1.0b6f178af52e0p-3", "-0x1.87689411d2898p-6", "0x1.a03f79c646202p-5"),
+         ("-0x1.c124173369653p-8", "0x1.70534485c8f58p-2"), "0x1.cbf5917c3e88cp-5"),
+        (("-0x1.48622e5e2b2a4p-1", "-0x1.4192363047780p-4", "-0x1.1f43850619700p-1",
+          "0x1.0b182bff156e0p-3", "-0x1.7ad54bdcefe07p-5", "0x1.2ba6bb4dd9476p-4"),
+         ("0x1.27336a412bbb7p-9", "0x1.242a557387211p-1"), "0x1.627fbed9115e3p-4"),
+        (("-0x1.4818f7ed667a0p-1", "-0x1.420df82ef9bb0p-4", "-0x1.1f02fda342be4p-1",
+          "0x1.0b6f178af52e0p-3", "-0x1.87689411d2898p-6", "0x1.a03f79c646202p-5"),
+         ("-0x1.c12416db0e0fdp-8", "0x1.7053448bb628dp-2"), "0x1.cbf5917c3e88cp-5"),
+        (("-0x1.3eb1f32b15b20p-1", "-0x1.51cf550422080p-4", "-0x1.16d37ea28c350p-1",
+          "0x1.1671fe4d6a340p-3", "0x1.93472e5013140p-3", "-0x1.5b7fb08a64af9p-3"),
+         ("-0x1.940b16228ca9cp-4", "-0x1.a4a2d9d9751b8p+0"), "0x1.0a2bd8c36db9fp-2"),
     ]
 
     @pytest.mark.parametrize("system, solution, norm", REFERENCE_SYSTEMS,
@@ -731,17 +647,15 @@ class TestFusedSolve:
         # exchanged pivots on the other row and rounds x0 differently
         system = (2.019, -0.142, -2.019, -2.096, 0.809, 2.208)
         assert hexes(mwbpf.microstrip._solve2(*system)) == (
-            "0x1.3938c04fa9959p-2", "-0x1.591bae8e4c695p+0")
+            "0x1.3938c04fa9958p-2", "-0x1.591bae8e4c695p+0")
         a00, a01, a10, a11, b0, b1 = system
         assert hexes(mwbpf.microstrip._solve2(a10, a11, a00, a01, b1, b0)) == (
-            "0x1.3938c04fa995dp-2", "-0x1.591bae8e4c695p+0")
+            "0x1.3938c04fa995ep-2", "-0x1.591bae8e4c695p+0")
 
     def test_subnormal_pivot_divides(self):
-        # below the smallest normal double the pivot's reciprocal overflows,
-        # so the column is divided by the pivot, as LAPACK's dgetf2 does. The
-        # exact solution is (0.2, 0.4); subnormal entries carry few bits.
-        # (numpy's OpenBLAS 0.3.31 neither exchanges nor scales a column with
-        # a subnormal pivot, and gives (1/6, 1/2) here.)
+        # the column is divided by the pivot, not scaled by its reciprocal,
+        # which overflows below the smallest normal double. The exact
+        # solution is (0.2, 0.4); subnormal entries carry few bits.
         system = (3e-310, 1e-310, 1e-310, 2e-310, 1e-310, 1e-310)
         assert hexes(mwbpf.microstrip._solve2(*system)) == (
             "0x1.9999999999836p-3", "0x1.9999999999a04p-2")
@@ -755,58 +669,6 @@ class TestFusedSolve:
     ], ids=["zero-pivot", "negative-zero-pivot", "zero-u11", "inf-entry", "nan-entry"])
     def test_singular_or_non_finite_is_none(self, system):
         assert mwbpf.microstrip._solve2(*system) is None
-
-    def test_fma_rounds_once(self):
-        fma = mwbpf.microstrip._fma
-        assert fma(0.1, 10.0, -1.0) == 2.0**-54  # 0.1 * 10 rounds to 1.0
-        assert fma(1e308, 2.0, -1.5e308) == 5e307  # the product alone overflows
-        assert fma(1e308, 2.0, 1e308) == math.inf
-        assert math.copysign(1.0, fma(-0.0, 1.0, -0.0)) == -1.0
-        assert math.copysign(1.0, fma(1.0, 1.0, -1.0)) == 1.0
-        assert fma(2.0, 3.0, math.inf) == math.inf
-        assert math.isnan(fma(math.inf, 0.0, 1.0))
-
-    @settings(max_examples=600, deadline=None, derandomize=True)
-    @given(operands=fma_operands())
-    def test_fma_is_the_exact_value_rounded_once(self, operands):
-        a, b, c = operands
-        # float.hex keeps the sign of a zero
-        assert mwbpf.microstrip._fma(a, b, c).hex() == exact_fma(a, b, c).hex()
-
-    def test_fma_at_the_ends_of_its_split_path(self):
-        # the split-product path takes |a|, |b| in (2**-450, 2**450) and
-        # |c| < 2**900; the rational path takes the rest
-        fast = [2.0**-450 < abs(a) < 2.0**450 and 2.0**-450 < abs(b) < 2.0**450
-                and abs(c) < 2.0**900 for a, b, c in FMA_EDGES]
-        assert any(fast) and not all(fast)
-        for a, b, c in FMA_EDGES:
-            assert mwbpf.microstrip._fma(a, b, c).hex() == exact_fma(a, b, c).hex()
-
-    def test_norm_fuses_its_second_term(self):
-        a, b = PROBE_PAIR
-        assert mwbpf.microstrip._norm2(a, b).hex() == "0x1.f9c5f97030c0fp+1"
-        assert math.sqrt(a * a + b * b).hex() == "0x1.f9c5f97030c0ep+1"
-
-    @pytest.mark.skipif(not host_blas_fuses(), reason=(
-        "numpy's BLAS on this host does not fuse the multiply-adds of the probe "
-        "system and pair, so its solve and norm round differently"))
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        system=st.tuples(*[st.floats(-1e6, 1e6, allow_subnormal=False)] * 6),
-        tie=st.sampled_from([None, 1.0, -1.0]),
-    )
-    def test_matches_numpy_where_its_blas_fuses(self, system, tie):
-        # normal or zero entries only: numpy's OpenBLAS mishandles a
-        # subnormal pivot (see test_subnormal_pivot_divides)
-        if tie is not None:
-            system = (system[0], system[1], tie * system[0]) + system[3:]
-        with np.errstate(all="ignore"):
-            want, norm = numpy_solve(system), float(np.linalg.norm(system[4:]))
-        got = mwbpf.microstrip._solve2(*system)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert hexes(got) == hexes(want)
-        assert mwbpf.microstrip._norm2(*system[4:]) == norm
 
 
 class TestResonatorLength:
@@ -929,8 +791,8 @@ class TestValidation:
         ("t", 1000.5), ("t", 1e300),
     ])
     def test_substrate_dimensions_bounded(self, field, value):
-        # below 1e-162 mm the width bisection's sqrt(lo * hi) underflows to 0,
-        # above 1e154 mm the feed width is inf; both are far outside the range
+        # below 1e-162 mm the former width bisection's sqrt(lo * hi) underflowed
+        # to 0, above 1e154 mm the feed width is inf; both are far outside the range
         kwargs = dict(name="x", eps_r=3.0, tan_d=0.001, h=0.5, t=0.035)
         kwargs[field] = value
         with pytest.raises(ValueError, match="height" if field == "h" else "thickness"):
