@@ -159,19 +159,24 @@ def _search_width(z0_target: float, sub: Substrate) -> tuple[float, bool]:
     z0 at the widest searched width. Such a target gives the widest width,
     which seeds ``synthesize_coupled``.
 
-    z0 at both ends of the range decides whether the target lies inside it.
-    Then secant steps on (ln w, ln z0), the first from Hammerstad's
-    closed-form width with a slope of -0.6, narrow the bracket with each
-    model call; a step that leaves the bracket takes its midpoint instead.
-    The search stops where ln z0 is within 1e-14 of the target's."""
+    The search stops where ln z0 is within 1e-14 of the target's: at an end
+    of the range, whose z0 also decides whether the target lies inside it,
+    or at a secant step on (ln w, ln z0). The steps, the first from
+    Hammerstad's closed-form width with a slope of -0.6, narrow the bracket
+    with each model call; a step that leaves the bracket takes its midpoint."""
     if not z0_target > 0:
         raise ValueError("target impedance must be positive")
     lo, hi = WIDTH_RANGE_H[0] * sub.h, WIDTH_RANGE_H[1] * sub.h
-    if analyze_single(lo, sub)[0] < z0_target:
+    z_lo = analyze_single(lo, sub)[0]
+    if z_lo < z0_target:
         raise CouplingUnreachable(f"{z0_target} ohm is above the model range")
-    if analyze_single(hi, sub)[0] > z0_target:
+    z_hi = analyze_single(hi, sub)[0]
+    if z_hi > z0_target:
         return hi, True
     lt = math.log(z0_target)
+    for end, z in ((lo, z_lo), (hi, z_hi)):
+        if abs(math.log(z) - lt) < 1e-14:
+            return end, False
     a, b = math.log(lo), math.log(hi)  # ln z0 is above the target's at a, not above at b
     x, x_prev, f_prev = math.log(sub.h) + _hammerstad_ln_u(z0_target, sub.eps_r), None, None
     for _ in range(200):
@@ -329,15 +334,14 @@ def check_fit_range(w: float, s: float, sub: Substrate) -> None:
 def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, float]:
     """Width and gap (mm) realizing the requested even/odd-mode impedances.
 
-    Damped Newton iteration on (ln w, ln s), started from the single-line
-    width of sqrt(z0e) sqrt(z0o) (``_search_width``'s; the widest searched
-    width when the target is below its range) and a gap of one substrate
-    height; a step where the model overflows or gives a non-positive
-    impedance is rejected like one that does not reduce the residual.
-    Converges to 1e-6 relative on both impedances. Otherwise raises
+    Damped Newton iteration on (ln w, ln s) in the box 0.02-40 h by 1 um-60 h,
+    from the single-line width of sqrt(z0e) sqrt(z0o) (``_search_width``'s)
+    and a gap of one substrate height. A trial point where the model
+    overflows or gives a non-positive impedance is rejected like one that
+    does not reduce the residual; a step ``_solve2`` refuses ends the
+    iteration. It converges to 1e-6 relative on both impedances, or raises
     CouplingUnreachable when the requested split exceeds the model's at the
-    minimum gap, else NoConvergence. Pure: it warns nothing (see
-    ``check_fit_range``).
+    minimum gap, else NoConvergence. Pure: it warns nothing.
 
     The iteration runs on Python floats and holds the width terms and the
     gap terms of its current point: the finite-difference column that steps
@@ -350,15 +354,8 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
         raise ValueError("need z0e > z0o > 0")
     h, er = sub.h, sub.eps_r
 
-    def terms(part, v):
-        try:
-            return part(v, sub)
-        except (OverflowError, ValueError):  # a rejected point
-            return None
-
+    # for every Substrate the width and gap terms cannot fail in the box (s/h about 1e-6-60)
     def modes(wt, gt) -> tuple[float, float] | None:
-        if wt is None or gt is None:
-            return None
         try:
             return _mode_step(wt, gt, er)[:2]
         except (OverflowError, ValueError):  # the fits overflow, or an impedance is not positive
@@ -373,7 +370,7 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     step = 1e-6
     w0 = _search_width(math.sqrt(z0e) * math.sqrt(z0o), sub)[0]
     xw, xs = math.log(w0), math.log(h)
-    wt, gt = terms(_width_terms, math.exp(xw)), terms(_gap_terms, math.exp(xs))
+    wt, gt = _width_terms(math.exp(xw), sub), _gap_terms(math.exp(xs), sub)
     f = residual(wt, gt)
     for _ in range(200):
         if f is None:
@@ -381,8 +378,8 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
         fe, fo = f
         if max(abs(fe), abs(fo)) < 1e-6:
             return math.exp(xw), math.exp(xs)
-        cw = residual(terms(_width_terms, math.exp(xw + step)), gt)
-        cs = residual(wt, terms(_gap_terms, math.exp(xs + step)))
+        cw = residual(_width_terms(math.exp(xw + step), sub), gt)
+        cs = residual(wt, _gap_terms(math.exp(xs + step), sub))
         if cw is None or cs is None:
             break
         d = _solve2((cw[0] - fe) / step, (cs[0] - fe) / step,
@@ -393,10 +390,9 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
         norm_f = _norm2(fe, fo)
         lam = 1.0
         while lam > 1e-8:
-            # clip to the box; min(max(v, .), .) keeps a NaN v, as np.clip does
-            tw = min(max(xw + lam * dw, lo_w), hi_w)
+            tw = min(max(xw + lam * dw, lo_w), hi_w)  # clip to the box
             ts = min(max(xs + lam * ds, lo_s), hi_s)
-            twt, tgt = terms(_width_terms, math.exp(tw)), terms(_gap_terms, math.exp(ts))
+            twt, tgt = _width_terms(math.exp(tw), sub), _gap_terms(math.exp(ts), sub)
             fc = residual(twt, tgt)
             if fc is not None and _norm2(*fc) < norm_f:
                 break
@@ -406,14 +402,10 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
         xw, xs, wt, gt, f = tw, ts, twt, tgt, fc
 
     split = z0e - z0o
-    z = modes(terms(_width_terms, w0), terms(_gap_terms, GAP_HARD_MIN_MM))
+    z = modes(_width_terms(w0, sub), _gap_terms(GAP_HARD_MIN_MM, sub))
     if z is None or z[0] - z[1] < split:
-        raise CouplingUnreachable(
-            f"mode split {split:.6g} ohm not reachable at the minimum gap"
-        )
-    raise NoConvergence(
-        f"synthesis for (z0e={z0e:.6g}, z0o={z0o:.6g}) did not converge"
-    )
+        raise CouplingUnreachable(f"mode split {split:.6g} ohm not reachable at the minimum gap")
+    raise NoConvergence(f"synthesis for (z0e={z0e:.6g}, z0o={z0o:.6g}) did not converge")
 
 
 def _norm2(a: float, b: float) -> float:
@@ -424,9 +416,9 @@ def _norm2(a: float, b: float) -> float:
 def _solve2(a00: float, a01: float, a10: float, a11: float,
             b0: float, b1: float) -> tuple[float, float] | None:
     """x of [[a00, a01], [a10, a11]] x = (b0, b1) by LU with partial pivoting
-    in plain IEEE arithmetic, each operation rounded on its own; None where
-    a pivot is an exact zero or an entry is not finite. The pivot is the
-    larger of |a00| and |a10|, the first row on a tie."""
+    in plain IEEE arithmetic, each operation rounded on its own; None where a
+    pivot is an exact zero, an entry is not finite or x has a NaN. The pivot
+    is the larger of |a00| and |a10|, the first row on a tie."""
     if not all(map(math.isfinite, (a00, a01, a10, a11, b0, b1))):
         return None
     if abs(a10) > abs(a00):
@@ -438,7 +430,8 @@ def _solve2(a00: float, a01: float, a10: float, a11: float,
     if u11 == 0.0:
         return None
     x1 = (b1 - b0 * l) / u11
-    return (b0 - x1 * a01) / a00, x1
+    x0 = (b0 - x1 * a01) / a00  # NaN where x1 is, or where x1 overflows and a01 is 0
+    return None if math.isnan(x0) else (x0, x1)
 
 
 # --- derived quantities ------------------------------------------------------

@@ -160,32 +160,25 @@ def _cascade_block(zm, root_eps, alpha, l, f) -> np.ndarray:
     """Entries [4, P] of the cascade at the points f [P], in passes of up to
     ``_BLOCK`` angles: mode impedances ``zm`` and sqrt(eps_eff) ``root_eps``
     [n, 2, 1], attenuations ``alpha`` [n, 2, P], lengths ``l`` [n, 1, 1]. A
-    pass with singular points is taken again with them at f (1 + 1e-6); one
-    still singular, or a sine that overflows, is a ValueError. Each nudged
-    section warns once, after the last pass. A failing block of several
-    sections is taken again one section at a time: the first that fails on
-    its own raises, after the warnings of the sections before it."""
+    pass with singular points is taken again with them at f (1 + 1e-6). A
+    failing pass raises its first error, a ValueError: a sine that overflows,
+    else a point still singular after the nudge. Each nudged section warns
+    once, after the last pass, so a failing call warns nothing."""
     nudged, out = [[] for _ in l], np.empty((4, len(f)), complex)
     step = max(_BLOCK // (2 * len(l)), 1)
-    try:
-        for lo in range(0, len(f), step):
-            p, fp = slice(lo, lo + step), f[lo:lo + step]
-            sin, tan = _trig(_mode_angle(root_eps, alpha[:, :, p], l, fp))
-            if (at := _singular(sin)).any():
-                nudge = np.where(at, fp * (1.0 + 1e-6), fp)[:, None]
-                sin, tan = _trig(_mode_angle(root_eps, alpha[:, :, p], l, nudge))
-                if (still := _singular(sin).any(axis=0)).any():
-                    raise ValueError(f"section is a multiple of pi at {fp[still][0]} GHz "
-                                     "and 1 ppm above it")
-                for points, row in zip(nudged, at):
-                    points += fp[row].tolist()
-            out[:, p] = _cascade_rows(zm, sin, tan)
-            del sin, tan  # before the next pass allocates its own
-    except ValueError:
-        if len(l) > 1:
-            for i in range(len(l)):
-                _cascade_block(zm[i:i + 1], root_eps[i:i + 1], alpha[i:i + 1], l[i:i + 1], f)
-        raise
+    for lo in range(0, len(f), step):
+        p, fp = slice(lo, lo + step), f[lo:lo + step]
+        sin, tan = _trig(_mode_angle(root_eps, alpha[:, :, p], l, fp))
+        if (at := _singular(sin)).any():
+            nudge = np.where(at, fp * (1.0 + 1e-6), fp)[:, None]
+            sin, tan = _trig(_mode_angle(root_eps, alpha[:, :, p], l, nudge))
+            if (still := _singular(sin).any(axis=0)).any():
+                raise ValueError(f"section is a multiple of pi at {fp[still][0]} GHz "
+                                 "and 1 ppm above it")
+            for points, row in zip(nudged, at):
+                points += fp[row].tolist()
+        out[:, p] = _cascade_rows(zm, sin, tan)
+        del sin, tan  # before the next pass allocates its own
     for points in filter(None, nudged):
         warnings.warn(f"section is an exact multiple of pi at {', '.join(map(str, points))} GHz; "
                       "nudging by 1 ppm", SingularFrequencyWarning)
@@ -203,9 +196,9 @@ def coupled_section_twoport(mp: ModeParams, l: float, f) -> np.ndarray:
       Z11 = Z22 = -j (Z0e cot(th_e) + Z0o cot(th_o)) / 2
       Z12 = Z21 = -j (Z0e csc(th_e) - Z0o csc(th_o)) / 2
     A point where an angle is a multiple of pi is taken once at f (1 + 1e-6),
-    with a warning; a point still singular there, or a sine that overflows,
-    is a ValueError, raised by the first of its passes of 2048 points that
-    fails. It is ``sweep_pcl``'s kernel for one section.
+    with a warning. A sine that overflows, else a point still singular there,
+    is a ValueError, raised by the first failing pass of 2048 points; a call
+    that fails warns nothing. It is ``sweep_pcl``'s kernel for one section.
     """
     f = np.asarray(f, dtype=float)
     if l <= 0 or not (f > 0).all():
@@ -270,10 +263,11 @@ def sweep_pcl(
 
     A pass takes all sections and modes at once, [sections, 2, points]; an
     ``ideal`` pass, one angle in every row, holds one row of sines and
-    tangents. A failing block of 1024 points is taken again one section at
-    a time, so the first failing section is reported. A span whose angle at
-    ``f_stop`` overflows is a ValueError, and so is a response that
-    overflows a double (a section impedance of 1e300 ohm, squared).
+    tangents. A failing block of 1024 points raises its failing pass's first
+    error (a sine that overflows, else a point still singular after the
+    nudge) and warns nothing. A span whose angle at ``f_stop`` overflows is a
+    ValueError, and so is a response that overflows a double (a section
+    impedance of 1e300 ohm, squared).
     """
     if mode not in ("ideal", "physical"):
         raise ValueError("mode must be 'ideal' or 'physical'")

@@ -12,6 +12,8 @@ import pytest
 import mwbpf
 from mwbpf.cli import EXIT_CODES, main
 from mwbpf.design import load_design
+from mwbpf.microstrip import GapTooSmallWarning, ModelValidityWarning
+from mwbpf.rfsim import SingularFrequencyWarning
 
 PAPER_CONFIG = {
     "spec": {
@@ -766,6 +768,7 @@ FIELD_VALUES = (0, -1, 1e-300, 1e300, 1e-30, 1e30, 1e-9, 1e9, 2.58, "nan", "inf"
                 "1e400", 10**400, True, None, "x", [], {})
 NON_FINITE = ("nan", "inf", "-inf", "1e400")
 MAX_LINE = 120  # characters in a stdout line; the README quick start's longest is 99
+MWBPF_WARNINGS = (GapTooSmallWarning, ModelValidityWarning, SingularFrequencyWarning)
 
 
 def _leaves(node, path=()):
@@ -810,9 +813,15 @@ class TestEveryInputField:
     def _run(argv, where, value, problems, capsys, may_pass=False):
         """Run ``argv``, given ``value`` at ``where``, and add to ``problems``
         what breaks the property; a non-finite value may exit 0 only where
-        ``may_pass``."""
-        code = main(list(argv))
+        ``may_pass``. The run's warnings are recorded: each must be one of
+        mwbpf's own."""
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            code = main(list(argv))
         out, err = capsys.readouterr()
+        for w in shown:
+            if w.category not in MWBPF_WARNINGS:
+                problems.append(f"{where}: warned {w.category.__name__}: {w.message}")
         written = [p.name for p in Path().iterdir() if p.stem == "run"]
         for name in written:
             Path(name).unlink()

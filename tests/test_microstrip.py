@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -300,6 +301,56 @@ class TestAnalyzeSingle:
         ln_u = mwbpf.microstrip._hammerstad_ln_u(z0, eps_r)
         assert ln_u < math.inf and ln_u == ln_u
 
+    @pytest.mark.parametrize("eps_r, h", [(4.3, 1.6), (3.0, 0.75), (10.0, 0.2)])
+    @pytest.mark.parametrize("end", WIDTH_RANGE_H)
+    def test_width_synthesis_at_an_end_of_the_range(self, monkeypatch, eps_r, h, end):
+        # a target equal to z0 at an end of the range, to the last bits: the
+        # end checks find it, with no secant steps toward the bracket's end
+        sub = Substrate(name="x", eps_r=eps_r, tan_d=0.0, h=h)
+        target = analyze_single(end * h, sub)[0]
+        calls = []
+
+        def counting(w, sub):
+            calls.append(w)
+            return analyze_single(w, sub)
+
+        monkeypatch.setattr(mwbpf.microstrip, "analyze_single", counting)
+        w = synthesize_single_width(target, sub)
+        assert w == end * h and len(calls) == 2
+        assert abs(math.log(w / oracle_single_width_in_range(target, sub))) <= 1e-13
+
+    @pytest.mark.parametrize("ln_u", [-50.0, 50.0, math.nan])
+    @pytest.mark.parametrize("target", [4.5, 50.0, 200.0])
+    def test_width_synthesis_from_a_start_outside_the_bracket(self, monkeypatch, fr4,
+                                                              ln_u, target):
+        # a closed-form start outside the bracket: the search takes its midpoint
+        monkeypatch.setattr(mwbpf.microstrip, "_hammerstad_ln_u", lambda z0, er: ln_u)
+        w = synthesize_single_width(target, fr4)
+        assert abs(math.log(w / oracle_single_width_in_range(target, fr4))) <= 1e-13
+
+    def test_width_synthesis_across_a_step_in_z0(self, monkeypatch, fr4):
+        # z0 steps over the target at w_c, so ln z0 is never within 1e-14 of
+        # the target's: the bracket closes to adjacent doubles and the search
+        # stops there, before its iteration cap, at the plain bisection's width
+        w_c, model = 3.0, analyze_single
+
+        def stepped(w, sub):
+            z, ee = model(w, sub)
+            return z * (1.01 if w < w_c else 0.99), ee
+
+        target = analyze_single(w_c, fr4)[0]
+        calls = []
+
+        def counting(w, sub):
+            calls.append(w)
+            return stepped(w, sub)
+
+        monkeypatch.setattr(mwbpf.microstrip, "analyze_single", counting)
+        w = synthesize_single_width(target, fr4)
+        monkeypatch.setitem(globals(), "analyze_single", stepped)
+        assert abs(math.log(w / oracle_single_width_in_range(target, fr4))) <= 1e-13
+        assert abs(math.log(w / w_c)) <= 1e-13 and len(calls) < 100
+
     def test_width_synthesis_below_the_range(self, fr4):
         # z0 at the widest searched strip, 40 h = 64 mm, is 4.26 ohm on FR4
         assert analyze_single(WIDTH_RANGE_H[1] * fr4.h, fr4)[0] == pytest.approx(4.26, abs=0.01)
@@ -564,22 +615,25 @@ class TestSynthesizeCoupled:
             synthesize_coupled(72.21, 38.89, fr4)
         assert len(calls) == n_calls
 
-    def test_iteration_cap_ends_typed(self, monkeypatch):
-        # a split far beyond reach that the damped steps approach slowly:
-        # every one of the 200 Newton steps solves once, then the
-        # minimum-gap check names the failure
-        real = mwbpf.microstrip._solve2
-        solves = []
+    def test_iteration_cap_ends_typed(self, monkeypatch, fr4):
+        # splits beyond reach, with a step too short to converge that every
+        # trial accepts (each norm below the one before): each of the 200
+        # Newton steps solves once, then the minimum-gap check names the failure
+        solves, norms = [], itertools.count()
 
-        def counting(*system):
+        def solve(*system):
             solves.append(system)
-            return real(*system)
+            return 1e-9, 1e-9
 
-        monkeypatch.setattr(mwbpf.microstrip, "_solve2", counting)
-        sub = Substrate(name="x", eps_r=1.2261396146659593, tan_d=0.0, h=3.684766846860114)
-        with pytest.raises(CouplingUnreachable):
-            synthesize_coupled(564.1761279668855, 139.46089657946007, sub)
-        assert len(solves) == 200
+        monkeypatch.setattr(mwbpf.microstrip, "_solve2", solve)
+        monkeypatch.setattr(mwbpf.microstrip, "_norm2", lambda a, b: -next(norms))
+        near_air = Substrate(name="x", eps_r=1.2261396146659593, tan_d=0.0, h=3.684766846860114)
+        for z0e, z0o, sub in [(564.1761279668855, 139.46089657946007, near_air),
+                              (400.0, 20.0, fr4)]:
+            solves.clear()
+            with pytest.raises(CouplingUnreachable):
+                synthesize_coupled(z0e, z0o, sub)
+            assert len(solves) == 200
 
     def test_singular_jacobian_ends_typed(self, fr4, monkeypatch):
         monkeypatch.setattr(mwbpf.microstrip, "_solve2", lambda *system: None)
@@ -666,7 +720,10 @@ class TestFusedSolve:
         (1.0, 2.0, 2.0, 4.0, 1.0, 1.0),  # zero u11
         (1.0, 0.0, 0.0, math.inf, 1.0, 1.0),  # a non-finite entry
         (1.0, 0.0, 0.0, 1.0, math.nan, 1.0),
-    ], ids=["zero-pivot", "negative-zero-pivot", "zero-u11", "inf-entry", "nan-entry"])
+        (1.0, 0.0, 0.0, 1e-300, 1.0, 1e300),  # x1 overflows, x0 = (1 - inf * 0) / 1
+        (1.0, 1e308, 1.0, -1e308, -1e308, 1e308),  # u11 overflows, x1 = inf / -inf
+    ], ids=["zero-pivot", "negative-zero-pivot", "zero-u11", "inf-entry", "nan-entry",
+            "inf-times-zero", "inf-over-inf"])
     def test_singular_or_non_finite_is_none(self, system):
         assert mwbpf.microstrip._solve2(*system) is None
 

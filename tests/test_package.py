@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -39,6 +42,17 @@ def test_star_import_binds_every_name():
     assert sorted(namespace) == PUBLIC
     for name, value in namespace.items():
         assert vars(mwbpf)[name] is value  # resolved once, then found directly
+
+
+def test_submodule_through_the_package_getattr():
+    # in a fresh process, mwbpf.touchstone before any import of it: the
+    # package's __getattr__ imports the submodule
+    code = ("import sys, mwbpf; assert 'mwbpf.touchstone' not in sys.modules; "
+            "print(mwbpf.touchstone.touchstone_text.__module__)")
+    env = dict(os.environ, PYTHONPATH=str(Path(mwbpf.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "mwbpf.touchstone\n", "")
 
 
 def test_unknown_name():

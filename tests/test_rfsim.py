@@ -723,7 +723,8 @@ class TestBatchedKernelMatchesOracle:
     def test_first_failing_section_wins(self, fr4_design, fr4, points, singular):
         # one section a half wave at f_start on a nearly lossless board, the
         # others long enough that their sine overflows near f_stop: the
-        # sections before the first overflowing one warn, then it raises
+        # per-section sweep's error, after the warnings of the blocks that
+        # finished before the failing one; the failing block warns nothing
         sub = Substrate(name="low-loss", eps_r=fr4.eps_r, tan_d=1e-12, h=fr4.h)
         mp = analyze_coupled(fr4_design.dims[singular].w, fr4_design.dims[singular].s, sub)
         dims = [CoupledSectionDims(w=d.w, l=100.0, s=d.s) for d in fr4_design.dims]
@@ -733,8 +734,16 @@ class TestBatchedKernelMatchesOracle:
         sweep = FrequencySweep(2.321, f_stop, points)
         kw = dict(mode="physical", dims=tuple(dims), substrate=sub, lossy=True)
         got = _outcome(lambda: sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, sweep, **kw))
-        assert got == _outcome(lambda: oracle_sweep_pcl(fr4_design.coupling, fr4_design.spec.f0,
-                                                        sweep, **kw))
+        freqs, shown = sweep.frequencies(), []
+        for lo in range(0, len(freqs), mwbpf.rfsim._POINTS):
+            block_freqs = freqs[lo:lo + mwbpf.rfsim._POINTS]
+            block = types.SimpleNamespace(frequencies=lambda: block_freqs)  # one block of the sweep
+            error, warned = _outcome(lambda: oracle_sweep_pcl(fr4_design.coupling,
+                                                              fr4_design.spec.f0, block, **kw))
+            if isinstance(error, str):
+                break
+            shown += warned
+        assert got == (error, shown)
         assert "overflows the sine" in got[0]
 
 
