@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .prototype import ChebyshevPrototype
+from .prototype import ChebyshevPrototype, check_ranges, intervals
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,12 @@ class CouplingSection:
     z0e: float
     z0o: float
 
+    # ohms; a j_over_y0 of 0 is an uncoupled section
+    RANGES = intervals({"j_over_y0": "[0, inf)", "z0e": "(0, inf)", "z0o": "(0, inf)"})
+
     def __post_init__(self):
-        for name in ("j_over_y0", "z0e", "z0o"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.j_over_y0 < 0:
-            raise ValueError("j_over_y0 must be non-negative")
-        if not 0 < self.z0o <= self.z0e:
+        check_ranges(self.RANGES, vars(self))
+        if not self.z0o <= self.z0e:
             raise ValueError(f"need z0e >= z0o > 0, got z0e={self.z0e:g}, z0o={self.z0o:g}")
 
 
@@ -55,20 +54,15 @@ class CouplingMatrixModel:
     fbw: float
     qu: float = math.inf
 
+    # f0 (GHz) and fbw need only be finite: the sweep refuses a prototype axis
+    # that they overflow. A qu of inf is lossless
+    RANGES = intervals({"n": "[1, inf)", "k": "(0, inf)", "qe_in": "(0, inf)", "qe_out": "(0, inf)",
+                        "f0": "(-inf, inf)", "fbw": "(-inf, inf)", "qu": "(0, inf]"})
+
     def __post_init__(self):
+        check_ranges(self.RANGES, vars(self))
         if len(self.k) != self.n - 1:
             raise ValueError("need n-1 coupling coefficients")
-        if not all(map(math.isfinite, self.k)):
-            raise ValueError("k must be finite")
-        for name in ("qe_in", "qe_out", "f0", "fbw"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if any(kk <= 0 for kk in self.k):
-            raise ValueError("coupling coefficients must be positive")
-        if self.qe_in <= 0 or self.qe_out <= 0:
-            raise ValueError("external Q must be positive")
-        if not self.qu > 0:  # NaN too; inf is lossless
-            raise ValueError(f"unloaded Q qu must be positive, got {self.qu}")
 
 
 def j_inverters(proto: ChebyshevPrototype, fbw: float) -> list[float]:

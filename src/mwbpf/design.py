@@ -36,7 +36,7 @@ from .microstrip import (
     synthesize_single_width,
     unloaded_q,
 )
-from .prototype import ChebyshevPrototype, FilterSpec, design_prototype
+from .prototype import ChebyshevPrototype, FilterSpec, check_ranges, design_prototype
 
 # rfsim and layout are imported by the functions that run them, so that
 # synthesis alone loads neither
@@ -175,6 +175,7 @@ def design_layout(
     ``planar_gap`` longer than that wavelength is refused too.
     """
     from .layout import (
+        GEOMETRY_RANGES,
         FoldTooTight,
         hairpin_fold,
         ml_hairpin_layout,
@@ -185,14 +186,11 @@ def design_layout(
 
     if kind not in ("pcl", "ml"):
         raise ValueError("kind must be 'pcl' or 'ml'")
-    if not 0 < arm_gap < math.inf:
-        raise ValueError("arm_gap must be positive and finite")
-    if not 0 <= overlap < math.inf:
-        raise ValueError("overlap must be non-negative and finite")
+    check_ranges(GEOMETRY_RANGES, dict(arm_gap=arm_gap, overlap=overlap, planar_gap=planar_gap))
     wavelength = C0 / (doc.spec.f0 * 1e9) * 1e3
-    if not 0 < planar_gap <= wavelength:
-        raise ValueError(f"planar_gap = {planar_gap:g} mm must be positive and at most the "
-                         f"free-space wavelength {wavelength:g} mm at f0")
+    if planar_gap > wavelength:
+        raise ValueError(f"planar_gap = {planar_gap:g} mm is longer than the free-space "
+                         f"wavelength {wavelength:g} mm at f0")
     analyze_dims(doc.dims, substrate, doc.spec.f0)
     if kind == "pcl":
         feed_w = synthesize_single_width(doc.spec.z0, substrate)

@@ -12,11 +12,17 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .microstrip import CoupledSectionDims, Substrate
+from .prototype import check_ranges, intervals
 
 STACKUP_ROLES = ("resonator-top", "core", "resonator-bottom", "epoxy", "ground")
 # metal layers may be 0 mm thick, like the zero-thickness strips of the line models
 COPPER_ROLES = ("resonator-top", "resonator-bottom", "ground")
 FEED_LENGTH = 1.0  # mm, feed stub at each port of the edge-coupled layout
+# the hairpin and feed geometry, mm: each positive and finite, but an overlap of 0,
+# where the broadside arms meet end to end
+GEOMETRY_RANGES = intervals({
+    "arm_gap": "(0, inf)", "overlap": "[0, inf)", "planar_gap": "(0, inf)",
+    "w": "(0, inf)", "l_half_wave": "(0, inf)", "feed_width": "(0, inf)"})
 
 
 class FoldTooTight(ValueError):
@@ -118,7 +124,7 @@ class FilterLayout:
         x0, y0 = min(xs, default=0.0), min(ys, default=0.0)
         bounds = (max(xs, default=0.0) - x0, max(ys, default=0.0) - y0)
         if not (math.isfinite(bounds[0]) and math.isfinite(bounds[1])):
-            raise ValueError("layout extent must be finite")
+            raise ValueError("layout extent is not finite")
         elements = tuple(el.moved(-x0, -y0) for el in self.elements)
         # outline boxes: exact for the rectangles of pcl_layout, and the
         # hairpins of ml_hairpin_layout sit side by side, none inside another's U
@@ -153,8 +159,7 @@ def pcl_layout(
     """
     if not dims:
         raise ValueError("need at least one section")
-    if not 0 < feed_width < math.inf:
-        raise ValueError("feed_width must be positive and finite")
+    check_ranges(GEOMETRY_RANGES, dict(feed_width=feed_width))
 
     elements = []
     x = 0.0
@@ -214,8 +219,7 @@ def hairpin_fold(l_half_wave: float, arm_gap: float, w: float) -> Hairpin:
     arm centerlines run from the base to a flush tip, preserving the total
     centerline length exactly.
     """
-    if not all(0 < v < math.inf for v in (l_half_wave, arm_gap, w)):
-        raise ValueError("l_half_wave, arm_gap and w must be positive and finite")
+    check_ranges(GEOMETRY_RANGES, dict(l_half_wave=l_half_wave, arm_gap=arm_gap, w=w))
     if l_half_wave <= 2.0 * (arm_gap + w):
         raise FoldTooTight(
             f"half-wave length {l_half_wave:.3f} mm cannot fold with "
@@ -241,10 +245,7 @@ def ml_hairpin_layout(
     """
     if len(resonators) != 4:
         raise ValueError("need exactly 4 resonators")
-    if not 0 <= overlap < math.inf:
-        raise ValueError("overlap must be non-negative and finite")
-    if not 0 < planar_gap < math.inf:
-        raise ValueError("planar_gap must be positive and finite")
+    check_ranges(GEOMETRY_RANGES, dict(overlap=overlap, planar_gap=planar_gap))
     r1, r2, r3, r4 = resonators
     if overlap > min(r.arm_length for r in resonators):
         raise ValueError("overlap exceeds the resonator arm length")

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prototype import check_ranges, intervals
+
 C0 = 299_792_458.0  # m/s
 ETA0 = 376.73031366686166  # ohm, free-space impedance
 
@@ -26,13 +28,6 @@ VALID_G = (0.1, 5.0)
 GAP_FLOOR_MM = 0.1  # typical PCB fabrication floor
 GAP_HARD_MIN_MM = 1e-3
 WIDTH_RANGE_H = (0.02, 40.0)  # strip widths synthesis searches, in substrate heights
-# substrate heights, mm: a physical range, from a 1 um film to a 1 m block. It lies
-# far inside the heights at which every searched width is a normal float, and keeps
-# the stackup records short. A conductor thickness is at most the upper end.
-SUBSTRATE_RANGE_MM = (1e-3, 1e3)
-# relative permittivities: vacuum to the densest microwave ceramics (titanates reach
-# a few thousand). Far below the 1e300 at which dielectric_loss overflowed
-EPS_R_RANGE = (1.0, 1e4)
 
 
 class NoConvergence(RuntimeError):
@@ -60,25 +55,25 @@ class Substrate:
     t: float = 0.035  # conductor thickness, mm
     conductivity: float = 5.8e7  # S/m
 
+    RANGES = intervals({
+        # vacuum to the densest microwave ceramics (titanates reach a few thousand);
+        # far below the 1e300 at which dielectric_loss overflowed
+        "eps_r": "[1, 10000]",
+        # at 1 the loss per radian equals the stored energy (a dielectric Q of 1);
+        # FR4's 0.025 is the lossiest listed laminate
+        "tan_d": "[0, 1]",
+        # mm, from a 1 um film to a 1 m block: far inside the heights at which every
+        # searched width is a normal float, and short in the stackup records
+        "h": "[0.001, 1000]",
+        "t": "[0, 1000]",  # mm, 0 as in the zero-thickness line models, at most h's top
+        "conductivity": "(0, inf)",  # S/m
+    })
+
     def __post_init__(self):
         if "--" in self.name:
             # the SVG stackup record prints the name inside an XML comment
             raise ValueError("name must not contain '--'")
-        for name in ("eps_r", "tan_d", "h", "t", "conductivity"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        lo, hi = EPS_R_RANGE
-        if not lo <= self.eps_r <= hi:
-            raise ValueError(f"eps_r = {self.eps_r:g} must lie in [{lo:g}, {hi:g}]")
-        if self.tan_d < 0:
-            raise ValueError("tan_d must be >= 0")
-        lo, hi = SUBSTRATE_RANGE_MM
-        if not lo <= self.h <= hi:
-            raise ValueError(f"substrate height h = {self.h:g} mm must lie in [{lo:g}, {hi:g}] mm")
-        if not 0 <= self.t <= hi:
-            raise ValueError(f"conductor thickness must be >= 0 and <= {hi:g} mm, got {self.t:g}")
-        if self.conductivity <= 0:
-            raise ValueError("conductivity must be positive")
+        check_ranges(self.RANGES, vars(self))
 
 
 @dataclass(frozen=True)
@@ -87,12 +82,11 @@ class CoupledSectionDims:
     s: float  # gap, mm
     l: float  # section length, mm
 
+    # each positive and finite; analyze_dims bounds what the models read
+    RANGES = intervals({"w": "(0, inf)", "s": "(0, inf)", "l": "(0, inf)"})
+
     def __post_init__(self):
-        for name in ("w", "s", "l"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.w <= 0 or self.s <= 0 or self.l <= 0:
-            raise ValueError("dimensions must be positive")
+        check_ranges(self.RANGES, vars(self))
 
 
 @dataclass(frozen=True)
@@ -200,8 +194,8 @@ def _search_width(z0_target: float, sub: Substrate) -> tuple[float, bool]:
 def _hammerstad_ln_u(z0: float, er: float) -> float:
     """ln(w/h) of Hammerstad's closed-form synthesis of a strip of impedance
     z0 (E. Hammerstad, "Equations for microstrip circuit design", EuMC 1975):
-    within 1 % of the model's root w/h over 0.02-40 and ``EPS_R_RANGE``, and
-    finite or -inf for every positive z0 and er >= 1."""
+    within 1 % of the model's root w/h over 0.02-40 and eps_r in
+    ``Substrate.RANGES``, and finite or -inf for every positive z0 and er >= 1."""
     a = z0 / 60.0 * math.sqrt((er + 1.0) / 2.0) + (er - 1.0) / (er + 1.0) * (0.23 + 0.11 / er)
     if a > 1.52:  # w/h < 2: 8 e^a / (e^2a - 2)
         return math.log(8.0) - a - math.log1p(-2.0 * math.exp(-2.0 * a))
@@ -354,7 +348,8 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
         raise ValueError("need z0e > z0o > 0")
     h, er = sub.h, sub.eps_r
 
-    # for every Substrate the width and gap terms cannot fail in the box (s/h about 1e-6-60)
+    # for h and eps_r in Substrate.RANGES the width and gap terms cannot fail in the box,
+    # where s/h is about 1e-6-60
     def modes(wt, gt) -> tuple[float, float] | None:
         try:
             return _mode_step(wt, gt, er)[:2]

@@ -19,6 +19,32 @@ class UnsatisfiableSpec(ValueError):
     """The requested passband/stopband combination cannot be met."""
 
 
+def intervals(table: dict[str, str]) -> dict[str, tuple]:
+    """A ``RANGES`` table: each field's interval "[lo, hi]", "(" or ")" at an open
+    end, as (lo, hi, text), an open end moved one double inward: a value lies in
+    it when lo <= value <= hi. NaN lies in none, inf or -inf only in one closed at it."""
+    parsed = {}
+    for name, text in table.items():
+        lo, hi = map(float, text[1:-1].split(","))
+        parsed[name] = (math.nextafter(lo, math.inf) if text[0] == "(" else lo,
+                        math.nextafter(hi, -math.inf) if text[-1] == ")" else hi, text)
+    return parsed
+
+
+def check_ranges(table: dict[str, tuple], values: dict) -> None:
+    """The one range check: a ValueError naming the first value of ``values``
+    (each entry of a tuple as ``name[i]``) outside its interval in ``table``.
+    A value left out, or None (a ``FilterSpec`` without f0), is not checked."""
+    for name, (lo, hi, text) in table.items():
+        value = values.get(name)
+        if isinstance(value, (tuple, list)):
+            for i, v in enumerate(value):
+                if not lo <= v <= hi:
+                    raise ValueError(f"{name}[{i}] = {v} must lie in {text}")
+        elif value is not None and not lo <= value <= hi:
+            raise ValueError(f"{name} = {value} must lie in {text}")
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """User intent for a bandpass filter.
@@ -37,15 +63,14 @@ class FilterSpec:
     z0: float = 50.0
     f0: float | None = None
 
+    # each positive and finite; f0 also lies inside the passband
+    RANGES = intervals(dict.fromkeys(
+        ("f_lower", "f_upper", "ripple_db", "stop_freq", "stop_atten_db", "z0", "f0"), "(0, inf)"))
+
     def __post_init__(self):
-        for name in ("f_lower", "f_upper", "ripple_db", "stop_freq", "stop_atten_db", "z0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (0 < self.f_lower < self.f_upper):
+        check_ranges(self.RANGES, vars(self))
+        if not self.f_lower < self.f_upper:
             raise ValueError("need 0 < f_lower < f_upper")
-        for name in ("ripple_db", "stop_freq", "stop_atten_db", "z0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.f0 is None:
             object.__setattr__(self, "f0", math.sqrt(self.f_lower * self.f_upper))
         if not (self.f_lower < self.f0 < self.f_upper):
@@ -66,22 +91,14 @@ class ChebyshevPrototype:
     ripple_db: float
     g: tuple[float, ...]
 
+    RANGES = intervals({"n": "[1, inf)", "ripple_db": "(0, inf)", "g": "(0, inf)"})
+
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order n must be at least 1")
-        if not math.isfinite(self.ripple_db):
-            raise ValueError("ripple_db must be finite")
-        if not self.ripple_db > 0:
-            raise ValueError("ripple_db must be positive")
+        check_ranges(self.RANGES, vars(self))
         if len(self.g) != self.n + 2:
             raise ValueError("g must have n+2 entries")
-        for k, gk in enumerate(self.g):
-            if not math.isfinite(gk):
-                raise ValueError(f"g[{k}] must be finite")
         if self.g[0] != 1.0:
             raise ValueError("g0 must be exactly 1")
-        if any(gk <= 0 for gk in self.g):
-            raise ValueError("all g-values must be positive")
 
 
 def ripple_height(ripple_db: float) -> float:
@@ -156,10 +173,7 @@ def g_values(n: int, ripple_db: float) -> ChebyshevPrototype:
         g_k   = 4 a_{k-1} a_k / (b_{k-1} g_{k-1})
         g_{n+1} = 1 for odd n, coth^2(beta/4) for even n
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if not ripple_db > 0:
-        raise ValueError("ripple_db must be positive")
+    check_ranges(ChebyshevPrototype.RANGES, {"n": n, "ripple_db": ripple_db})
     beta = math.log(1.0 / math.tanh(ripple_db / 17.37))
     gamma = math.sinh(beta / (2.0 * n))
     a = [math.sin((2 * k - 1) * math.pi / (2 * n)) for k in range(1, n + 1)]

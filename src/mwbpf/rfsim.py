@@ -26,7 +26,7 @@ from .microstrip import (
     dielectric_loss,
     resonator_length,
 )
-from .prototype import bandpass_to_lowpass
+from .prototype import bandpass_to_lowpass, check_ranges, intervals
 
 
 class BandEdgeOutOfRange(ValueError):
@@ -84,15 +84,12 @@ class FrequencySweep:
     f_stop: float = 3.0
     n_points: int = 1001
 
+    RANGES = intervals({"f_start": "(0, inf)", "f_stop": "(0, inf)",  # GHz
+                        "n_points": f"[2, {MAX_POINTS}]"})  # a sweep has two ends
+
     def __post_init__(self):
-        for name in ("f_start", "f_stop"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.n_points < 2:
-            raise ValueError("need at least 2 sweep points")
-        if self.n_points > MAX_POINTS:
-            raise ValueError(f"{self.n_points} sweep points exceed MAX_POINTS = {MAX_POINTS}")
-        if not (0 < self.f_start < self.f_stop):
+        check_ranges(self.RANGES, vars(self))
+        if not self.f_start < self.f_stop:
             raise ValueError("need 0 < f_start < f_stop")
 
     def frequencies(self) -> np.ndarray:

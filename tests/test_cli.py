@@ -495,11 +495,12 @@ class TestInvalidInput:
         # a prototype error names its value, and a non-finite one exits 7 in
         # every command, though only ml reads the g-values
         case(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
-             ("design", ("prototype", "g", 1), "nan"), "prototype: g[1] must be finite",
+             ("design", ("prototype", "g", 1), "nan"),
+             "prototype: g[1] = nan must lie in (0, inf)",
              id="simulate-g-nan"),
         case(("layout", "--kind", "pcl", "--out", "{tmp}/bad.svg", "--design", "{bad}"),
              ("design", ("prototype", "ripple_db"), "inf"),
-             "prototype: ripple_db must be finite", id="layout-ripple-inf"),
+             "prototype: ripple_db = inf must lie in (0, inf)", id="layout-ripple-inf"),
         # a section impedance whose square overflows the cascade
         case(SIMULATE + ("--design", "{bad}", "--mode", "ideal"),
              ("design", ("coupling", "sections", 0, "z0e_ohm"), 1e300),
@@ -509,7 +510,7 @@ class TestInvalidInput:
              ("design", ("coupling", "sections", 2, "z0o_ohm"), 60.0),
              "coupling.sections[2]: need z0e >= z0o > 0", id="simulate-z0o-above-z0e"),
         case(SIMULATE + ("--design", "{bad}"), ("design", ("dims_mm", 2, "s"), -1),
-             "dims_mm[2]: dimensions must be positive", id="simulate-negative-gap"),
+             "dims_mm[2]: s = -1.0 must lie in (0, inf)", id="simulate-negative-gap"),
         case(SIMULATE + ("--design", "{bad}"), ("design", ("dims_mm", 1, "l"), DELETE),
              "missing key 'dims_mm[1].l'", id="simulate-missing-length"),
         # every record rejects an unknown key, which would otherwise be ignored
@@ -582,9 +583,9 @@ class TestInvalidInput:
         case(SIMULATE + ("--design", "{design}", "--mode", "ideal", "--lossy"), None,
              "lossless", id="simulate-ideal-lossy"),
         case(SIMULATE + ("--design", "{design}", "--points", "1"), None,
-             "sweep points", id="simulate-one-point"),
+             "n_points = 1 must lie in [2, 1000001]", id="simulate-one-point"),
         case(("compare", "--config", "{config}", "--points", "1"), None,
-             "sweep points", id="compare-one-point"),
+             "n_points = 1 must lie in [2, 1000001]", id="compare-one-point"),
         case(SIMULATE + ("--design", "{design}", "--f-start", "3", "--f-stop", "2"), None,
              "need 0 < f_start < f_stop", id="simulate-f-start-above-f-stop"),
         # a span that misses the band exits 5, and writes nothing either
@@ -599,7 +600,7 @@ class TestInvalidInput:
              "overflows the section angle", id="simulate-f-stop-overflow"),
         # 8 EiB of frequencies, refused before anything is allocated
         case(SIMULATE + ("--design", "{design}", "--points", str(10**18)), None,
-             "sweep points exceed MAX_POINTS", id="simulate-huge-points"),
+             f"n_points = {10**18} must lie in [2, 1000001]", id="simulate-huge-points"),
         # spans whose dielectric loss or prototype axis overflows, refused
         # before numpy warns; ml would exit 5 after the warning
         case(SIMULATE + ("--design", "{design}", "--mode", "physical", "--lossy",
@@ -640,21 +641,32 @@ class TestInvalidInput:
         case(MATERIALS, ("materials", ("materials",), [
                  {"name": "X", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0},
                  {"name": "Y", "eps_r": 3.0, "tan_d": -0.01, "h": 1.0}]),
-             "materials[1]: tan_d must be >= 0", id="materials-negative-tan-d"),
+             "materials[1]: tan_d = -0.01 must lie in [0, 1]", id="materials-negative-tan-d"),
         case(MATERIALS, ("materials", ("materials", 0, "t"), -0.1),
-             "materials[0]: conductor thickness must be >= 0", id="materials-negative-t"),
+             "materials[0]: t = -0.1 must lie in [0, 1000]", id="materials-negative-t"),
         # a substrate height or conductor thickness outside the physical range,
         # where the former width bisection underflowed, the feed width is inf, or the
-        # SVG stackup prints a 300-digit thickness
+        # SVG stackup prints a 300-digit thickness; a loss tangent above 1, which
+        # materials list printed in a 349-character row
         *[case(argv, ("materials", ("materials",), [dict(FR4_ENTRY, **{key: value})]),
-               f"materials[0]: {cause}", id=f"materials-{key}-{value:g}-{argv[0]}")
-          for argv, key, value, cause in (
+               f"materials[0]: {key} = {value} must lie in {interval}",
+               id=f"materials-{key}-{value:g}-{argv[0]}")
+          for argv, key, value, interval in (
               (("synth", "--config", "{config}", "--out", "{tmp}/d.json"), "h", 1e-300,
-               "substrate height h = 1e-300 mm must lie in [0.001, 1000] mm"),
+               "[0.001, 1000]"),
               (("synth", "--config", "{config}", "--out", "{tmp}/d.json"), "h", 1e-200,
-               "substrate height"),
-              (LAYOUT_PCL, "h", 1e154, "substrate height"),
-              (LAYOUT_PCL, "t", 1e300, "conductor thickness"))],
+               "[0.001, 1000]"),
+              (LAYOUT_PCL, "h", 1e154, "[0.001, 1000]"),
+              (LAYOUT_PCL, "t", 1e300, "[0, 1000]"),
+              (MATERIALS, "tan_d", 1e300, "[0, 1]"),
+              (MATERIALS, "tan_d", 1e154, "[0, 1]"))],
+        # the lossy sweeps ended typed on such a loss tangent, physical with
+        # exit 7 and ml with exit 5
+        *[case(argv, ("materials", ("materials",), [dict(FR4_ENTRY, tan_d=1e300)]),
+               "materials[0]: tan_d = 1e+300 must lie in [0, 1]",
+               id=f"materials-tan_d-1e+300-{argv[-2]}-lossy")
+          for argv in (SIMULATE + ("--design", "{design}", "--mode", "physical", "--lossy"),
+                       SIMULATE + ("--design", "{design}", "--mode", "ml", "--lossy"))],
         # a permittivity beyond the physical range, at which the lossy sweeps'
         # dielectric loss overflowed
         case(SIMULATE + ("--design", "{design}", "--mode", "physical", "--lossy"),
@@ -666,11 +678,13 @@ class TestInvalidInput:
              "materials[0]: eps_r = 1e+300 must lie in [1, 10000]",
              id="materials-eps_r-1e+300-ml-lossy"),
         case(MATERIALS, ("materials", ("materials", 0, "conductivity"), -0.1),
-             "materials[0]: conductivity must be positive", id="materials-negative-conductivity"),
+             "materials[0]: conductivity = -0.1 must lie in (0, inf)",
+             id="materials-negative-conductivity"),
         case(MATERIALS, ("materials", ("materials",), [
                  {"name": "X", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0},
                  {"name": "Y", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0, "conductivity": 0}]),
-             "materials[1]: conductivity must be positive", id="materials-zero-conductivity"),
+             "materials[1]: conductivity = 0.0 must lie in (0, inf)",
+             id="materials-zero-conductivity"),
         # a misspelled top-level key would leave the built-in FR4 in place
         case(MATERIALS, ("materials", (), {"material": [
                  {"name": "FR4", "eps_r": 3.0, "tan_d": 0.001, "h": 1.0}]}),
@@ -678,12 +692,14 @@ class TestInvalidInput:
         *KEY_CASES,
         # a prototype states a positive ripple, though only synthesis reads it
         *[case(argv + ("--design", "{bad}"), ("design", ("prototype", "ripple_db"), -1),
-               "prototype: ripple_db must be positive", id=f"ripple-db-negative-{argv[0]}-{argv[2]}")
+               "prototype: ripple_db = -1.0 must lie in (0, inf)",
+               id=f"ripple-db-negative-{argv[0]}-{argv[2]}")
           for argv in (("simulate", "--mode", "physical", "--out-prefix", "{tmp}/bad"),
                        ("simulate", "--mode", "ml", "--out-prefix", "{tmp}/bad"),
                        ("layout", "--kind", "pcl", "--out", "{tmp}/bad.svg"))],
         # an explicit f0 of 0 is not the left-out f0
-        *[case(argv, (base, ("spec", "f0_ghz"), value), "spec: f0 must lie inside the passband",
+        *[case(argv, (base, ("spec", "f0_ghz"), value),
+               f"spec: f0 = {float(value)} must lie in (0, inf)",
                id=f"{base}-f0-{json.dumps(value)}")
           for argv, base in ((SYNTH, "config"), (SIMULATE + ("--design", "{bad}"), "design"))
           for value in (0, -0.0, "0")],
@@ -784,7 +800,8 @@ class TestEveryInputField:
     """Each scalar leaf of the reference design.json (bar its provenance), and
     spec.z0_ohm with coupling.z0_ohm as one, takes a seeded sample of
     FIELD_VALUES through the sweeps and layouts; so do each scalar leaf of a
-    MWBPF_MATERIALS entry, through synthesis, a layout and a lossy sweep, each
+    MWBPF_MATERIALS entry, through the listing, synthesis, both comparisons, a
+    layout and simulate's three modes, lossy where they can be, each
     scalar leaf of the config, through synthesis and the comparison, the
     sweep span options and --points, through simulate's three modes, --epoch,
     through synthesis, and the hairpin options, through both layouts. Every
@@ -799,9 +816,12 @@ class TestEveryInputField:
         ("layout", "--kind", "ml", "--compare", "--out", "run.svg"),
     )
     MATERIALS_COMMANDS = (
+        ("materials", "list"),
         ("synth", "--config", "config.json", "--out", "run.json"),
+        ("compare", "--mode", "pcl", "--config", "config.json"),
+        ("compare", "--mode", "ml", "--config", "config.json"),
         ("layout", "--kind", "pcl", "--out", "run.svg", "--design", "design.json"),
-        ("simulate", "--mode", "ml", "--lossy", "--out-prefix", "run", "--design", "design.json"),
+        *((*command, "--design", "design.json") for command in COMMANDS[:3]),
     )
     CONFIG_COMMANDS = (
         ("synth", "--config", "config.json", "--out", "run.json"),
@@ -813,8 +833,8 @@ class TestEveryInputField:
     def _run(argv, where, value, problems, capsys, may_pass=False):
         """Run ``argv``, given ``value`` at ``where``, and add to ``problems``
         what breaks the property; a non-finite value may exit 0 only where
-        ``may_pass``. The run's warnings are recorded: each must be one of
-        mwbpf's own."""
+        ``may_pass``, where the value is a name, which may be printed. The
+        run's warnings are recorded: each must be one of mwbpf's own."""
         with warnings.catch_warnings(record=True) as shown:
             warnings.simplefilter("always")
             code = main(list(argv))
@@ -834,7 +854,9 @@ class TestEveryInputField:
                                 f"wrote {written}")
         elif value in NON_FINITE and not may_pass:
             problems.append(f"{where}: a non-finite value exits 0")
-        elif re.search(r"\b(nan|inf)\b", out, re.IGNORECASE):
+        # a name that may pass is printed as it is given ("materials list")
+        elif re.search(r"\b(nan|inf)\b", out.replace(value, "") if may_pass else out,
+                       re.IGNORECASE):
             problems.append(f"{where}: exit 0 printed {out!r}")
         elif max(map(len, out.splitlines())) > MAX_LINE:
             problems.append(f"{where}: exit 0 printed a line over {MAX_LINE} characters")
@@ -868,9 +890,10 @@ class TestEveryInputField:
         rng = random.Random(9)
         cases = [(key, value) for key in entry
                  for value in rng.sample(FIELD_VALUES, self.PER_INPUT)]
-        # whatever the sample: the former width bisection's underflow, and the lossy
-        # sweeps' overflowing dielectric loss
-        cases += [("h", 1e-300), ("eps_r", 1e300)]
+        # whatever the sample: the former width bisection's underflow, the lossy
+        # sweeps' overflowing dielectric loss, and a loss tangent that materials
+        # list printed in a 349-character row
+        cases += [("h", 1e-300), ("eps_r", 1e300), ("tan_d", 1e300)]
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("MWBPF_MATERIALS", "materials.json")
         problems = []
