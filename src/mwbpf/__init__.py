@@ -57,8 +57,6 @@ _EXPORTS = {
         "FrequencySweep",
         "SParamResult",
         "abcd_to_s",
-        "cascade",
-        "coupled_section_twoport",
         "extract_metrics",
         "ripple_bandwidth",
         "sweep_coupling_matrix",

@@ -54,10 +54,10 @@ class CouplingMatrixModel:
     fbw: float
     qu: float = math.inf
 
-    # f0 (GHz) and fbw need only be finite: the sweep refuses a prototype axis
-    # that they overflow. A qu of inf is lossless
+    # f0 (GHz) and fbw as coupling_coefficients builds them: the sweep refuses
+    # a prototype axis that they overflow. A qu of inf is lossless
     RANGES = intervals({"n": "[1, inf)", "k": "(0, inf)", "qe_in": "(0, inf)", "qe_out": "(0, inf)",
-                        "f0": "(-inf, inf)", "fbw": "(-inf, inf)", "qu": "(0, inf]"})
+                        "f0": "(0, inf)", "fbw": "(0, 1)", "qu": "(0, inf]"})
 
     def __post_init__(self):
         check_ranges(self.RANGES, vars(self))

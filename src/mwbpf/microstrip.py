@@ -91,14 +91,12 @@ class CoupledSectionDims:
 
 @dataclass(frozen=True)
 class ModeParams:
-    """Electrical parameters of one coupled section (attenuation in Np/m)."""
+    """Electrical parameters of one coupled section."""
 
     z0e: float
     z0o: float
     eps_eff_e: float
     eps_eff_o: float
-    alpha_e: float = 0.0
-    alpha_o: float = 0.0
 
 
 # --- Hammerstad-Jensen single line -----------------------------------------
@@ -210,13 +208,12 @@ def _hammerstad_ln_u(z0: float, er: float) -> float:
 def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     """Even/odd-mode impedances and permittivities of a symmetric coupled pair.
 
-    Pure: it does not check the fit range (see ``check_fit_range``).
-    Attenuations are returned as 0; loss is attached per frequency by the
-    sweep code. A pair whose fits overflow a double, or underflow it (w/h or
-    s/h is 0, or a power of it that a logarithm reads is), or give a mode
-    impedance that is not positive and finite, is a ValueError naming its w
-    and s. The model is the composition of its width-only terms, its
-    gap-only terms and the mixed step ``_mode_step``.
+    Pure: it does not check the fit range (see ``check_fit_range``). A pair
+    whose fits overflow a double, or underflow it (w/h or s/h is 0, or a
+    power of it that a logarithm reads is), or give a mode impedance that is
+    not positive and finite, is a ValueError naming its w and s. The model
+    is the composition of its width-only terms, its gap-only terms and the
+    mixed step ``_mode_step``.
     """
     if not (w > 0 and s > 0):
         raise ValueError("width and gap must be positive")

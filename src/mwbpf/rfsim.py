@@ -45,7 +45,10 @@ class SParamResult:
     s: np.ndarray  # [F, 2, 2] complex, so s[:, 1, 0] is S21
     z0: float
 
+    RANGES = intervals({"z0": "(0, inf)"})  # ohm, read by both sweeps and read_touchstone
+
     def __post_init__(self):
+        check_ranges(self.RANGES, vars(self))
         f = np.asarray(self.frequencies, dtype=float)
         s = np.asarray(self.s, dtype=complex)
         if f.ndim != 1 or s.shape != (len(f), 2, 2):
@@ -142,7 +145,10 @@ def _singular(sin: np.ndarray) -> np.ndarray:
 
 
 def _cascade_rows(zm, sin, tan):
-    """Entries (a, b, c, d) [P] of the cascade, from mode sines and tangents [n, 2, P]."""
+    """Entries (a, b, c, d) [P] of the cascade, from mode sines and tangents
+    [n, 2, P]. A section is the even/odd 4-port with its two unused diagonal
+    ports open: Z11 = Z22 = -j (Z0e cot(th_e) + Z0o cot(th_o)) / 2 and
+    Z12 = Z21 = -j (Z0e csc(th_e) - Z0o csc(th_o)) / 2."""
     z_self = -0.5j * (zm[:, 0] / tan[:, 0] + zm[:, 1] / tan[:, 1])
     z_cross = -0.5j * (zm[:, 0] / sin[:, 0] - zm[:, 1] / sin[:, 1])
     # zero coupling: no transmission path; keep the matrix finite and small
@@ -180,41 +186,6 @@ def _cascade_block(zm, root_eps, alpha, l, f) -> np.ndarray:
         warnings.warn(f"section is an exact multiple of pi at {', '.join(map(str, points))} GHz; "
                       "nudging by 1 ppm", SingularFrequencyWarning)
     return out
-
-
-def coupled_section_twoport(mp: ModeParams, l: float, f) -> np.ndarray:
-    """Chain matrix of one edge-coupled section (length mm, frequencies GHz).
-
-    ``f`` and the attenuations in ``mp`` may be arrays over one frequency
-    axis. Built from the 4-port impedance matrix by even/odd superposition
-    with per-mode complex angles theta_m = (beta_m - j alpha_m) l; the two
-    unused diagonal ports are left open (their rows/columns drop out), which
-    leaves
-      Z11 = Z22 = -j (Z0e cot(th_e) + Z0o cot(th_o)) / 2
-      Z12 = Z21 = -j (Z0e csc(th_e) - Z0o csc(th_o)) / 2
-    A point where an angle is a multiple of pi is taken once at f (1 + 1e-6),
-    with a warning. A sine that overflows, else a point still singular there,
-    is a ValueError, raised by the first failing pass of 2048 points; a call
-    that fails warns nothing. It is ``sweep_pcl``'s kernel for one section.
-    """
-    f = np.asarray(f, dtype=float)
-    if l <= 0 or not (f > 0).all():
-        raise ValueError("length and frequency must be positive")
-    points = f.reshape(-1)
-    alpha = np.stack(np.broadcast_arrays(mp.alpha_e, mp.alpha_o, points)[:2])[None]
-    zm = np.array([[[mp.z0e], [mp.z0o]]])
-    root_eps = np.array([[[math.sqrt(mp.eps_eff_e)], [math.sqrt(mp.eps_eff_o)]]])
-    out = _cascade_block(zm, root_eps, alpha, np.array([[[l]]]), points)
-    return _chain(*out).reshape(f.shape + (2, 2))
-
-
-def cascade(sections) -> np.ndarray:
-    """Ordered chain-matrix product of an iterable of two-ports [..., 2, 2]."""
-    sections = iter(sections)
-    out = next(sections, None)
-    if out is None:
-        raise ValueError("need at least one section")
-    return functools.reduce(lambda m, n: _chain(*_product(_entries(m), _entries(n))), sections, out)
 
 
 def abcd_to_s(m: np.ndarray, z0: float) -> np.ndarray:

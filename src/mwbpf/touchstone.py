@@ -153,6 +153,8 @@ def read_touchstone(path: str | Path) -> SParamResult:
     unit, kind, fmt, _, z0_s = opts
     if kind != "s":
         raise ValueError("only S-parameter files are supported")
+    if unit not in _UNIT_SCALE:
+        raise ValueError(f"unsupported frequency unit {unit!r}")
     rows = np.array([line.split() for line in data], dtype=float)  # ragged rows raise
     if rows.shape[1] != 9:
         raise ValueError("expected 9 columns per two-port data line")

@@ -1,12 +1,15 @@
+import functools
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from mwbpf.design import synthesize_design
 from mwbpf.materials import MaterialsRegistry
 from mwbpf.prototype import FilterSpec, design_prototype
+from mwbpf.rfsim import _cascade_block, _chain, _entries, _product
 
 # HYPOTHESIS_PROFILE=ci prints the reproducing blob of a failing example
 # and drops the deadline, which a shared runner's timing would trip; example
@@ -66,6 +69,26 @@ def equal_ripple_s21_db(f: float, f0: float, fbw: float, n: int, ripple_db: floa
     eps_sq = 10.0 ** (ripple_db / 10.0) - 1.0
     t = chebyshev_recurrence(n, omega)
     return -10.0 * math.log10(1.0 + eps_sq * t * t)
+
+
+# one section, and chain products, through sweep_pcl's kernel
+def section_chain(mp, l, f, alpha=(0.0, 0.0)):
+    """Chain matrix [..., 2, 2] of one edge-coupled section of modes ``mp``
+    and length ``l`` mm at the frequencies ``f`` GHz, a number or an array.
+    ``alpha`` holds the even- and odd-mode attenuations in Np/m, each a
+    number or an array over ``f``."""
+    f = np.asarray(f, dtype=float)
+    points = f.reshape(-1)
+    alphas = np.stack(np.broadcast_arrays(*alpha, points)[:2])[None]
+    zm = np.array([[[mp.z0e], [mp.z0o]]])
+    root_eps = np.array([[[math.sqrt(mp.eps_eff_e)], [math.sqrt(mp.eps_eff_o)]]])
+    out = _cascade_block(zm, root_eps, alphas, np.array([[[l]]]), points)
+    return _chain(*out).reshape(f.shape + (2, 2))
+
+
+def chain_product(*ms):
+    """Ordered chain-matrix product of two-ports [..., 2, 2]."""
+    return functools.reduce(lambda m, n: _chain(*_product(_entries(m), _entries(n))), ms)
 
 
 @pytest.fixture(scope="session")

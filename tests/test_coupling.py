@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,14 +139,24 @@ class TestCouplingSection:
 
 
 class TestCouplingMatrixModel:
+    LOSSLESS = dict(n=2, k=(0.05,), qe_in=10, qe_out=10, f0=2.58, fbw=0.05)
+
     @pytest.mark.parametrize("field", ["k", "qe_in", "qe_out", "qu", "f0", "fbw"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field, value):
         # NaN compares false with 0, so the range checks alone let k=(nan,) through
-        lossless = dict(n=2, k=(0.05,), qe_in=10, qe_out=10, f0=2.58, fbw=0.05)
-        kwargs = {**lossless, field: (value,) if field == "k" else value}
+        kwargs = {**self.LOSSLESS, field: (value,) if field == "k" else value}
         if (field, value) == ("qu", math.inf):  # an infinite unloaded Q is the lossless default
-            assert CouplingMatrixModel(**kwargs) == CouplingMatrixModel(**lossless)
+            assert CouplingMatrixModel(**kwargs) == CouplingMatrixModel(**self.LOSSLESS)
             return
         with pytest.raises(ValueError, match=field):
             CouplingMatrixModel(**kwargs)
+
+    @pytest.mark.parametrize("field, value, interval", [
+        ("fbw", 0.0, "(0, 1)"),  # the sweep would divide by it
+        ("fbw", -0.05, "(0, 1)"),  # the sweep would give the +0.05 response
+        ("f0", -2.58, "(0, inf)"),  # the sweep would give the +2.58 response
+    ])
+    def test_rejects_non_physical_band(self, field, value, interval):
+        with pytest.raises(ValueError, match=re.escape(f"{field} = {value} must lie in {interval}")):
+            CouplingMatrixModel(**{**self.LOSSLESS, field: value})

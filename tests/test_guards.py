@@ -31,7 +31,6 @@ from mwbpf.layout import (
 from mwbpf.materials import read_record
 from mwbpf.microstrip import (
     CoupledSectionDims,
-    ModeParams,
     Substrate,
     analyze_dims,
     dielectric_loss,
@@ -42,13 +41,11 @@ from mwbpf.rfsim import (
     FrequencySweep,
     SParamResult,
     abcd_to_s,
-    coupled_section_twoport,
     ripple_bandwidth,
     sweep_pcl,
 )
 from mwbpf.touchstone import read_touchstone
 
-MODES = ModeParams(z0e=60.0, z0o=40.0, eps_eff_e=3.0, eps_eff_o=2.8)
 HAIRPIN = Hairpin(w=1.0, arm_gap=4.0, arm_length=10.0)
 SWEEP = FrequencySweep(2.0, 3.0, 11)
 
@@ -101,11 +98,6 @@ GUARDS = [
                  "f0 must be positive", id="analyze-dims-f0"),
     pytest.param(lambda doc, sub, tmp: dielectric_loss(sub, 3.0, np.array([2.5, 0.0])),
                  ValueError, "frequency must be positive", id="dielectric-loss-frequency"),
-    pytest.param(lambda doc, sub, tmp: coupled_section_twoport(MODES, 0.0, 2.5), ValueError,
-                 "length and frequency must be positive", id="coupled-section-length"),
-    pytest.param(lambda doc, sub, tmp: coupled_section_twoport(MODES, 10.0, [2.5, -1.0]),
-                 ValueError, "length and frequency must be positive",
-                 id="coupled-section-frequency"),
     pytest.param(lambda doc, sub, tmp: abcd_to_s(np.eye(2), 0.0), ValueError,
                  "z0 must be positive", id="abcd-to-s-z0"),
     # a + b/z0 + c z0 + d = 0
@@ -130,6 +122,12 @@ GUARDS = [
     pytest.param(lambda doc, sub, tmp: _touchstone(
                      tmp, "# GHz S XY R 50\n1 0 0 1 0 1 0 0 0\n"),
                  ValueError, "unsupported format 'xy'", id="read-touchstone-format"),
+    pytest.param(lambda doc, sub, tmp: _touchstone(
+                     tmp, "# THZ S RI R 50\n1 0 0 1 0 1 0 0 0\n"),
+                 ValueError, "unsupported frequency unit 'thz'", id="read-touchstone-unit"),
+    pytest.param(lambda doc, sub, tmp: _touchstone(
+                     tmp, "# GHz S RI R -50\n1 0 0 1 0 1 0 0 0\n"),
+                 ValueError, r"z0 = -50.0 must lie in \(0, inf\)", id="read-touchstone-z0"),
 ]
 
 

@@ -17,8 +17,8 @@ PUBLIC = [
     "GapTooSmallWarning", "Hairpin", "MaterialsRegistry", "ModeParams",
     "ModelValidityWarning", "NoConvergence", "SParamResult", "Stackup", "Substrate",
     "UnknownMaterial", "UnsatisfiableSpec", "abcd_to_s", "analyze_coupled",
-    "analyze_single", "attenuation_height", "bandpass_to_lowpass", "cascade",
-    "check_fit_range", "coupled_section_twoport", "coupling", "coupling_coefficients",
+    "analyze_single", "attenuation_height", "bandpass_to_lowpass",
+    "check_fit_range", "coupling", "coupling_coefficients",
     "default_registry", "design", "design_coupling", "design_layout", "design_prototype",
     "dielectric_loss", "even_odd_impedances", "export_svg", "extract_metrics", "g_values",
     "hairpin_fold", "j_inverters", "layout", "load_design", "materials", "microstrip",

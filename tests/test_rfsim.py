@@ -39,13 +39,13 @@ from mwbpf.rfsim import (
     SingularFrequencyWarning,
     SParamResult,
     abcd_to_s,
-    cascade,
-    coupled_section_twoport,
     extract_metrics,
     ripple_bandwidth,
     sweep_coupling_matrix,
     sweep_pcl,
 )
+
+from conftest import chain_product, section_chain
 
 SWEEP = FrequencySweep(2.0, 3.0, 1001)
 
@@ -185,13 +185,13 @@ def oracle_sweep_pcl(design, f0, sweep, mode="ideal", dims=None, substrate=None,
     return s
 
 
-def _fourport_reduction_oracle(mp: ModeParams, l_mm, f_ghz, z0):
+def _fourport_reduction_oracle(mp: ModeParams, alpha_e, alpha_o, l_mm, f_ghz, z0):
     """Independent path: full 4-port Z matrix -> 4-port S -> open ports 2, 3
     (line a right / line b left) by a complex linear solve."""
     l_m = l_mm * 1e-3
     w = 2 * math.pi * f_ghz * 1e9
-    th_e = (w * math.sqrt(mp.eps_eff_e) / C0 - 1j * mp.alpha_e) * l_m
-    th_o = (w * math.sqrt(mp.eps_eff_o) / C0 - 1j * mp.alpha_o) * l_m
+    th_e = (w * math.sqrt(mp.eps_eff_e) / C0 - 1j * alpha_e) * l_m
+    th_o = (w * math.sqrt(mp.eps_eff_o) / C0 - 1j * alpha_o) * l_m
     zs = -0.5j * (mp.z0e / cmath.tan(th_e) + mp.z0o / cmath.tan(th_o))
     zt = -0.5j * (mp.z0e / cmath.sin(th_e) + mp.z0o / cmath.sin(th_o))
     zm = -0.5j * (mp.z0e / cmath.tan(th_e) - mp.z0o / cmath.tan(th_o))
@@ -222,14 +222,14 @@ class TestCoupledSection:
     def test_zero_coupling_blocks_transmission(self):
         mp = _ideal_mp(50.0, 50.0)
         for f in (2.0, 2.58, 2.9):
-            s = abcd_to_s(coupled_section_twoport(mp, 29.05, f), 50.0)
+            s = abcd_to_s(section_chain(mp, 29.05, f), 50.0)
             assert abs(s[1, 0]) < 1e-12
 
     def test_image_impedance_at_quarter_wave(self):
         # at 90 degrees the image impedance is (z0e - z0o) / 2
         mp = _ideal_mp(72.21, 38.89)
         l_mm = C0 / (4 * 2.58e9) * 1e3
-        m = coupled_section_twoport(mp, l_mm, 2.58)
+        m = section_chain(mp, l_mm, 2.58)
         zi = cmath.sqrt(m[0, 1] / m[1, 0])
         assert zi.real == pytest.approx((72.21 - 38.89) / 2, abs=0.01)
         assert abs(zi.imag) < 1e-9
@@ -239,7 +239,7 @@ class TestCoupledSection:
         mp = _ideal_mp(72.21, 38.89)
         for _ in range(100):
             f = float(rng.uniform(2.0, 3.0))
-            m = coupled_section_twoport(mp, 29.05, f)
+            m = section_chain(mp, 29.05, f)
             assert abs(_det(m) - 1.0) < 1e-9
 
     def test_matches_fourport_reduction(self):
@@ -250,13 +250,12 @@ class TestCoupledSection:
                 z0o=float(rng.uniform(30, 50)),
                 eps_eff_e=float(rng.uniform(1.0, 4.0)),
                 eps_eff_o=float(rng.uniform(1.0, 4.0)),
-                alpha_e=float(rng.uniform(0.0, 2.0)),
-                alpha_o=float(rng.uniform(0.0, 2.0)),
             )
+            alpha = (float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
             f = float(rng.uniform(2.0, 3.0))
             l_mm = float(rng.uniform(10.0, 20.0))
-            s = abcd_to_s(coupled_section_twoport(mp, l_mm, f), 50.0)
-            ref = _fourport_reduction_oracle(mp, l_mm, f, 50.0)
+            s = abcd_to_s(section_chain(mp, l_mm, f, alpha), 50.0)
+            ref = _fourport_reduction_oracle(mp, *alpha, l_mm, f, 50.0)
             assert s[0, 0] == pytest.approx(ref[0, 0], abs=1e-9)
             assert s[1, 0] == pytest.approx(ref[1, 0], abs=1e-9)
             assert s[1, 1] == pytest.approx(ref[1, 1], abs=1e-9)
@@ -265,20 +264,16 @@ class TestCoupledSection:
         mp = _ideal_mp(72.21, 38.89)
         l_mm = C0 / (2 * 2.58e9) * 1e3  # half wave: theta = pi at 2.58
         with pytest.warns(UserWarning, match="nudging"):
-            m = coupled_section_twoport(mp, l_mm, 2.58)
+            m = section_chain(mp, l_mm, 2.58)
         assert np.isfinite(m).all()
 
 
 class TestCascade:
-    def test_single_section_identity(self):
-        m = _abcd(1.0 + 0.5j, 2.0, 0.1j, 0.7)
-        assert (cascade([m]) == m).all()
-
     def test_mirrored_pair_is_symmetric(self):
         mp = _ideal_mp(72.21, 38.89)
-        m = coupled_section_twoport(mp, 20.0, 2.4)
+        m = section_chain(mp, 20.0, 2.4)
         flipped = _abcd(m[1, 1], m[0, 1], m[1, 0], m[0, 0])
-        s = abcd_to_s(cascade([m, flipped]), 50.0)
+        s = abcd_to_s(chain_product(m, flipped), 50.0)
         assert s[0, 0] == pytest.approx(s[1, 1], abs=1e-12)
 
     def test_associativity(self):
@@ -286,21 +281,17 @@ class TestCascade:
         worst = 0.0
         for _ in range(100):
             ms = [
-                coupled_section_twoport(
+                section_chain(
                     _ideal_mp(float(rng.uniform(55, 90)), float(rng.uniform(30, 48))),
                     float(rng.uniform(10, 30)),
                     float(rng.uniform(2.0, 3.0)),
                 )
                 for _ in range(3)
             ]
-            left = cascade([cascade(ms[:2]), ms[2]])
-            right = cascade([ms[0], cascade(ms[1:])])
+            left = chain_product(chain_product(*ms[:2]), ms[2])
+            right = chain_product(ms[0], chain_product(*ms[1:]))
             worst = max(worst, np.abs(left - right).max())
         assert worst < 1e-12 * 1e3  # relative to entry magnitudes ~1e2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cascade([])
 
 
 class TestAbcdToS:
@@ -317,7 +308,7 @@ class TestAbcdToS:
     def test_lossless_unitarity(self):
         mp = _ideal_mp(72.21, 38.89)
         for f in np.linspace(2.0, 3.0, 50):
-            s = abcd_to_s(coupled_section_twoport(mp, 29.05, float(f)), 50.0)
+            s = abcd_to_s(section_chain(mp, 29.05, float(f)), 50.0)
             assert abs(abs(s[0, 0]) ** 2 + abs(s[1, 0]) ** 2 - 1.0) < 1e-9
 
 
@@ -508,7 +499,7 @@ class TestSingularFrequency:
             sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(1e-10, 3.0, 11))
         mp = _ideal_mp(72.21, 38.89)
         with pytest.raises(ValueError, match="1 ppm above"):
-            coupled_section_twoport(mp, resonator_length(mp, 2.58), 1e-10)
+            section_chain(mp, resonator_length(mp, 2.58), 1e-10)
 
 
 class TestSweepRange:
@@ -549,9 +540,9 @@ class TestSweepRange:
         # over two passes the pass with the singular point raises first
         f, alpha = np.full(points, 2.0), np.zeros(points)
         f[0], alpha[-1] = 1e-10, 1e6  # 1e6 Np/m over 29 mm: cosh overflows
-        mp = ModeParams(72.21, 38.89, 1.0, 1.0, alpha, alpha)
+        mp = _ideal_mp(72.21, 38.89)
         with pytest.raises(ValueError, match=error):
-            coupled_section_twoport(mp, resonator_length(mp, 2.58), f)
+            section_chain(mp, resonator_length(mp, 2.58), f, (alpha, alpha))
 
     def test_overflowing_cascade_is_rejected(self, fr4_design):
         # z0e squared overflows a double in each section's chain matrix; the
@@ -586,22 +577,20 @@ class TestSharedSectionTrig:
         freqs = sweep.frequencies()
         if mode == "ideal":
             mps = [_ideal_mp(s.z0e, s.z0o) for s in design.coupling.sections]
+            alphas = [(0.0, 0.0)] * len(mps)
             lengths = [resonator_length(mp, f0) for mp in mps]
         else:
-            mps = [
-                ModeParams(mp.z0e, mp.z0o, mp.eps_eff_e, mp.eps_eff_o,
-                           oracle_dielectric_loss(sub, mp.eps_eff_e, freqs),
-                           oracle_dielectric_loss(sub, mp.eps_eff_o, freqs))
-                for mp in (analyze_coupled(d.w, d.s, sub) for d in design.dims)
-            ]
+            mps = [analyze_coupled(d.w, d.s, sub) for d in design.dims]
+            alphas = [(oracle_dielectric_loss(sub, mp.eps_eff_e, freqs),
+                       oracle_dielectric_loss(sub, mp.eps_eff_o, freqs)) for mp in mps]
             lengths = [d.l for d in design.dims]
         result, nudges = _recorded(lambda: sweep_pcl(
             design.coupling, f0, sweep, mode=mode, dims=design.dims, substrate=sub,
             lossy=mode == "physical",
         ))
         ref, ref_nudges = _recorded(lambda: oracle_abcd_to_s(
-            oracle_cascade(oracle_section_twoport(mp, mp.alpha_e, mp.alpha_o, l, freqs, [None, None])
-                           for mp, l in zip(mps, lengths)),
+            oracle_cascade(oracle_section_twoport(mp, *alpha, l, freqs, [None, None])
+                           for mp, alpha, l in zip(mps, alphas, lengths)),
             design.coupling.z0,
         ))
         assert result.s.tobytes() == ref.tobytes()
@@ -778,12 +767,12 @@ class TestSweepMemory:
 
 # --- scalar reference: one frequency at a time, Python complex arithmetic ---
 
-def _scalar_pcl(mps, lengths, f, z0):
+def _scalar_pcl(mps, alphas, lengths, f, z0):
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for mp, l_mm in zip(mps, lengths):
+    for mp, (alpha_e, alpha_o), l_mm in zip(mps, alphas, lengths):
         beta = 2 * math.pi * f * 1e9 / C0
-        th_e = (beta * math.sqrt(mp.eps_eff_e) - 1j * mp.alpha_e) * l_mm * 1e-3
-        th_o = (beta * math.sqrt(mp.eps_eff_o) - 1j * mp.alpha_o) * l_mm * 1e-3
+        th_e = (beta * math.sqrt(mp.eps_eff_e) - 1j * alpha_e) * l_mm * 1e-3
+        th_o = (beta * math.sqrt(mp.eps_eff_o) - 1j * alpha_o) * l_mm * 1e-3
         zs = -0.5j * (mp.z0e / cmath.tan(th_e) + mp.z0o / cmath.tan(th_o))
         zx = -0.5j * (mp.z0e / cmath.sin(th_e) - mp.z0o / cmath.sin(th_o))
         ma, mb, mc, md = zs / zx, (zs * zs - zx * zx) / zx, 1 / zx, zs / zx
@@ -823,21 +812,19 @@ def _engine_and_reference(engine, design, sub):
         result = sweep_pcl(design.coupling, design.spec.f0, SWEEP)
         mps = [_ideal_mp(s.z0e, s.z0o) for s in design.coupling.sections]
         lengths = [C0 / (4.0 * design.spec.f0 * 1e9) * 1e3] * len(mps)
-        return result, [_scalar_pcl(mps, lengths, f, design.coupling.z0) for f in freqs]
+        lossless = [(0.0, 0.0)] * len(mps)
+        return result, [_scalar_pcl(mps, lossless, lengths, f, design.coupling.z0) for f in freqs]
     result = sweep_pcl(
         design.coupling, design.spec.f0, SWEEP,
         mode="physical", dims=design.dims, substrate=sub, lossy=True,
     )
-    static = [analyze_coupled(d.w, d.s, sub) for d in design.dims]
+    mps = [analyze_coupled(d.w, d.s, sub) for d in design.dims]
     lengths = [d.l for d in design.dims]
     ref = []
     for f in freqs:
-        mps = [
-            ModeParams(mp.z0e, mp.z0o, mp.eps_eff_e, mp.eps_eff_o,
-                       dielectric_loss(sub, mp.eps_eff_e, f), dielectric_loss(sub, mp.eps_eff_o, f))
-            for mp in static
-        ]
-        ref.append(_scalar_pcl(mps, lengths, f, design.coupling.z0))
+        alphas = [(dielectric_loss(sub, mp.eps_eff_e, f), dielectric_loss(sub, mp.eps_eff_o, f))
+                  for mp in mps]
+        ref.append(_scalar_pcl(mps, alphas, lengths, f, design.coupling.z0))
     return result, ref
 
 
