@@ -25,8 +25,10 @@ from .coupling import (
 )
 from .materials import read_record
 from .microstrip import (
+    _TOLERANCE,
     C0,
     CoupledSectionDims,
+    ModeParams,
     Substrate,
     analyze_coupled,
     analyze_dims,
@@ -95,21 +97,23 @@ def synthesize_design(
     """Run prototype -> coupling -> dimension synthesis for one substrate,
     and the validity step (``check_fit_range``) once per section.
 
-    Synthesis is pure, so a section whose (z0e, z0o) equals an earlier
-    section's reuses its dimensions. Mirror sections are often equal, but
-    not always: they may differ in the last bit, and are then synthesized
-    apart."""
+    A section reuses the dimensions of the first earlier section whose
+    realized mode impedances meet its (z0e, z0o) under the Newton's own
+    stop, ``max(|ln(z0e_r / z0e)|, |ln(z0o_r / z0o)|) < 1e-6``: the point a
+    Newton started there would return at once. So mirror sections, whose
+    targets are equal or differ in the last bits, hold the same dimensions:
+    one Newton per mirror pair."""
     proto = design_prototype(spec)
     coupling = design_coupling(proto, spec.fbw(), spec.z0)
     dims = []
-    solved: dict[tuple[float, float], CoupledSectionDims] = {}
+    solved: list[tuple[ModeParams, CoupledSectionDims]] = []
     for section in coupling.sections:
-        key = (section.z0e, section.z0o)
-        if key not in solved:
+        d = next((d for mp, d in solved if _realizes(mp, section)), None)
+        if d is None:
             w, s = synthesize_coupled(section.z0e, section.z0o, substrate)
             mp = analyze_coupled(w, s, substrate)
-            solved[key] = CoupledSectionDims(w=w, s=s, l=resonator_length(mp, spec.f0))
-        d = solved[key]
+            d = CoupledSectionDims(w=w, s=s, l=resonator_length(mp, spec.f0))
+            solved.append((mp, d))
         check_fit_range(d.w, d.s, substrate)
         dims.append(d)
     if created is None:
@@ -123,6 +127,12 @@ def synthesize_design(
         tool=f"mwbpf {__version__}",
         created=created,
     )
+
+
+def _realizes(mp: ModeParams, section: CouplingSection) -> bool:
+    """Whether ``mp`` meets the section's (z0e, z0o) under the Newton's stop."""
+    return max(abs(math.log(mp.z0e / section.z0e)),
+               abs(math.log(mp.z0o / section.z0o))) < _TOLERANCE
 
 
 def simulate(

@@ -28,6 +28,9 @@ VALID_G = (0.1, 5.0)
 GAP_FLOOR_MM = 0.1  # typical PCB fabrication floor
 GAP_HARD_MIN_MM = 1e-3
 WIDTH_RANGE_H = (0.02, 40.0)  # strip widths synthesis searches, in substrate heights
+# the Newton's stop, max(|ln(z0e_r / z0e)|, |ln(z0o_r / z0o)|) below it; synthesize_design
+# reuses an earlier section's dimensions that meet a section's targets by the same test
+_TOLERANCE = 1e-6
 
 
 class NoConvergence(RuntimeError):
@@ -285,20 +288,24 @@ def _mode_step(wt: tuple, gt: tuple, er: float) -> tuple[float, float, float, fl
 
 def analyze_dims(dims, sub: Substrate, f0: float) -> list[ModeParams]:
     """``analyze_coupled`` and the validity step ``check_fit_range`` of each
-    section, an error naming it as ``dims_mm[i]``. No model reads a length, so
-    one above the free-space wavelength at ``f0`` GHz (eps_eff >= 1) is refused."""
+    section, an error naming it as ``dims_mm[i]``. Sections whose (w, s) are
+    equal share one ``analyze_coupled`` result, so a failing pair is named
+    at its first index. No model reads a length, so one above the free-space
+    wavelength at ``f0`` GHz (eps_eff >= 1) is refused."""
     if not f0 > 0:
         raise ValueError("f0 must be positive")
     wavelength = C0 / (f0 * 1e9) * 1e3
-    mps = []
+    mps, analyzed = [], {}
     for i, d in enumerate(dims):
         if d.l > wavelength:
             raise ValueError(f"dims_mm[{i}].l = {d.l:g} mm is longer than the free-space "
                              f"wavelength {wavelength:g} mm at f0")
-        try:
-            mps.append(analyze_coupled(d.w, d.s, sub))
-        except ValueError as exc:
-            raise ValueError(f"dims_mm[{i}]: {exc}") from None
+        if (d.w, d.s) not in analyzed:
+            try:
+                analyzed[d.w, d.s] = analyze_coupled(d.w, d.s, sub)
+            except ValueError as exc:
+                raise ValueError(f"dims_mm[{i}]: {exc}") from None
+        mps.append(analyzed[d.w, d.s])
         check_fit_range(d.w, d.s, sub)
     return mps
 
@@ -368,7 +375,7 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
         if f is None:
             break
         fe, fo = f
-        if max(abs(fe), abs(fo)) < 1e-6:
+        if max(abs(fe), abs(fo)) < _TOLERANCE:
             return math.exp(xw), math.exp(xs)
         cw = residual(_width_terms(math.exp(xw + step), sub), gt)
         cs = residual(wt, _gap_terms(math.exp(xs + step), sub))

@@ -45,7 +45,7 @@ class SParamResult:
     s: np.ndarray  # [F, 2, 2] complex, so s[:, 1, 0] is S21
     z0: float
 
-    RANGES = intervals({"z0": "(0, inf)"})  # ohm, read by both sweeps and read_touchstone
+    RANGES = intervals({"z0": "(0, inf)"})  # ohm, read by abcd_to_s too
 
     def __post_init__(self):
         check_ranges(self.RANGES, vars(self))
@@ -195,8 +195,7 @@ def abcd_to_s(m: np.ndarray, z0: float) -> np.ndarray:
     invariant checks), so s21 = s12 = 2/den; multiplying out the determinant
     would overflow and cancel catastrophically in the zero-coupling limit.
     """
-    if z0 <= 0:
-        raise ValueError("z0 must be positive")
+    check_ranges(SParamResult.RANGES, {"z0": z0})
     a, b, c, d = _entries(m)
     den = a + b / z0 + c * z0 + d
     if (den == 0).any():

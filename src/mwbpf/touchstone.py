@@ -141,16 +141,23 @@ _UNIT_SCALE = {"hz": 1e-9, "khz": 1e-6, "mhz": 1e-3, "ghz": 1.0}
 
 
 def read_touchstone(path: str | Path) -> SParamResult:
-    """Parse a 2-port Touchstone file (RI, MA or DB formats)."""
+    """Parse a 2-port Touchstone file (RI, MA or DB formats). The last option
+    line reads ``# <unit> S <format> R <z0>``; fields left out take their
+    defaults, ``# GHz S MA R 50``."""
     lines = [raw.split("!", 1)[0].strip() for raw in Path(path).read_text(encoding="ascii").splitlines()]
     options = [line for line in lines if line.startswith("#")]
     data = [line for line in lines if line and not line.startswith("#")]
     if not options or not data:
         raise ValueError("missing option line or data")
     toks = options[-1][1:].lower().split()
+    if len(toks) > 5:
+        raise ValueError(f"option line {options[-1]!r} has more than 5 fields")
     opts = ["ghz", "s", "ma", "r", "50"]
     opts[: len(toks)] = toks
-    unit, kind, fmt, _, z0_s = opts
+    unit, kind, fmt, r, z0_s = opts
+    if r != "r":
+        raise ValueError(f"option line {options[-1]!r}: the 4th field must be R, "
+                         "followed by the reference impedance")
     if kind != "s":
         raise ValueError("only S-parameter files are supported")
     if unit not in _UNIT_SCALE:

@@ -79,8 +79,8 @@ class TestSynthesizeDesign:
                              ids=["reference", "mirror-equal"])
     def test_synthesizes_each_distinct_section_once(self, paper_spec, fr4, monkeypatch,
                                                     stop_atten_db, n_sections, n_distinct):
-        # the reference design's mirror pairs differ in the last bit, so all
-        # its sections are synthesized; at 30 dB the mirror pairs are equal
+        # the reference design's mirror pairs differ in the last bit and at
+        # 30 dB they are equal: either way only sections 0, 1 and 2 are synthesized
         synthesized, checked = [], []
 
         def counting_synthesis(z0e, z0o, sub):
@@ -96,8 +96,20 @@ class TestSynthesizeDesign:
         doc = synthesize_design(dataclasses.replace(paper_spec, stop_atten_db=stop_atten_db), fr4)
         keys = [(section.z0e, section.z0o) for section in doc.coupling.sections]
         assert len(keys) == n_sections and len(set(keys)) == n_distinct
-        assert synthesized == list(dict.fromkeys(keys))
+        assert synthesized == keys[:3]
         assert checked == [(d.w, d.s) for d in doc.dims]
+
+    @pytest.mark.parametrize("design, substrate", [("fr4_design", "fr4"), ("ro3003_design", "ro3003")],
+                             ids=["fr4", "ro3003"])
+    def test_mirror_sections_share_their_dimensions(self, request, design, substrate):
+        # each reused section meets its own targets under the Newton's stop
+        doc, sub = request.getfixturevalue(design), request.getfixturevalue(substrate)
+        n = doc.prototype.n
+        for i, (section, d) in enumerate(zip(doc.coupling.sections, doc.dims)):
+            assert doc.dims[n - i] is d
+            mp = analyze_coupled(d.w, d.s, sub)
+            residual = (math.log(mp.z0e / section.z0e), math.log(mp.z0o / section.z0o))
+            assert max(map(abs, residual)) < 1e-6
 
 
 def _same(a, b):
@@ -128,6 +140,16 @@ class TestSimulate:
             mode="physical", dims=fr4_design.dims, substrate=fr4, lossy=True,
         )
         assert _same(simulate(fr4_design, fr4, "physical", SWEEP, lossy=True), want)
+
+    @pytest.mark.parametrize("design, substrate", [("fr4_design", "fr4"), ("ro3003_design", "ro3003")],
+                             ids=["fr4", "ro3003"])
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+    def test_physical_reference_design_is_mirror_symmetric(self, request, design, substrate, lossy):
+        # mirror sections hold the same dimensions, so both ports reflect
+        # alike to rounding
+        doc, sub = request.getfixturevalue(design), request.getfixturevalue(substrate)
+        r = simulate(doc, sub, "physical", FrequencySweep(2.0, 3.0, 1001), lossy=lossy)
+        assert np.abs(r.s[:, 0, 0] - r.s[:, 1, 1]).max() <= 1e-14
 
     def test_ideal_ignores_substrate(self, fr4_design, fr4):
         want = sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, SWEEP)
@@ -209,8 +231,8 @@ class TestPipelineProperties:
                 assert np.abs(power - 1.0).max() <= 1e-12
 
     # Chebyshev products g_k g_(k+1) read the same from both ends, so every
-    # synthesized design is a palindrome and both ports reflect alike.
-    # physical is left out: its mirrored sections are synthesized apart, to 1e-6.
+    # synthesized design is a palindrome and both ports reflect alike; a
+    # mirror section reuses its partner's dimensions.
     @settings(max_examples=100, deadline=None)
     @given(**SPEC_AND_SUBSTRATE)
     def test_palindromic_designs_reflect_alike_at_both_ports(self, **draw):
@@ -218,7 +240,8 @@ class TestPipelineProperties:
         if synthesized is None:
             return
         doc, sub, sweep = synthesized
-        for mode, lossy in (("ideal", False), ("ml", False), ("ml", True)):
+        for mode, lossy in (("ideal", False), ("ml", False), ("ml", True), ("physical", False),
+                            ("physical", True)):
             r = simulate(doc, sub, mode, sweep, lossy=lossy)
             assert np.abs(r.s[:, 0, 0] - r.s[:, 1, 1]).max() <= 1e-12
 

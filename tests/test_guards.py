@@ -99,7 +99,11 @@ GUARDS = [
     pytest.param(lambda doc, sub, tmp: dielectric_loss(sub, 3.0, np.array([2.5, 0.0])),
                  ValueError, "frequency must be positive", id="dielectric-loss-frequency"),
     pytest.param(lambda doc, sub, tmp: abcd_to_s(np.eye(2), 0.0), ValueError,
-                 "z0 must be positive", id="abcd-to-s-z0"),
+                 r"z0 = 0.0 must lie in \(0, inf\)", id="abcd-to-s-z0"),
+    pytest.param(lambda doc, sub, tmp: abcd_to_s(np.eye(2), math.nan), ValueError,
+                 r"z0 = nan must lie in \(0, inf\)", id="abcd-to-s-z0-nan"),
+    pytest.param(lambda doc, sub, tmp: abcd_to_s(np.eye(2), math.inf), ValueError,
+                 r"z0 = inf must lie in \(0, inf\)", id="abcd-to-s-z0-inf"),
     # a + b/z0 + c z0 + d = 0
     pytest.param(lambda doc, sub, tmp: abcd_to_s(np.diag([1.0, -1.0]), 50.0),
                  ZeroDivisionError, "singular ABCD-to-S conversion", id="abcd-to-s-singular"),
@@ -125,6 +129,14 @@ GUARDS = [
     pytest.param(lambda doc, sub, tmp: _touchstone(
                      tmp, "# THZ S RI R 50\n1 0 0 1 0 1 0 0 0\n"),
                  ValueError, "unsupported frequency unit 'thz'", id="read-touchstone-unit"),
+    pytest.param(lambda doc, sub, tmp: _touchstone(
+                     tmp, "# GHz S RI X 50\n1 0 0 1 0 1 0 0 0\n"),
+                 ValueError, "option line '# GHz S RI X 50': the 4th field must be R",
+                 id="read-touchstone-parameter"),
+    pytest.param(lambda doc, sub, tmp: _touchstone(
+                     tmp, "# GHz S RI R 50 75\n1 0 0 1 0 1 0 0 0\n"),
+                 ValueError, "option line '# GHz S RI R 50 75' has more than 5 fields",
+                 id="read-touchstone-extra-token"),
     pytest.param(lambda doc, sub, tmp: _touchstone(
                      tmp, "# GHz S RI R -50\n1 0 0 1 0 1 0 0 0\n"),
                  ValueError, r"z0 = -50.0 must lie in \(0, inf\)", id="read-touchstone-z0"),

@@ -195,16 +195,24 @@ def oracle_synthesize_coupled(z0e, z0o, sub):
 
 
 def oracle_synthesize_design(spec, sub, created):
-    # synthesize_design without the reuse of repeated sections: one
-    # synthesis per section
+    # synthesize_design on the oracles: a section takes the dimensions of the
+    # first earlier one whose realized impedances meet its targets under the
+    # Newton's stop, else its own synthesis
     proto = design_prototype(spec)
     coupling = design_coupling(proto, spec.fbw(), spec.z0)
     dims = []
     for section in coupling.sections:
-        w, s = oracle_synthesize_coupled(section.z0e, section.z0o, sub)
-        check_fit_range(w, s, sub)
-        mp = analyze_coupled(w, s, sub)
-        dims.append(CoupledSectionDims(w=w, s=s, l=resonator_length(mp, spec.f0)))
+        for d in dims:
+            mp = oracle_analyze_coupled(d.w, d.s, sub)
+            residual = (math.log(mp.z0e / section.z0e), math.log(mp.z0o / section.z0o))
+            if max(map(abs, residual)) < 1e-6:
+                break
+        else:
+            w, s = oracle_synthesize_coupled(section.z0e, section.z0o, sub)
+            mp = oracle_analyze_coupled(w, s, sub)
+            d = CoupledSectionDims(w=w, s=s, l=resonator_length(mp, spec.f0))
+        check_fit_range(d.w, d.s, sub)
+        dims.append(d)
     return DesignDocument(
         spec=spec, prototype=proto, coupling=coupling, dims=tuple(dims),
         substrate=sub.name, tool=f"mwbpf {mwbpf.__version__}", created=created,
@@ -435,6 +443,34 @@ class TestAnalyzeCoupled:
             analyze_coupled(3.0, 20.0, fr4)  # the model itself is pure
 
 
+class TestAnalyzeDims:
+    def test_analyzes_each_distinct_section_once(self, fr4_design, fr4, monkeypatch):
+        analyzed, checked = [], []
+
+        def counting_model(w, s, sub):
+            analyzed.append((w, s))
+            return analyze_coupled(w, s, sub)
+
+        def counting_check(w, s, sub):
+            checked.append((w, s))
+            check_fit_range(w, s, sub)
+
+        monkeypatch.setattr(mwbpf.microstrip, "analyze_coupled", counting_model)
+        monkeypatch.setattr(mwbpf.microstrip, "check_fit_range", counting_check)
+        mps = analyze_dims(fr4_design.dims, fr4, fr4_design.spec.f0)
+        pairs = [(d.w, d.s) for d in fr4_design.dims]
+        assert len(pairs) == 5 and analyzed == pairs[:3]
+        assert checked == pairs
+        assert mps == [analyze_coupled(w, s, fr4) for w, s in pairs]
+
+    def test_failing_pair_is_named_at_its_first_index(self):
+        # s/h underflows to 0 on a 1000 mm board
+        tall = Substrate(name="tall", eps_r=4.3, tan_d=0.0, h=1000.0)
+        good, bad = CoupledSectionDims(2000.0, 500.0, 10.0), CoupledSectionDims(2000.0, 1e-322, 10.0)
+        with pytest.raises(ValueError, match=r"^dims_mm\[1\]: coupled pair .* underflows"):
+            analyze_dims([good, bad, good, bad, good], tall, 2.58)
+
+
 class TestCheckFitRange:
     def test_gap_floor_warning(self, fr4):
         w, s = synthesize_coupled(85.0, 32.0, fr4)
@@ -553,8 +589,8 @@ class TestSynthesizeCoupled:
 
     def test_design_documents_match_numpy_array_newton(self, registry):
         # seeded specs over perfbench's design_space ranges: the design
-        # document is the same as the numpy-array iteration's, run once per
-        # section
+        # document is the same as the numpy-array iteration's, with the same
+        # reuse of an earlier section's dimensions
         def designs(synthesize):
             docs = []
             for i in range(60):
