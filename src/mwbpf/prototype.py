@@ -103,8 +103,7 @@ class ChebyshevPrototype:
 
 def ripple_height(ripple_db: float) -> float:
     """Squared ripple height a_m^2 = 10^(ripple/10) - 1 of an equal-ripple response."""
-    if not ripple_db > 0:
-        raise ValueError("ripple_db must be positive")
+    check_ranges(ChebyshevPrototype.RANGES, {"ripple_db": ripple_db})
     return 10.0 ** (ripple_db / 10.0) - 1.0
 
 

@@ -26,7 +26,7 @@ from .microstrip import (
     dielectric_loss,
     resonator_length,
 )
-from .prototype import bandpass_to_lowpass, check_ranges, intervals
+from .prototype import ChebyshevPrototype, bandpass_to_lowpass, check_ranges, intervals
 
 
 class BandEdgeOutOfRange(ValueError):
@@ -92,6 +92,8 @@ class FrequencySweep:
 
     def __post_init__(self):
         check_ranges(self.RANGES, vars(self))
+        if not isinstance(self.n_points, (int, np.integer)):
+            raise ValueError(f"n_points = {self.n_points!r} must be an integer")
         if not self.f_start < self.f_stop:
             raise ValueError("need 0 < f_start < f_stop")
 
@@ -128,16 +130,16 @@ def _mode_angle(root_eps, alpha, l, f):
     return (w_rad * root_eps / C0 - 1j * alpha) * (l * 1e-3)
 
 
-def _trig(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sin, tan) of angles [..., P] by cmath: one row, broadcast, when every
-    row is bitwise equal to the first (``ideal`` mode). A sine that overflows is a ValueError."""
-    shape, rows = theta.shape, theta.reshape(-1, theta.shape[-1])
-    if all(row.tobytes() == rows[0].tobytes() for row in rows[1:]):
-        theta = rows[0]
+def _trig(theta: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sin, tan) [n, 2, P] by cmath of the distinct angle rows ``theta`` [d, P],
+    row (i, m) read from ``index[i, m]``: one row is broadcast (``ideal`` mode),
+    more are gathered. A sine that overflows is a ValueError."""
     try:
-        return tuple(np.broadcast_to(_cmath(fn, theta), shape) for fn in (cmath.sin, cmath.tan))
+        rows = [_cmath(fn, theta) for fn in (cmath.sin, cmath.tan)]
     except OverflowError:
         raise ValueError("section attenuation overflows the sine; narrow the span") from None
+    return tuple(np.broadcast_to(r, index.shape + r.shape[1:]) if len(r) == 1 else r[index]
+                 for r in rows)
 
 
 def _singular(sin: np.ndarray) -> np.ndarray:
@@ -159,22 +161,25 @@ def _cascade_rows(zm, sin, tan):
     return functools.reduce(_product, ([x[i] for x in m] for i in range(len(a))))
 
 
-def _cascade_block(zm, root_eps, alpha, l, f) -> np.ndarray:
+def _cascade_block(zm, root_eps, alpha, l, index, f) -> np.ndarray:
     """Entries [4, P] of the cascade at the points f [P], in passes of up to
     ``_BLOCK`` angles: mode impedances ``zm`` and sqrt(eps_eff) ``root_eps``
-    [n, 2, 1], attenuations ``alpha`` [n, 2, P], lengths ``l`` [n, 1, 1]. A
-    pass with singular points is taken again with them at f (1 + 1e-6). A
-    failing pass raises its first error, a ValueError: a sine that overflows,
-    else a point still singular after the nudge. Each nudged section warns
-    once, after the last pass, so a failing call warns nothing."""
-    nudged, out = [[] for _ in l], np.empty((4, len(f)), complex)
-    step = max(_BLOCK // (2 * len(l)), 1)
+    [n, 2, 1], attenuations ``alpha`` [n, 2, P], lengths ``l`` [n, 1, 1]; a
+    pass evaluates each distinct angle row of ``index`` [n, 2] once. A pass
+    with singular points is taken again with them at f (1 + 1e-6). A failing
+    pass raises its first error, a ValueError: a sine that overflows, else a
+    point still singular after the nudge. Each nudged section warns once,
+    after the last pass, so a failing call warns nothing."""
+    nudged, out = [[] for _ in index], np.empty((4, len(f)), complex)
+    sec, mode = np.divmod(np.unique(index, return_index=True)[1], 2)  # each row's first use
+    root_eps, l = root_eps[sec, mode], l[sec, 0]
+    step = max(_BLOCK // (2 * len(index)), 1)
     for lo in range(0, len(f), step):
         p, fp = slice(lo, lo + step), f[lo:lo + step]
-        sin, tan = _trig(_mode_angle(root_eps, alpha[:, :, p], l, fp))
+        sin, tan = _trig(_mode_angle(root_eps, alpha[sec, mode, p], l, fp), index)
         if (at := _singular(sin)).any():
-            nudge = np.where(at, fp * (1.0 + 1e-6), fp)[:, None]
-            sin, tan = _trig(_mode_angle(root_eps, alpha[:, :, p], l, nudge))
+            nudge = np.where(at, fp * (1.0 + 1e-6), fp)[sec]
+            sin, tan = _trig(_mode_angle(root_eps, alpha[sec, mode, p], l, nudge), index)
             if (still := _singular(sin).any(axis=0)).any():
                 raise ValueError(f"section is a multiple of pi at {fp[still][0]} GHz "
                                  "and 1 ppm above it")
@@ -186,6 +191,16 @@ def _cascade_block(zm, root_eps, alpha, l, f) -> np.ndarray:
         warnings.warn(f"section is an exact multiple of pi at {', '.join(map(str, points))} GHz; "
                       "nudging by 1 ppm", SingularFrequencyWarning)
     return out
+
+
+def _rows(eps, lengths):
+    """The angle row [n, 2] of each section and mode: (i, m) is keyed on
+    (eps_eff of mode m, eps_eff_e, eps_eff_o, l) of section i as floats, as a
+    section's nudge reads both its modes. dielectric_loss reads eps_eff only;
+    a term reading more (a conductor loss reads w and Z_m) joins the key."""
+    first = {}
+    return np.array([[first.setdefault((e, *pair, l), len(first)) for e in pair]
+                     for pair, l in zip(eps, lengths)])
 
 
 def abcd_to_s(m: np.ndarray, z0: float) -> np.ndarray:
@@ -228,13 +243,13 @@ def sweep_pcl(
     dimensions (``analyze_dims``, which bounds their lengths and warns); with
     ``lossy`` it attaches the substrate's dielectric attenuation per frequency.
 
-    A pass takes all sections and modes at once, [sections, 2, points]; an
-    ``ideal`` pass, one angle in every row, holds one row of sines and
-    tangents. A failing block of 1024 points raises its failing pass's first
-    error (a sine that overflows, else a point still singular after the
-    nudge) and warns nothing. A span whose angle at ``f_stop`` overflows is a
-    ValueError, and so is a response that overflows a double (a section
-    impedance of 1e300 ohm, squared).
+    A pass takes all sections and modes at once, [sections, 2, points], and
+    evaluates each distinct angle row once (``_rows``): ``ideal`` mode is one
+    row, and mirror sections share their rows. A failing block of 1024 points
+    raises its failing pass's first error (a sine that overflows, else a
+    point still singular after the nudge) and warns nothing. A span whose
+    angle at ``f_stop`` overflows is a ValueError, and so is a response that
+    overflows a double (a section impedance of 1e300 ohm, squared).
     """
     if mode not in ("ideal", "physical"):
         raise ValueError("mode must be 'ideal' or 'physical'")
@@ -264,6 +279,7 @@ def sweep_pcl(
     if lossy and not math.isfinite(C0 / (sweep.f_start * 1e9)):
         raise ValueError(f"f_start = {sweep.f_start} GHz overflows the free-space wavelength")
     freqs, l = sweep.frequencies(), np.array(lengths)[:, None, None]
+    index = _rows(eps[..., 0].tolist(), lengths)
     s = np.empty((len(freqs), 2, 2), complex)
     for lo in range(0, len(freqs), _POINTS):
         f = freqs[lo:lo + _POINTS]
@@ -272,7 +288,7 @@ def sweep_pcl(
                  else np.broadcast_to(0.0, eps.shape[:2] + f.shape))
         # an overflow leaves a non-finite S, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _cascade_block(zm, np.sqrt(eps), alpha, l, f)
+            out = _cascade_block(zm, np.sqrt(eps), alpha, l, index, f)
             s[lo:lo + _POINTS] = abcd_to_s(_chain(*out), design.z0)
     if not np.isfinite(s).all():
         raise ValueError("the sections' S-parameters overflow a double")
@@ -384,6 +400,7 @@ def extract_metrics(
 
 def ripple_bandwidth(result: SParamResult, ripple_db: float) -> float:
     """Bandwidth (MHz) between the outermost crossings of peak - ripple_db."""
+    check_ranges(ChebyshevPrototype.RANGES, {"ripple_db": ripple_db})
     freqs = result.frequencies
     db21 = result.s21_db()
     target = db21.max() - ripple_db

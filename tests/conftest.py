@@ -82,7 +82,8 @@ def section_chain(mp, l, f, alpha=(0.0, 0.0)):
     alphas = np.stack(np.broadcast_arrays(*alpha, points)[:2])[None]
     zm = np.array([[[mp.z0e], [mp.z0o]]])
     root_eps = np.array([[[math.sqrt(mp.eps_eff_e)], [math.sqrt(mp.eps_eff_o)]]])
-    out = _cascade_block(zm, root_eps, alphas, np.array([[[l]]]), points)
+    # each mode its own angle row: the attenuations need not follow eps_eff
+    out = _cascade_block(zm, root_eps, alphas, np.array([[[l]]]), np.array([[0, 1]]), points)
     return _chain(*out).reshape(f.shape + (2, 2))
 
 

@@ -119,6 +119,16 @@ GUARDS = [
                      SParamResult([1.0, 2.0, 3.0], [[[0.0, 1.0], [1.0, 0.0]]] * 3, 50.0), 0.01),
                  BandEdgeOutOfRange, "ripple band extends beyond the swept span",
                  id="ripple-bandwidth-span"),
+    # the prototype's range for ripple_db, not the swept span
+    *(pytest.param(lambda doc, sub, tmp, v=v: ripple_bandwidth(
+                       SParamResult([1.0, 2.0, 3.0], [[[0.0, 1.0], [1.0, 0.0]]] * 3, 50.0), v),
+                   ValueError, re.escape(f"ripple_db = {v} must lie in (0, inf)"),
+                   id=f"ripple-bandwidth-ripple-{v}")
+      for v in (0.0, -1.0, math.nan, math.inf)),
+    pytest.param(lambda doc, sub, tmp: FrequencySweep(2.0, 3.0, 2.5), ValueError,
+                 "n_points = 2.5 must be an integer", id="frequency-sweep-fractional-points"),
+    pytest.param(lambda doc, sub, tmp: FrequencySweep(2.0, 3.0, 3.0), ValueError,
+                 "n_points = 3.0 must be an integer", id="frequency-sweep-float-points"),
     pytest.param(lambda doc, sub, tmp: _touchstone(tmp, "! comments only\n"), ValueError,
                  "missing option line or data", id="read-touchstone-no-data"),
     pytest.param(lambda doc, sub, tmp: _touchstone(tmp, "# GHz S RI R 50\n1 0 0 1 0\n"),

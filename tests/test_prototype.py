@@ -43,10 +43,15 @@ class TestRippleHeight:
         assert ripple_height(0.1) == pytest.approx(2.3293e-2, rel=1e-3)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ripple_height(0.0)
-        with pytest.raises(ValueError):
-            ripple_height(-0.5)
+        # the prototype's range for ripple_db, which g_values reads too
+        for ripple_db in (0.0, -0.5):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"ripple_db = {ripple_db} must lie in (0, inf)")):
+                ripple_height(ripple_db)
+
+    def test_rejects_infinite(self):
+        with pytest.raises(ValueError, match=re.escape("ripple_db = inf must lie in (0, inf)")):
+            ripple_height(math.inf)
 
 
 class TestAttenuationHeight:
@@ -308,7 +313,7 @@ class TestNanArguments:
     # each guard is written so that NaN fails it, with the message of a
     # non-positive value
     @pytest.mark.parametrize("call, message", [
-        (lambda: ripple_height(math.nan), "ripple_db must be positive"),
+        (lambda: ripple_height(math.nan), re.escape("ripple_db = nan must lie in (0, inf)")),
         (lambda: attenuation_height(math.nan, 0.1), "stop_atten_db must be positive"),
         (lambda: attenuation_height(25.0, math.nan), "ripple height must be positive"),
         (lambda: bandpass_to_lowpass(math.nan, 2.58, 0.05), "frequency must be positive"),

@@ -481,6 +481,10 @@ class TestFrequencySweep:
         with pytest.raises(ValueError, match=re.escape(message)):
             FrequencySweep(2.0, 3.0, MAX_POINTS + 1)
 
+    @pytest.mark.parametrize("points", [np.int64(11), np.int32(11), np.uint16(11)])
+    def test_numpy_integer_points(self, points):
+        assert len(FrequencySweep(2.0, 3.0, points).frequencies()) == 11
+
 
 class TestSingularFrequency:
     def test_nudged_point_is_finite_and_matches_offset_sweep(self, fr4_design):
@@ -564,8 +568,10 @@ def _recorded(fn):
 
 
 class TestSharedSectionTrig:
-    """sweep_pcl evaluates one row of (sin, tan) for a pass whose angle rows
-    are all bitwise equal to the first (``ideal`` mode), and every row otherwise."""
+    """sweep_pcl evaluates each distinct angle row (section, mode) once per
+    pass: rows share when their sections are equal in eps_eff_e, eps_eff_o and
+    length, compared as floats. ``ideal`` mode is one row, broadcast; a
+    mirror pair of a synthesized design shares its rows."""
 
     @pytest.mark.parametrize("span", [(2.0, 3.0, 2501), (4.0, 6.32, 117)], ids=["band", "2f0"])
     @pytest.mark.parametrize("mode", ["ideal", "physical"])
@@ -605,13 +611,45 @@ class TestSharedSectionTrig:
 
     def test_lossless_physical_sweep_calls_cmath_once_per_row_and_point(
             self, fr4_design, fr4, monkeypatch):
-        # the 2n angle rows (sections x modes) of the reference design all
-        # differ, so each is evaluated at each point
+        # sections 3 and 4 of the reference design hold the dimensions of 1
+        # and 0, so 6 of its 10 angle rows (sections x modes) are distinct
+        assert fr4_design.dims[3:] == fr4_design.dims[1::-1]
         calls = _count_cmath(monkeypatch)
         sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, 10001),
                   mode="physical", dims=fr4_design.dims, substrate=fr4)
-        rows = 2 * len(fr4_design.dims)
-        assert calls == {"sin": rows * 10001, "tan": rows * 10001}
+        assert calls == {"sin": 6 * 10001, "tan": 6 * 10001}
+
+    def test_sections_that_all_differ_evaluate_every_row(self, fr4_design, fr4, monkeypatch):
+        # sections 3 and 4 one ulp wider than their mirrors 1 and 0: all 10 rows differ
+        dims = list(fr4_design.dims)
+        for i in (3, 4):
+            dims[i] = CoupledSectionDims(w=math.nextafter(dims[i].w, math.inf), l=dims[i].l,
+                                         s=dims[i].s)
+        calls = _count_cmath(monkeypatch)
+        sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, 10001),
+                  mode="physical", dims=tuple(dims), substrate=fr4)
+        assert calls == {"sin": 10 * 10001, "tan": 10 * 10001}
+
+    def test_equal_rows_of_differently_nudged_sections_stay_apart(self):
+        # two sections of one length and one even mode; the second's odd mode
+        # is an exact half wave at a swept point, so that section alone is
+        # nudged there, and its even row with it: a key on the row alone
+        # would nudge both even rows or neither
+        freqs = FrequencySweep(2.0, 3.0, 101).frequencies()
+        eps_o = 2.9
+        l = C0 / (2 * freqs[40] * 1e9 * math.sqrt(eps_o)) * 1e3
+        mps = [ModeParams(z0e=72.2, z0o=38.9, eps_eff_e=3.2, eps_eff_o=2.7),
+               ModeParams(z0e=54.6, z0o=46.1, eps_eff_e=3.2, eps_eff_o=eps_o)]
+        eps = [(mp.eps_eff_e, mp.eps_eff_o) for mp in mps]
+        index = mwbpf.rfsim._rows(eps, [l, l])
+        zm = np.array([(mp.z0e, mp.z0o) for mp in mps])[..., None]
+        got = _outcome(lambda: mwbpf.rfsim._chain(*mwbpf.rfsim._cascade_block(
+            zm, np.sqrt(eps)[..., None], np.zeros((2, 2, len(freqs))), np.full((2, 1, 1), l),
+            index, freqs)))
+        want = _outcome(lambda: oracle_cascade(
+            oracle_section_twoport(mp, 0.0, 0.0, l, freqs, [None, None]) for mp in mps))
+        assert got == want
+        assert got[1] == [f"section is an exact multiple of pi at {freqs[40]} GHz; nudging by 1 ppm"]
 
 
 def _count_cmath(monkeypatch) -> dict:
@@ -743,7 +781,9 @@ class TestSweepMemory:
     # Lossy physical: 110 % of the per-section sweep this kernel replaced (565
     # and 1910 KB); a pass holds at most _BLOCK angles. Ideal: 105 % of this
     # kernel's own peaks (378 and 1079 KB), whose passes evaluate and hold one
-    # trig row, so the bound stays under the per-section sweep's 461 and 1173 KB
+    # trig row, so the bound stays under the per-section sweep's 461 and 1173 KB.
+    # Evaluating each distinct angle row once, the kernel peaks at 379 and
+    # 1079 KB ideal and 572 and 1274 KB lossy physical (1001 and 10001 points)
     PEAK_BOUND_KB = {(1001, False): 1.05 * 378, (1001, True): 1.10 * 565,
                      (10001, False): 1.05 * 1079, (10001, True): 1.10 * 1910}
 
