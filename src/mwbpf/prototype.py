@@ -33,16 +33,21 @@ def intervals(table: dict[str, str]) -> dict[str, tuple]:
 
 def check_ranges(table: dict[str, tuple], values: dict) -> None:
     """The one range check: a ValueError naming the first value of ``values``
-    (each entry of a tuple as ``name[i]``) outside its interval in ``table``.
-    A value left out, or None (a ``FilterSpec`` without f0), is not checked."""
+    (each entry of a tuple as ``name[i]``) outside its interval in ``table``,
+    or one that is not a real number. A value left out, or None (a
+    ``FilterSpec`` without f0), is not checked."""
     for name, (lo, hi, text) in table.items():
         value = values.get(name)
-        if isinstance(value, (tuple, list)):
-            for i, v in enumerate(value):
-                if not lo <= v <= hi:
-                    raise ValueError(f"{name}[{i}] = {v} must lie in {text}")
-        elif value is not None and not lo <= value <= hi:
-            raise ValueError(f"{name} = {value} must lie in {text}")
+        try:
+            if isinstance(value, (tuple, list)):
+                for i, v in enumerate(value):
+                    if not lo <= v <= hi:
+                        raise ValueError(f"{name}[{i}] = {v} must lie in {text}")
+            elif value is not None and not lo <= value <= hi:
+                raise ValueError(f"{name} = {value} must lie in {text}")
+        except TypeError:  # a str or a complex does not compare with a float
+            what = "hold real numbers" if isinstance(value, (tuple, list)) else "be a real number"
+            raise ValueError(f"{name} = {value!r} must {what} in {text}") from None
 
 
 @dataclass(frozen=True)
@@ -102,9 +107,13 @@ class ChebyshevPrototype:
 
 
 def ripple_height(ripple_db: float) -> float:
-    """Squared ripple height a_m^2 = 10^(ripple/10) - 1 of an equal-ripple response."""
+    """Squared ripple height a_m^2 = 10^(ripple/10) - 1 of an equal-ripple response;
+    math.inf above about 3082.5 dB, where it overflows a double."""
     check_ranges(ChebyshevPrototype.RANGES, {"ripple_db": ripple_db})
-    return 10.0 ** (ripple_db / 10.0) - 1.0
+    try:
+        return 10.0 ** (ripple_db / 10.0) - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def attenuation_height(stop_atten_db: float, ripple_height_sq: float) -> float:

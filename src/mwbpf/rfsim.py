@@ -9,7 +9,6 @@ unitary when lossless.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -102,23 +101,15 @@ class FrequencySweep:
 
 
 # --- coupled-line cascade -----------------------------------------------------
-# A two-port is its chain matrix [[A, B], [C, D]] (B ohm, C siemens), [..., 2, 2].
+# A two-port is its chain matrix [[A, B], [C, D]] (B ohm, C siemens), [..., 2, 2];
+# the kernel stacks its entries as [2, 2, ...].
 
-def _chain(a, b, c, d) -> np.ndarray:
-    return np.stack((a, b, c, d), axis=-1).reshape(np.shape(a) + (2, 2))
-
-
-def _entries(m: np.ndarray):
-    return np.moveaxis(m.reshape(m.shape[:-2] + (4,)), -1, 0)  # a, b, c, d
+def _product(m, n, out=None):
+    """Chain product of stacked two-ports: each entry a * ma + b * mc."""
+    return np.add(m[:, :1] * n[0], m[:, 1:] * n[1], out=out)
 
 
-def _product(m, n):
-    """Entries of the chain product of two-ports given by their entries."""
-    (a, b, c, d), (ma, mb, mc, md) = m, n
-    return a * ma + b * mc, a * mb + b * md, c * ma + d * mc, c * mb + d * md
-
-
-def _cmath(fn, z: np.ndarray) -> np.ndarray:
+def _cmath(fn, z):
     # elementwise cmath: numpy's complex tan differs from cmath.tan in the
     # last ulp, enough to flip a 9-decimal Touchstone field
     return np.fromiter(map(fn, z.ravel().tolist()), complex, count=z.size).reshape(z.shape)
@@ -130,7 +121,7 @@ def _mode_angle(root_eps, alpha, l, f):
     return (w_rad * root_eps / C0 - 1j * alpha) * (l * 1e-3)
 
 
-def _trig(theta: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _trig(theta, index):
     """(sin, tan) [n, 2, P] by cmath of the distinct angle rows ``theta`` [d, P],
     row (i, m) read from ``index[i, m]``: one row is broadcast (``ideal`` mode),
     more are gathered. A sine that overflows is a ValueError."""
@@ -142,50 +133,58 @@ def _trig(theta: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                  for r in rows)
 
 
-def _singular(sin: np.ndarray) -> np.ndarray:
+def _singular(sin):
     return np.minimum(abs(sin[..., 0, :]), abs(sin[..., 1, :])) < 1e-9
 
 
-def _cascade_rows(zm, sin, tan):
-    """Entries (a, b, c, d) [P] of the cascade, from mode sines and tangents
+def _cascade_rows(zm, sin, tan, out):
+    """The cascade [2, 2, P], written into ``out``, from mode sines and tangents
     [n, 2, P]. A section is the even/odd 4-port with its two unused diagonal
     ports open: Z11 = Z22 = -j (Z0e cot(th_e) + Z0o cot(th_o)) / 2 and
     Z12 = Z21 = -j (Z0e csc(th_e) - Z0o csc(th_o)) / 2."""
-    z_self = -0.5j * (zm[:, 0] / tan[:, 0] + zm[:, 1] / tan[:, 1])
-    z_cross = -0.5j * (zm[:, 0] / sin[:, 0] - zm[:, 1] / sin[:, 1])
+    (a, b), (c, d) = m = np.empty((2, 2, len(zm), sin.shape[-1]), complex)  # [2, 2, n, P]
+    for z, fn, op in ((a, tan, np.add), (c, sin, np.subtract)):  # z_self, z_cross
+        np.divide(zm[:, 0], fn[:, 0], out=z)
+        op(z, zm[:, 1] / fn[:, 1], out=z)
+        np.multiply(-0.5j, z, out=z)
     # zero coupling: no transmission path; keep the matrix finite and small
     # enough that cascades of such sections stay finite too
-    z_cross = np.where(abs(z_cross) < 1e-30, 1e-30, z_cross)
-    a = z_self / z_cross
-    m = a, (z_self * z_self - z_cross * z_cross) / z_cross, 1.0 / z_cross, a
-    return functools.reduce(_product, ([x[i] for x in m] for i in range(len(a))))
+    c[abs(c) < 1e-30] = 1e-30
+    np.multiply(a, a, out=b)
+    b -= c * c
+    b /= c
+    a /= c
+    np.divide(1.0, c, out=c)
+    d[...] = a
+    out[...] = m[:, :, 0]
+    for i in range(1, len(zm)):
+        _product(out, m[:, :, i], out)
 
 
-def _cascade_block(zm, root_eps, alpha, l, index, f) -> np.ndarray:
-    """Entries [4, P] of the cascade at the points f [P], in passes of up to
-    ``_BLOCK`` angles: mode impedances ``zm`` and sqrt(eps_eff) ``root_eps``
-    [n, 2, 1], attenuations ``alpha`` [n, 2, P], lengths ``l`` [n, 1, 1]; a
-    pass evaluates each distinct angle row of ``index`` [n, 2] once. A pass
-    with singular points is taken again with them at f (1 + 1e-6). A failing
-    pass raises its first error, a ValueError: a sine that overflows, else a
-    point still singular after the nudge. Each nudged section warns once,
-    after the last pass, so a failing call warns nothing."""
-    nudged, out = [[] for _ in index], np.empty((4, len(f)), complex)
-    sec, mode = np.divmod(np.unique(index, return_index=True)[1], 2)  # each row's first use
-    root_eps, l = root_eps[sec, mode], l[sec, 0]
+def _cascade_block(zm, root_eps, alpha, l, index, sec, f):
+    """The cascade [2, 2, P] at the points f [P], in passes of up to ``_BLOCK``
+    angles: mode impedances ``zm`` [n, 2, 1]; per row (``_rows``) sqrt(eps_eff)
+    ``root_eps`` and length ``l`` [d, 1], attenuation ``alpha`` [d, P] (a number
+    if lossless) and section ``sec`` [d]. A pass evaluates each row once, again
+    with its singular points at f (1 + 1e-6). A failing pass raises its first
+    error, a ValueError: a sine that overflows, else a point still singular
+    after the nudge. Each nudged section warns once, after the last pass, so a
+    failing call warns nothing."""
+    nudged, out = [[] for _ in index], np.empty((2, 2, len(f)), complex)
     step = max(_BLOCK // (2 * len(index)), 1)
     for lo in range(0, len(f), step):
         p, fp = slice(lo, lo + step), f[lo:lo + step]
-        sin, tan = _trig(_mode_angle(root_eps, alpha[sec, mode, p], l, fp), index)
+        ap = alpha[:, p] if np.ndim(alpha) else alpha
+        sin, tan = _trig(_mode_angle(root_eps, ap, l, fp), index)
         if (at := _singular(sin)).any():
             nudge = np.where(at, fp * (1.0 + 1e-6), fp)[sec]
-            sin, tan = _trig(_mode_angle(root_eps, alpha[sec, mode, p], l, nudge), index)
+            sin, tan = _trig(_mode_angle(root_eps, ap, l, nudge), index)
             if (still := _singular(sin).any(axis=0)).any():
                 raise ValueError(f"section is a multiple of pi at {fp[still][0]} GHz "
                                  "and 1 ppm above it")
             for points, row in zip(nudged, at):
                 points += fp[row].tolist()
-        out[:, p] = _cascade_rows(zm, sin, tan)
+        _cascade_rows(zm, sin, tan, out[..., p])
         del sin, tan  # before the next pass allocates its own
     for points in filter(None, nudged):
         warnings.warn(f"section is an exact multiple of pi at {', '.join(map(str, points))} GHz; "
@@ -194,31 +193,38 @@ def _cascade_block(zm, root_eps, alpha, l, index, f) -> np.ndarray:
 
 
 def _rows(eps, lengths):
-    """The angle row [n, 2] of each section and mode: (i, m) is keyed on
-    (eps_eff of mode m, eps_eff_e, eps_eff_o, l) of section i as floats, as a
-    section's nudge reads both its modes. dielectric_loss reads eps_eff only;
-    a term reading more (a conductor loss reads w and Z_m) joins the key."""
+    """The row [n, 2] of each section and mode, and each row's first section [d],
+    eps_eff and l [d, 1]. (i, m) is keyed on (eps_eff of mode m, eps_eff_e,
+    eps_eff_o, l) of section i as floats: a section's nudge reads both modes.
+    A loss term reading more than eps_eff (conductor loss: w, Z_m) joins it."""
     first = {}
-    return np.array([[first.setdefault((e, *pair, l), len(first)) for e in pair]
-                     for pair, l in zip(eps, lengths)])
+    index = np.array([[first.setdefault((e, *pair, l), (len(first), i))[0] for e in pair]
+                      for i, (pair, l) in enumerate(zip(eps, lengths))])
+    key = np.array(list(first))
+    return index, np.array([i for _, i in first.values()]), key[:, :1], key[:, 3:]
+
+
+def _s_params(m, z0, s):
+    """S [..., 2, 2] in a real z0 of stacked two-ports ``m``, written into ``s``.
+    A reciprocal network (a*d - b*c = 1, asserted by the invariant checks) has
+    s21 = s12 = 2/den; multiplying out the determinant would overflow and
+    cancel catastrophically in the zero-coupling limit."""
+    (a, b), (c, d) = m
+    b, c = b / z0, c * z0
+    den = a + b + c + d
+    if (den == 0).any():
+        raise ZeroDivisionError("singular ABCD-to-S conversion")
+    np.divide(a + b - c - d, den, out=s[..., 0, 0])
+    np.divide(2.0, den, out=s[..., 1, 0])
+    s[..., 0, 1] = s[..., 1, 0]
+    np.divide(-a + b - c + d, den, out=s[..., 1, 1])
+    return s
 
 
 def abcd_to_s(m: np.ndarray, z0: float) -> np.ndarray:
-    """Chain matrices [..., 2, 2] to scattering parameters in a real z0.
-
-    Assumes a reciprocal network (a*d - b*c = 1, separately asserted by the
-    invariant checks), so s21 = s12 = 2/den; multiplying out the determinant
-    would overflow and cancel catastrophically in the zero-coupling limit.
-    """
+    """Chain matrices [..., 2, 2] to scattering parameters in a real z0."""
     check_ranges(SParamResult.RANGES, {"z0": z0})
-    a, b, c, d = _entries(m)
-    den = a + b / z0 + c * z0 + d
-    if (den == 0).any():
-        raise ZeroDivisionError("singular ABCD-to-S conversion")
-    s21 = 2.0 / den
-    return _chain(
-        (a + b / z0 - c * z0 - d) / den, s21, s21, (-a + b / z0 - c * z0 + d) / den
-    )
+    return _s_params(np.moveaxis(m, (-2, -1), (0, 1)), z0, np.empty(m.shape, complex))
 
 
 _BLOCK = 4096  # angles (sections x 2 modes x points) per pass: bounds the temporary arrays
@@ -243,13 +249,14 @@ def sweep_pcl(
     dimensions (``analyze_dims``, which bounds their lengths and warns); with
     ``lossy`` it attaches the substrate's dielectric attenuation per frequency.
 
-    A pass takes all sections and modes at once, [sections, 2, points], and
-    evaluates each distinct angle row once (``_rows``): ``ideal`` mode is one
-    row, and mirror sections share their rows. A failing block of 1024 points
-    raises its failing pass's first error (a sine that overflows, else a
-    point still singular after the nudge) and warns nothing. A span whose
-    angle at ``f_stop`` overflows is a ValueError, and so is a response that
-    overflows a double (a section impedance of 1e300 ohm, squared).
+    The sweep keys its distinct angle rows once (``_rows``): ``ideal`` mode
+    is one row, and mirror sections share theirs. A block of 1024 points
+    attenuates each row once, a pass takes its sine and tangent once, and the
+    one S formula (``_s_params``) writes the block. A failing block raises
+    its failing pass's first error (a sine that overflows, else a point still
+    singular after the nudge) and warns nothing. A span whose angle at
+    ``f_stop`` overflows is a ValueError, and so is a response that overflows
+    a double (a section impedance of 1e300 ohm, squared).
     """
     if mode not in ("ideal", "physical"):
         raise ValueError("mode must be 'ideal' or 'physical'")
@@ -264,13 +271,11 @@ def sweep_pcl(
         if lossy:
             raise ValueError("ideal mode is lossless and takes no lossy flag")
         # air-dielectric equivalents: every section exactly a quarter wave at f0
-        section_mps = [
-            ModeParams(z0e=s.z0e, z0o=s.z0o, eps_eff_e=1.0, eps_eff_o=1.0)
-            for s in design.sections
-        ]
+        section_mps = [ModeParams(z0e=s.z0e, z0o=s.z0o, eps_eff_e=1.0, eps_eff_o=1.0)
+                       for s in design.sections]
         lengths = [resonator_length(mp, f0) for mp in section_mps]
 
-    eps = np.array([(mp.eps_eff_e, mp.eps_eff_o) for mp in section_mps])[..., None]
+    index, sec, eps, l = _rows([(mp.eps_eff_e, mp.eps_eff_o) for mp in section_mps], lengths)
     zm = np.array([(mp.z0e, mp.z0o) for mp in section_mps])[..., None]
     # a bound on every angle, at f_stop, must be a finite number before numpy sees one
     if not math.isfinite(_mode_angle(math.sqrt(eps.max()), 0.0, max(lengths), sweep.f_stop).real):
@@ -278,18 +283,15 @@ def sweep_pcl(
     # and the free-space wavelength of the dielectric loss, at f_start
     if lossy and not math.isfinite(C0 / (sweep.f_start * 1e9)):
         raise ValueError(f"f_start = {sweep.f_start} GHz overflows the free-space wavelength")
-    freqs, l = sweep.frequencies(), np.array(lengths)[:, None, None]
-    index = _rows(eps[..., 0].tolist(), lengths)
+    freqs, root_eps = sweep.frequencies(), np.sqrt(eps)
     s = np.empty((len(freqs), 2, 2), complex)
     for lo in range(0, len(freqs), _POINTS):
         f = freqs[lo:lo + _POINTS]
-        # lossless: one zero attenuation, broadcast over every section, mode and point
-        alpha = (dielectric_loss(substrate, eps, f) if lossy
-                 else np.broadcast_to(0.0, eps.shape[:2] + f.shape))
+        alpha = dielectric_loss(substrate, eps, f) if lossy else 0.0
         # an overflow leaves a non-finite S, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _cascade_block(zm, np.sqrt(eps), alpha, l, index, f)
-            s[lo:lo + _POINTS] = abcd_to_s(_chain(*out), design.z0)
+            _s_params(_cascade_block(zm, root_eps, alpha, l, index, sec, f), design.z0,
+                      s[lo:lo + _POINTS])
     if not np.isfinite(s).all():
         raise ValueError("the sections' S-parameters overflow a double")
     return SParamResult(freqs, s, design.z0)
@@ -340,8 +342,9 @@ def sweep_coupling_matrix(
     e = omega - 1j * r[-1]
     for i in range(n - 2, -1, -1):
         e = omega - 1j * r[i] - m[i] ** 2 / e
-    s21 = -2j / math.sqrt(qe1 * qen) * a_n1
-    s = _chain(-1.0 - 2j / qe1 / e, s21, s21, -1.0 - 2j / qen / d)
+    s = np.empty((len(freqs), 2, 2), complex)
+    s[:, 0, 0], s[:, 1, 1] = -1.0 - 2j / qe1 / e, -1.0 - 2j / qen / d
+    s[:, 0, 1] = s[:, 1, 0] = -2j / math.sqrt(qe1 * qen) * a_n1
     return SParamResult(freqs, s, z0)
 
 

@@ -9,7 +9,7 @@ from hypothesis import settings
 from mwbpf.design import synthesize_design
 from mwbpf.materials import MaterialsRegistry
 from mwbpf.prototype import FilterSpec, design_prototype
-from mwbpf.rfsim import _cascade_block, _chain, _entries, _product
+from mwbpf.rfsim import _cascade_block, _product
 
 # HYPOTHESIS_PROFILE=ci prints the reproducing blob of a failing example
 # and drops the deadline, which a shared runner's timing would trip; example
@@ -79,17 +79,19 @@ def section_chain(mp, l, f, alpha=(0.0, 0.0)):
     number or an array over ``f``."""
     f = np.asarray(f, dtype=float)
     points = f.reshape(-1)
-    alphas = np.stack(np.broadcast_arrays(*alpha, points)[:2])[None]
+    alphas = np.stack(np.broadcast_arrays(*alpha, points)[:2])
     zm = np.array([[[mp.z0e], [mp.z0o]]])
-    root_eps = np.array([[[math.sqrt(mp.eps_eff_e)], [math.sqrt(mp.eps_eff_o)]]])
+    root_eps = np.array([[math.sqrt(mp.eps_eff_e)], [math.sqrt(mp.eps_eff_o)]])
     # each mode its own angle row: the attenuations need not follow eps_eff
-    out = _cascade_block(zm, root_eps, alphas, np.array([[[l]]]), np.array([[0, 1]]), points)
-    return _chain(*out).reshape(f.shape + (2, 2))
+    out = _cascade_block(zm, root_eps, alphas, np.array([[l], [l]]), np.array([[0, 1]]),
+                         np.array([0, 0]), points)
+    return np.moveaxis(out, (0, 1), (-2, -1)).reshape(f.shape + (2, 2))
 
 
 def chain_product(*ms):
     """Ordered chain-matrix product of two-ports [..., 2, 2]."""
-    return functools.reduce(lambda m, n: _chain(*_product(_entries(m), _entries(n))), ms)
+    stacked = functools.reduce(_product, (np.moveaxis(m, (-2, -1), (0, 1)) for m in ms))
+    return np.moveaxis(stacked, (0, 1), (-2, -1))
 
 
 @pytest.fixture(scope="session")

@@ -473,6 +473,11 @@ class TestInvalidInput:
         case(SYNTH, ("config", ("spec", "z0_ohm"), 1e-300),
              "synthesis for (z0e=1.44423e-300, z0o=7.7782e-301) did not converge", 4,
              id="synth-z0-1e-300"),
+        # a ripple whose height overflows a double is unsatisfiable, like any
+        # ripple above the stopband attenuation
+        case(SYNTH, ("config", ("spec", "ripple_db"), 1e300),
+             "unsatisfiable specification: stopband attenuation must exceed the passband "
+             "ripple level", 2, id="synth-ripple-1e+300"),
         case(("synth", "--config", "{config}", "--out", "{tmp}/d.json", "--epoch", "inf"),
              None, "timestamp out of range", id="synth-epoch-inf"),
         case(("synth", "--config", "{config}", "--out", "{tmp}/d.json",

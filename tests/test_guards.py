@@ -129,6 +129,20 @@ GUARDS = [
                  "n_points = 2.5 must be an integer", id="frequency-sweep-fractional-points"),
     pytest.param(lambda doc, sub, tmp: FrequencySweep(2.0, 3.0, 3.0), ValueError,
                  "n_points = 3.0 must be an integer", id="frequency-sweep-float-points"),
+    # a value that does not compare with a float names its field, not a TypeError
+    pytest.param(lambda doc, sub, tmp: FrequencySweep(2.0, 3.0, "3"), ValueError,
+                 re.escape("n_points = '3' must be a real number in [2, 1000001]"),
+                 id="frequency-sweep-string-points"),
+    pytest.param(lambda doc, sub, tmp: FilterSpec(
+                     f_lower="2.52", f_upper=2.65, ripple_db=0.01, stop_freq=2.77,
+                     stop_atten_db=25.0),
+                 ValueError, re.escape("f_lower = '2.52' must be a real number in (0, inf)"),
+                 id="filter-spec-string-frequency"),
+    pytest.param(lambda doc, sub, tmp: ChebyshevPrototype(n=2, ripple_db=0.1,
+                                                          g=(1.0, "x", 1.0, 1.0)),
+                 ValueError,
+                 re.escape("g = (1.0, 'x', 1.0, 1.0) must hold real numbers in (0, inf)"),
+                 id="prototype-string-g"),
     pytest.param(lambda doc, sub, tmp: _touchstone(tmp, "! comments only\n"), ValueError,
                  "missing option line or data", id="read-touchstone-no-data"),
     pytest.param(lambda doc, sub, tmp: _touchstone(tmp, "# GHz S RI R 50\n1 0 0 1 0\n"),

@@ -53,6 +53,12 @@ class TestRippleHeight:
         with pytest.raises(ValueError, match=re.escape("ripple_db = inf must lie in (0, inf)")):
             ripple_height(math.inf)
 
+    def test_overflow_is_infinite(self):
+        # 10^(ripple/10) passes the largest double, 10^308.25, at about 3082.5 dB
+        assert math.isfinite(ripple_height(3082.5))
+        for ripple_db in (3082.6, 1e4, 1e300):
+            assert ripple_height(ripple_db) == math.inf
+
 
 class TestAttenuationHeight:
     def test_25db(self):
@@ -118,6 +124,15 @@ class TestFrequencyMapping:
 class TestRequiredOrder:
     def test_paper_spec_gives_four_poles(self, paper_spec):
         assert required_order(paper_spec) == 4
+
+    @pytest.mark.parametrize("stop_atten_db, error", [
+        (25.0, "exceed the passband ripple"), (1e300, "order above MAX_ORDER")])
+    def test_overflowing_ripple_is_unsatisfiable(self, stop_atten_db, error):
+        # a ripple_height that overflows is inf, not an OverflowError
+        spec = FilterSpec(f_lower=2.52, f_upper=2.65, f0=2.58, ripple_db=1e300,
+                          stop_freq=2.77, stop_atten_db=stop_atten_db)
+        with pytest.raises(UnsatisfiableSpec, match=error):
+            required_order(spec)
 
     def test_40db_gives_five(self, paper_spec):
         spec = FilterSpec(

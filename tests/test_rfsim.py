@@ -311,6 +311,30 @@ class TestAbcdToS:
             s = abcd_to_s(section_chain(mp, 29.05, float(f)), 50.0)
             assert abs(abs(s[0, 0]) ** 2 + abs(s[1, 0]) ** 2 - 1.0) < 1e-9
 
+    @given(seed=st.integers(0, 2**32 - 1), z0=st.one_of(st.floats(1e-3, 1e6), st.just(math.nan)),
+           shape=st.sampled_from([(), (7,), (3, 5)]), singular=st.booleans())
+    def test_matches_oracle_bit_for_bit(self, seed, z0, shape, singular):
+        # entries over six decades, some exactly zero, and in half the draws a
+        # point whose denominator a + b/z0 + c z0 + d is 1 + 0 + 0 - 1: the one
+        # S formula that sweep_pcl writes with gives the oracle's bytes or error
+        rng = np.random.default_rng(seed)
+        size = shape + (2, 2)
+        m = ((rng.standard_normal(size) + 1j * rng.standard_normal(size))
+             * 10.0 ** rng.uniform(-3.0, 3.0, size) * (rng.random(size) > 0.1))
+        if singular:
+            m.reshape(-1, 2, 2)[0] = np.diag([1.0, -1.0])
+        if math.isnan(z0):  # the oracle takes any z0; abcd_to_s reads its range
+            with pytest.raises(ValueError, match=re.escape("z0 = nan must lie in (0, inf)")):
+                abcd_to_s(m, z0)
+            return
+        try:
+            want = oracle_abcd_to_s(m, z0)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError, match="singular ABCD-to-S conversion"):
+                abcd_to_s(m, z0)
+        else:
+            assert abcd_to_s(m, z0).tobytes() == want.tobytes()
+
 
 class TestSweepPcl:
     def test_ideal_midband_and_center(self, fr4_design):
@@ -619,6 +643,20 @@ class TestSharedSectionTrig:
                   mode="physical", dims=fr4_design.dims, substrate=fr4)
         assert calls == {"sin": 6 * 10001, "tan": 6 * 10001}
 
+    def test_lossy_physical_sweep_attenuates_each_row_once(self, fr4_design, fr4, monkeypatch):
+        # the dielectric loss runs on the 6 distinct rows' eps_eff [6, 1], once
+        # per block of 1024 points, not on all 10 (sections x modes)
+        shapes = []
+
+        def counted(sub, eps_eff, f):
+            shapes.append((np.shape(eps_eff), np.shape(f)))
+            return dielectric_loss(sub, eps_eff, f)
+
+        monkeypatch.setattr("mwbpf.rfsim.dielectric_loss", counted)
+        sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, 2049),
+                  mode="physical", dims=fr4_design.dims, substrate=fr4, lossy=True)
+        assert shapes == [((6, 1), (1024,)), ((6, 1), (1024,)), ((6, 1), (1,))]
+
     def test_sections_that_all_differ_evaluate_every_row(self, fr4_design, fr4, monkeypatch):
         # sections 3 and 4 one ulp wider than their mirrors 1 and 0: all 10 rows differ
         dims = list(fr4_design.dims)
@@ -641,11 +679,11 @@ class TestSharedSectionTrig:
         mps = [ModeParams(z0e=72.2, z0o=38.9, eps_eff_e=3.2, eps_eff_o=2.7),
                ModeParams(z0e=54.6, z0o=46.1, eps_eff_e=3.2, eps_eff_o=eps_o)]
         eps = [(mp.eps_eff_e, mp.eps_eff_o) for mp in mps]
-        index = mwbpf.rfsim._rows(eps, [l, l])
+        index, sec, row_eps, row_l = mwbpf.rfsim._rows(eps, [l, l])
         zm = np.array([(mp.z0e, mp.z0o) for mp in mps])[..., None]
-        got = _outcome(lambda: mwbpf.rfsim._chain(*mwbpf.rfsim._cascade_block(
-            zm, np.sqrt(eps)[..., None], np.zeros((2, 2, len(freqs))), np.full((2, 1, 1), l),
-            index, freqs)))
+        got = _outcome(lambda: np.moveaxis(mwbpf.rfsim._cascade_block(
+            zm, np.sqrt(row_eps), np.zeros((len(sec), len(freqs))), row_l, index, sec, freqs),
+            (0, 1), (-2, -1)))
         want = _outcome(lambda: oracle_cascade(
             oracle_section_twoport(mp, 0.0, 0.0, l, freqs, [None, None]) for mp in mps))
         assert got == want
@@ -782,8 +820,9 @@ class TestSweepMemory:
     # and 1910 KB); a pass holds at most _BLOCK angles. Ideal: 105 % of this
     # kernel's own peaks (378 and 1079 KB), whose passes evaluate and hold one
     # trig row, so the bound stays under the per-section sweep's 461 and 1173 KB.
-    # Evaluating each distinct angle row once, the kernel peaks at 379 and
-    # 1079 KB ideal and 572 and 1274 KB lossy physical (1001 and 10001 points)
+    # With its stacked sections and S written in place, the kernel peaks at
+    # 385 and 1020 KB ideal and 547 and 1183 KB lossy physical (1001 and 10001
+    # points)
     PEAK_BOUND_KB = {(1001, False): 1.05 * 378, (1001, True): 1.10 * 565,
                      (10001, False): 1.05 * 1079, (10001, True): 1.10 * 1910}
 
