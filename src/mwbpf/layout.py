@@ -119,6 +119,11 @@ class FilterLayout:
     bounds: tuple[float, float] = field(init=False)  # (width, height), mm; 0 x 0 if empty
 
     def __post_init__(self):
+        # min and max skip a NaN that is not first, so each coordinate is checked
+        for i, el in enumerate(self.elements):
+            for x, y in el.polygon:
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"elements[{i}] has a coordinate that is not finite")
         xs = [x for el in self.elements for x, _ in el.polygon]
         ys = [y for el in self.elements for _, y in el.polygon]
         x0, y0 = min(xs, default=0.0), min(ys, default=0.0)
@@ -127,11 +132,16 @@ class FilterLayout:
             raise ValueError("layout extent is not finite")
         elements = tuple(el.moved(-x0, -y0) for el in self.elements)
         # outline boxes: exact for the rectangles of pcl_layout, and the
-        # hairpins of ml_hairpin_layout sit side by side, none inside another's U
-        boxes = [(el.layer_index, _box(el.polygon)) for el in elements]
-        for i, (layer, a) in enumerate(boxes):
-            if any(layer == other and _boxes_intersect(a, b) for other, b in boxes[i + 1 :]):
-                raise ValueError("overlapping polygons on one layer")
+        # hairpins of ml_hairpin_layout sit side by side, none inside another's U.
+        # Sorted by left edge, a box meets none from the first that starts at its right edge
+        boxes = sorted((_box(el.polygon), el.layer_index) for el in elements)
+        for i, (a, layer) in enumerate(boxes):
+            for j in range(i + 1, len(boxes)):
+                b, other = boxes[j]
+                if b[0] >= a[2] - 1e-9:
+                    break
+                if layer == other and _boxes_intersect(a, b):
+                    raise ValueError("overlapping polygons on one layer")
         object.__setattr__(self, "elements", elements)
         ports = tuple(Port(p.name, p.x - x0, p.y - y0) for p in self.ports)
         object.__setattr__(self, "ports", ports)

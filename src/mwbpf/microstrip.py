@@ -208,6 +208,18 @@ def _hammerstad_ln_u(z0: float, er: float) -> float:
 
 # --- Kirschning-Jansen static coupled pair ----------------------------------
 
+# analyze_coupled's results by (w, s, eps_r, h), all that the model reads; the
+# oldest of _MEMO_SIZE entries goes first, and a failing pair is not stored
+_MEMO: dict[tuple[float, float, float, float], ModeParams] = {}
+_MEMO_SIZE = 64
+
+
+def _remember(key: tuple[float, float, float, float], mp: ModeParams) -> None:
+    if len(_MEMO) >= _MEMO_SIZE:
+        del _MEMO[next(iter(_MEMO))]
+    _MEMO[key] = mp
+
+
 def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     """Even/odd-mode impedances and permittivities of a symmetric coupled pair.
 
@@ -216,10 +228,15 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
     power of it that a logarithm reads is), or give a mode impedance that is
     not positive and finite, is a ValueError naming its w and s. The model
     is the composition of its width-only terms, its gap-only terms and the
-    mixed step ``_mode_step``.
+    mixed step ``_mode_step``. A pair evaluated before, here or at the end
+    of ``synthesize_coupled``, is read from ``_MEMO``: the same bits.
     """
     if not (w > 0 and s > 0):
         raise ValueError("width and gap must be positive")
+    key = (w, s, sub.eps_r, sub.h)
+    mp = _MEMO.get(key)
+    if mp is not None:
+        return mp
     try:
         try:
             wt, gt = _width_terms(w, sub), _gap_terms(s, sub)
@@ -229,7 +246,9 @@ def analyze_coupled(w: float, s: float, sub: Substrate) -> ModeParams:
         z0e, z0o, ee_e, ee_o = _mode_step(wt, gt, sub.eps_r)
     except OverflowError:
         raise ValueError(f"coupled pair w={w:g} mm, s={s:g} mm overflows the model") from None
-    return ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
+    mp = ModeParams(z0e=z0e, z0o=z0o, eps_eff_e=ee_e, eps_eff_o=ee_o)
+    _remember(key, mp)
+    return mp
 
 
 def _width_terms(w: float, sub: Substrate) -> tuple:
@@ -346,7 +365,9 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     the width reuses the gap terms, and the one that steps the gap reuses
     the width terms. The 2x2 step (``_solve2``) and the line-search norm
     (``_norm2``) are plain IEEE operations, each rounded on its own, so the
-    dimensions are the same bits on every host.
+    dimensions are the same bits on every host. The converged point's
+    ``ModeParams`` go into ``analyze_coupled``'s memo, so analysing the
+    returned (w, s) on this substrate evaluates nothing.
     """
     if not (z0e > z0o > 0):
         raise ValueError("need z0e > z0o > 0")
@@ -354,15 +375,16 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
 
     # for h and eps_r in Substrate.RANGES the width and gap terms cannot fail in the box,
     # where s/h is about 1e-6-60
-    def modes(wt, gt) -> tuple[float, float] | None:
+    def modes(wt, gt) -> tuple[float, float, float, float] | None:
         try:
-            return _mode_step(wt, gt, er)[:2]
+            return _mode_step(wt, gt, er)
         except (OverflowError, ValueError):  # the fits overflow, or an impedance is not positive
             return None
 
-    def residual(wt, gt) -> tuple[float, float] | None:
+    def residual(wt, gt) -> tuple[float, float, tuple] | None:
+        """The residual of the point, and its ``_mode_step`` result."""
         z = modes(wt, gt)
-        return None if z is None else (math.log(z[0] / z0e), math.log(z[1] / z0o))
+        return None if z is None else (math.log(z[0] / z0e), math.log(z[1] / z0o), z)
 
     lo_w, lo_s = math.log(WIDTH_RANGE_H[0] * h), math.log(GAP_HARD_MIN_MM)
     hi_w, hi_s = math.log(WIDTH_RANGE_H[1] * h), math.log(60.0 * h)
@@ -374,9 +396,12 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
     for _ in range(200):
         if f is None:
             break
-        fe, fo = f
+        fe, fo, z = f
         if max(abs(fe), abs(fo)) < _TOLERANCE:
-            return math.exp(xw), math.exp(xs)
+            w, s = math.exp(xw), math.exp(xs)
+            # analyze_coupled(w, s, sub) composes the same terms of the same w and s
+            _remember((w, s, er, h), ModeParams(*z))
+            return w, s
         cw = residual(_width_terms(math.exp(xw + step), sub), gt)
         cs = residual(wt, _gap_terms(math.exp(xs + step), sub))
         if cw is None or cs is None:
@@ -393,7 +418,7 @@ def synthesize_coupled(z0e: float, z0o: float, sub: Substrate) -> tuple[float, f
             ts = min(max(xs + lam * ds, lo_s), hi_s)
             twt, tgt = _width_terms(math.exp(tw), sub), _gap_terms(math.exp(ts), sub)
             fc = residual(twt, tgt)
-            if fc is not None and _norm2(*fc) < norm_f:
+            if fc is not None and _norm2(fc[0], fc[1]) < norm_f:
                 break
             lam *= 0.5
         else:

@@ -148,7 +148,8 @@ def required_order(spec: FilterSpec) -> int:
     stopband point lies outside [f_lower, f_upper] and maps outside the
     prototype passband (|Omega_s| > 1), the attenuation height a exceeds 1,
     and the order is at most MAX_ORDER. An attenuation height beyond a
-    double counts as above MAX_ORDER.
+    double counts as above MAX_ORDER, and a ripple above g_values' domain
+    (about 331 dB) is unsatisfiable too.
     """
     omega_s = abs(bandpass_to_lowpass(spec.stop_freq, spec.f0, spec.fbw()))
     if omega_s <= 1.0 or spec.f_lower <= spec.stop_freq <= spec.f_upper:
@@ -166,7 +167,15 @@ def required_order(spec: FilterSpec) -> int:
     order = math.acosh(a) / math.acosh(omega_s)
     if not order <= MAX_ORDER:
         raise UnsatisfiableSpec(f"the requirement needs an order above MAX_ORDER = {MAX_ORDER}")
+    if _beta(spec.ripple_db) == 0.0:
+        raise UnsatisfiableSpec(f"ripple_db = {spec.ripple_db:g} is above the prototype's "
+                                f"limit of about 331 dB")
     return max(1, math.ceil(order))
+
+
+def _beta(ripple_db: float) -> float:
+    """g_values' beta = ln(coth(L_Ar / 17.37)); 0 above about 331 dB, where tanh rounds to 1."""
+    return math.log(1.0 / math.tanh(ripple_db / 17.37))
 
 
 def g_values(n: int, ripple_db: float) -> ChebyshevPrototype:
@@ -180,10 +189,14 @@ def g_values(n: int, ripple_db: float) -> ChebyshevPrototype:
         g_1   = 2 a_1 / gamma
         g_k   = 4 a_{k-1} a_k / (b_{k-1} g_{k-1})
         g_{n+1} = 1 for odd n, coth^2(beta/4) for even n
+    Above about 331 dB tanh rounds to 1, so gamma is 0: a ValueError naming ripple_db.
     """
     check_ranges(ChebyshevPrototype.RANGES, {"n": n, "ripple_db": ripple_db})
-    beta = math.log(1.0 / math.tanh(ripple_db / 17.37))
+    beta = _beta(ripple_db)
     gamma = math.sinh(beta / (2.0 * n))
+    if gamma == 0.0:
+        raise ValueError(f"ripple_db = {ripple_db} is above the prototype's limit of "
+                         f"about 331 dB (gamma is 0)")
     a = [math.sin((2 * k - 1) * math.pi / (2 * n)) for k in range(1, n + 1)]
     b = [gamma**2 + math.sin(k * math.pi / n) ** 2 for k in range(1, n + 1)]
     g = [1.0, 2.0 * a[0] / gamma]

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import settings
 
 from mwbpf.design import synthesize_design
 from mwbpf.materials import MaterialsRegistry
+from mwbpf.microstrip import Substrate
 from mwbpf.prototype import FilterSpec, design_prototype
 from mwbpf.rfsim import _cascade_block, _product
 
@@ -92,6 +94,23 @@ def chain_product(*ms):
     """Ordered chain-matrix product of two-ports [..., 2, 2]."""
     stacked = functools.reduce(_product, (np.moveaxis(m, (-2, -1), (0, 1)) for m in ms))
     return np.moveaxis(stacked, (0, 1), (-2, -1))
+
+
+def design_space_case(seed, registry):
+    """A spec and substrate drawn like perfbench's design_space workload."""
+    rng = random.Random(seed)
+    f0 = rng.uniform(1.0, 10.0)
+    bw = rng.uniform(0.02, 0.20) * f0
+    f_lower = (math.sqrt(bw * bw + 4.0 * f0 * f0) - bw) / 2.0
+    spec = FilterSpec(
+        f_lower=f_lower, f_upper=f_lower + bw, f0=f0,
+        ripple_db=rng.choice((0.01, 0.05, 0.1, 0.5)), stop_atten_db=rng.uniform(15.0, 45.0),
+        stop_freq=f_lower + bw * rng.uniform(1.3, 2.5),
+    )
+    if rng.random() < 0.25:
+        return spec, registry.get(rng.choice(("FR4", "RO3003")))
+    return spec, Substrate(name=f"gen{seed}", eps_r=rng.uniform(2.0, 12.0),
+                           tan_d=rng.uniform(0.0, 0.03), h=rng.uniform(0.1, 3.0))
 
 
 @pytest.fixture(scope="session")

@@ -478,6 +478,12 @@ class TestInvalidInput:
         case(SYNTH, ("config", ("spec", "ripple_db"), 1e300),
              "unsatisfiable specification: stopband attenuation must exceed the passband "
              "ripple level", 2, id="synth-ripple-1e+300"),
+        # a ripple above about 331 dB, where the g-value recursion's gamma is 0,
+        # under an attenuation for which required_order grants an order
+        case(SYNTH, ("config", ("spec",),
+                     dict(PAPER_CONFIG["spec"], ripple_db=340.0, stop_atten_db=400.0)),
+             "unsatisfiable specification: ripple_db = 340 is above the prototype's limit "
+             "of about 331 dB", 2, id="synth-ripple-340"),
         case(("synth", "--config", "{config}", "--out", "{tmp}/d.json", "--epoch", "inf"),
              None, "timestamp out of range", id="synth-epoch-inf"),
         case(("synth", "--config", "{config}", "--out", "{tmp}/d.json",
@@ -919,12 +925,19 @@ class TestEveryInputField:
         # whatever the sample: section impedances whose product underflows
         # or overflows a double
         cases += [(("spec", "z0_ohm"), 1e-300), (("spec", "z0_ohm"), 1e300)]
+        # and ripples inside the range but past the g-value recursion's domain
+        # (gamma is 0 above about 331 dB), each under a stop attenuation for
+        # which required_order grants an order
+        cases += [(("spec", "ripple_db"), 340.0, 400.0), (("spec", "ripple_db"), 3000.0, 3060.0)]
         monkeypatch.chdir(tmp_path)
         problems = []
-        for path, value in cases:
-            Path("config.json").write_text(json.dumps(_edited(PAPER_CONFIG, path, value)))
+        for path, value, *atten in cases:
+            config = _edited(PAPER_CONFIG, path, value)
+            for stop_atten_db in atten:
+                config = _edited(config, ("spec", "stop_atten_db"), stop_atten_db)
+            Path("config.json").write_text(json.dumps(config))
             for command in self.CONFIG_COMMANDS:
-                where = f"{'.'.join(path)} = {value!r}, {' '.join(command)}"
+                where = f"{'.'.join(path)} = {value!r}{atten or ''}, {' '.join(command)}"
                 # compare runs both built-in substrates, whatever the config names
                 self._run(command, where, value, problems, capsys,
                           may_pass=path == ("substrate",))

@@ -16,6 +16,7 @@ from mwbpf.layout import (
     Port,
     Stackup,
     StackupLayer,
+    _rect_element,
     export_svg,
     hairpin_fold,
     ml_hairpin_layout,
@@ -232,6 +233,21 @@ class TestLayoutValidation:
         with pytest.raises(ValueError, match="finite"):
             pcl_layout([huge, huge], feed_width=1.5, stackup=single_layer_stackup(fr4))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index, vertex, axis", [(0, 0, 0), (1, 2, 1)],
+                             ids=["first", "later"])
+    def test_non_finite_coordinate_rejected(self, fr4, value, index, vertex, axis):
+        # min and max skip a NaN that is not the first value, so a later one
+        # left the extent finite and reached export_svg
+        polygons = [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                    [[2.0, 0.0], [3.0, 0.0], [3.0, 1.0], [2.0, 1.0]]]
+        polygons[index][vertex][axis] = value
+        elements = tuple(LayoutElement(0, tuple(map(tuple, p))) for p in polygons)
+        with pytest.raises(ValueError, match=re.escape(
+                f"elements[{index}] has a coordinate that is not finite")):
+            FilterLayout(elements=elements, ports=(Port("P1", 0, 0), Port("P2", 3, 1)),
+                         stackup=single_layer_stackup(fr4))
+
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -374,6 +390,46 @@ class TestOverlapRule:
             FilterLayout(elements=(LayoutElement(0, hp.outline), LayoutElement(0, inside)),
                          ports=(Port("P1", 0, 0), Port("P2", 6, 0)),
                          stackup=single_layer_stackup(fr4))
+
+
+class TestOverlapScan:
+    """FilterLayout's left-edge-sorted scan refuses a layout exactly where
+    the all-pairs check of its outline boxes finds a same-layer overlap."""
+
+    def test_same_refusals_as_all_pairs(self, fr4):
+        rng = random.Random(31)
+
+        def coordinate():
+            # a coarse grid, so that edges meet, moved now and then by less
+            # than the 1e-9 tolerance or by a little more
+            return rng.randint(0, 8) + rng.choice((0.0, 0.0, 0.0, 5e-10, -5e-10, 2e-9, -2e-9))
+
+        refused = built = touching = 0
+        for _ in range(3000):
+            drawn = []
+            for _ in range(rng.randint(2, 8)):
+                x0, y0 = coordinate(), coordinate()
+                drawn.append((rng.randint(0, 1), (x0, y0, x0 + rng.randint(1, 3) + rng.choice(
+                    (0.0, 5e-10)), y0 + rng.randint(1, 3))))
+            x0 = min(r[0] for _, r in drawn)
+            y0 = min(r[1] for _, r in drawn)
+            placed = [(layer, _moved_rects([r], -x0, -y0)[0]) for layer, r in drawn]
+            expected = any(la == lb and _rects_intersect(a, b)
+                           for i, (la, a) in enumerate(placed) for lb, b in placed[i + 1:])
+            elements = tuple(_rect_element(layer, *r) for layer, r in drawn)
+            try:
+                FilterLayout(elements=elements, ports=(Port("P1", 0, 0), Port("P2", 1, 1)),
+                             stackup=multilayer_stackup(fr4))
+            except ValueError as exc:
+                assert expected and "overlapping polygons on one layer" in str(exc)
+                refused += 1
+            else:
+                assert not expected
+                built += 1
+                # same-layer boxes whose x ranges meet within the tolerance
+                touching += any(la == lb and 0 < min(a[2], b[2]) - max(a[0], b[0]) <= 1e-9
+                                for i, (la, a) in enumerate(placed) for lb, b in placed[i + 1:])
+        assert refused >= 500 and built >= 500 and touching >= 50
 
 
 class TestSvgExport:

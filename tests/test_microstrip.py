@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import mwbpf
 import mwbpf.microstrip
 from mwbpf.coupling import design_coupling
-from mwbpf.design import DesignDocument, synthesize_design, to_dict
+from mwbpf.design import DesignDocument, design_layout, simulate, synthesize_design, to_dict
 from mwbpf.microstrip import (
     C0,
     ETA0,
@@ -39,8 +40,16 @@ from mwbpf.microstrip import (
 )
 
 from mwbpf.prototype import FilterSpec, design_prototype
+from mwbpf.rfsim import FrequencySweep
 
-from conftest import PAPER_SPEC, TABLE1_ZE, TABLE1_ZO, TABLE2_FR4, TABLE3_RO3003
+from conftest import (
+    PAPER_SPEC,
+    TABLE1_ZE,
+    TABLE1_ZO,
+    TABLE2_FR4,
+    TABLE3_RO3003,
+    design_space_case,
+)
 
 # the closed ends of the permittivities and heights a Substrate takes
 EPS_R_RANGE = Substrate.RANGES["eps_r"][:2]
@@ -469,6 +478,104 @@ class TestAnalyzeDims:
         good, bad = CoupledSectionDims(2000.0, 500.0, 10.0), CoupledSectionDims(2000.0, 1e-322, 10.0)
         with pytest.raises(ValueError, match=r"^dims_mm\[1\]: coupled pair .* underflows"):
             analyze_dims([good, bad, good, bad, good], tall, 2.58)
+
+
+class TestPairMemo:
+    """``analyze_coupled``'s memo: the Newton stores its converged point, a
+    hit is the bits of a fresh evaluation, and the memo holds at most its
+    bound and no failing pair. Each test starts with an empty memo."""
+
+    @pytest.fixture(autouse=True)
+    def memo(self, monkeypatch):
+        monkeypatch.setattr(mwbpf.microstrip, "_MEMO", {})
+        return mwbpf.microstrip._MEMO
+
+    @staticmethod
+    def count_mode_steps(monkeypatch):
+        calls, real = [], mwbpf.microstrip._mode_step
+
+        def counting(wt, gt, er):
+            calls.append((wt[0], gt[0]))  # (w, s)
+            return real(wt, gt, er)
+
+        monkeypatch.setattr(mwbpf.microstrip, "_mode_step", counting)
+        return calls
+
+    @pytest.mark.parametrize("board", ["fr4", "ro3003"])
+    def test_sweep_and_layout_of_a_new_design_evaluate_nothing(self, request, board,
+                                                               monkeypatch):
+        sub = request.getfixturevalue(board)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            doc = synthesize_design(FilterSpec(**PAPER_SPEC), sub, created="x")
+            calls = self.count_mode_steps(monkeypatch)
+            simulate(doc, sub, "physical", FrequencySweep(2.3, 2.9, 21), lossy=True)
+            design_layout(doc, sub, "pcl")
+        assert calls == []
+
+    def test_newton_stores_the_oracle_bits(self, registry, fr4, ro3003, memo):
+        # each section's converged point, analysed again, is a hit, and a hit
+        # is the model in one piece, bit for bit
+        cases = [(FilterSpec(**PAPER_SPEC), fr4), (FilterSpec(**PAPER_SPEC), ro3003)]
+        cases += [design_space_case(seed, registry) for seed in range(60)]
+        hits = 0
+        for spec, sub in cases:
+            try:
+                coupling = design_coupling(design_prototype(spec), spec.fbw(), spec.z0)
+            except ValueError:
+                continue
+            for section in coupling.sections:
+                try:
+                    w, s = synthesize_coupled(section.z0e, section.z0o, sub)
+                except (ValueError, RuntimeError):
+                    continue
+                stored = memo[w, s, sub.eps_r, sub.h]
+                assert analyze_coupled(w, s, sub) is stored
+                assert hexes(vars(stored).values()) == hexes(
+                    vars(oracle_analyze_coupled(w, s, sub)).values())
+                hits += 1
+        assert hits >= 200
+
+    def test_holds_at_most_its_bound_oldest_first(self, fr4, memo):
+        size = mwbpf.microstrip._MEMO_SIZE
+        pairs = [(1.0 + i / 64.0, 0.5) for i in range(3 * size)]
+        for k, (w, s) in enumerate(pairs):
+            analyze_coupled(w, s, fr4)
+            assert len(memo) == min(k + 1, size)
+        assert [key[:2] for key in memo] == pairs[-size:]
+        # the Newton's stores are bounded alike
+        w, s = synthesize_coupled(72.21, 38.89, fr4)
+        assert len(memo) == size and list(memo)[-1] == (w, s, fr4.eps_r, fr4.h)
+
+    def test_failing_pair_is_not_stored(self, fr4, memo):
+        tall = Substrate(name="tall", eps_r=4.3, tan_d=0.0, h=1000.0)
+        for w, s, sub, error in [(2000.0, 1e-322, tall, "underflows"),
+                                 (2.4, 1e300, fr4, "overflows"),
+                                 (0.1587, 0.001, fr4, "not positive and finite")]:
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValueError, match=error) as exc:
+                    analyze_coupled(w, s, sub)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+        # nor a Newton that ends without converging
+        sub = Substrate(name="g", eps_r=5.845842283223225, tan_d=0.0, h=2.5430386727037426)
+        with pytest.raises(CouplingUnreachable):
+            synthesize_coupled(337.267, 80.273, sub)
+        assert memo == {}
+
+    def test_key_is_what_the_model_reads(self, fr4, monkeypatch):
+        first = analyze_coupled(2.4, 0.4, fr4)
+        calls = self.count_mode_steps(monkeypatch)
+        # a substrate that differs in fields the model does not read hits
+        for change in (dict(name="other"), dict(tan_d=0.0), dict(t=0.0),
+                       dict(conductivity=1e7)):
+            assert analyze_coupled(2.4, 0.4, dataclasses.replace(fr4, **change)) is first
+        assert calls == []
+        # one that differs in h or eps_r evaluates anew
+        analyze_coupled(2.4, 0.4, dataclasses.replace(fr4, h=1.7))
+        analyze_coupled(2.4, 0.4, dataclasses.replace(fr4, eps_r=4.4))
+        assert len(calls) == 2
 
 
 class TestCheckFitRange:

@@ -13,6 +13,7 @@ from mwbpf.prototype import (
     UnsatisfiableSpec,
     attenuation_height,
     bandpass_to_lowpass,
+    design_prototype,
     g_values,
     required_order,
     ripple_height,
@@ -133,6 +134,19 @@ class TestRequiredOrder:
                           stop_freq=2.77, stop_atten_db=stop_atten_db)
         with pytest.raises(UnsatisfiableSpec, match=error):
             required_order(spec)
+
+    @pytest.mark.parametrize("ripple_db, stop_atten_db", [(340.0, 400.0), (3000.0, 3060.0)])
+    def test_ripple_above_the_prototype_is_unsatisfiable(self, ripple_db, stop_atten_db,
+                                                         monkeypatch):
+        # the order is granted (5), but g_values' gamma would be 0: the spec
+        # ends here and never reaches the recursion
+        monkeypatch.setattr("mwbpf.prototype.g_values",
+                            lambda n, ripple_db: pytest.fail("g_values called"))
+        spec = FilterSpec(f_lower=2.52, f_upper=2.65, f0=2.58, ripple_db=ripple_db,
+                          stop_freq=2.77, stop_atten_db=stop_atten_db)
+        with pytest.raises(UnsatisfiableSpec, match=re.escape(
+                f"ripple_db = {ripple_db:g} is above the prototype's limit of about 331 dB")):
+            design_prototype(spec)
 
     def test_40db_gives_five(self, paper_spec):
         spec = FilterSpec(
@@ -291,6 +305,15 @@ class TestGValues:
                 want = 1.0 / math.tanh(beta / 4.0) ** 2
                 assert proto.g[-1] == pytest.approx(want, rel=1e-12)
                 assert proto.g[-1] != 1.0
+
+    def test_zero_gamma_is_refused(self):
+        # tanh(ripple / 17.37) rounds to 1 above about 331.099 dB, so beta and
+        # gamma = sinh(beta / 2n) are 0, and g_1 = 2 a_1 / gamma has no value
+        assert all(map(math.isfinite, g_values(4, 331.0).g))
+        for ripple_db in (331.1, 340.0, 3000.0, 1e300):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"ripple_db = {ripple_db} is above the prototype's limit of about 331 dB")):
+                g_values(4, ripple_db)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 import cmath
 import math
-import random
 import re
 import tracemalloc
 import types
@@ -45,7 +44,7 @@ from mwbpf.rfsim import (
     sweep_pcl,
 )
 
-from conftest import chain_product, section_chain
+from conftest import chain_product, design_space_case, section_chain
 
 SWEEP = FrequencySweep(2.0, 3.0, 1001)
 
@@ -705,23 +704,6 @@ def _count_cmath(monkeypatch) -> dict:
     return calls
 
 
-def _design_space_case(seed, registry):
-    """A spec and substrate drawn like perfbench's design_space workload."""
-    rng = random.Random(seed)
-    f0 = rng.uniform(1.0, 10.0)
-    bw = rng.uniform(0.02, 0.20) * f0
-    f_lower = (math.sqrt(bw * bw + 4.0 * f0 * f0) - bw) / 2.0
-    spec = FilterSpec(
-        f_lower=f_lower, f_upper=f_lower + bw, f0=f0,
-        ripple_db=rng.choice((0.01, 0.05, 0.1, 0.5)), stop_atten_db=rng.uniform(15.0, 45.0),
-        stop_freq=f_lower + bw * rng.uniform(1.3, 2.5),
-    )
-    if rng.random() < 0.25:
-        return spec, registry.get(rng.choice(("FR4", "RO3003")))
-    return spec, Substrate(name=f"gen{seed}", eps_r=rng.uniform(2.0, 12.0),
-                           tan_d=rng.uniform(0.0, 0.03), h=rng.uniform(0.1, 3.0))
-
-
 def _outcome(fn):
     """(S bytes or the error, the SingularFrequencyWarning messages) of a sweep."""
     with warnings.catch_warnings(record=True) as rec:
@@ -741,7 +723,7 @@ class TestBatchedKernelMatchesOracle:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_design_space_sweeps(self, registry, seed):
-        spec, sub = _design_space_case(seed, registry)
+        spec, sub = design_space_case(seed, registry)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
