@@ -124,6 +124,9 @@ class FilterLayout:
             for x, y in el.polygon:
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ValueError(f"elements[{i}] has a coordinate that is not finite")
+        for i, port in enumerate(self.ports):
+            if not (math.isfinite(port.x) and math.isfinite(port.y)):
+                raise ValueError(f"ports[{i}] has a coordinate that is not finite")
         xs = [x for el in self.elements for x, _ in el.polygon]
         ys = [y for el in self.elements for _, y in el.polygon]
         x0, y0 = min(xs, default=0.0), min(ys, default=0.0)

@@ -307,24 +307,22 @@ def _mode_step(wt: tuple, gt: tuple, er: float) -> tuple[float, float, float, fl
 
 def analyze_dims(dims, sub: Substrate, f0: float) -> list[ModeParams]:
     """``analyze_coupled`` and the validity step ``check_fit_range`` of each
-    section, an error naming it as ``dims_mm[i]``. Sections whose (w, s) are
-    equal share one ``analyze_coupled`` result, so a failing pair is named
-    at its first index. No model reads a length, so one above the free-space
-    wavelength at ``f0`` GHz (eps_eff >= 1) is refused."""
+    section, an error naming it as ``dims_mm[i]``. ``_MEMO`` evaluates equal
+    (w, s) once and never stores a failing pair, so it is named at its first
+    index. No model reads a length, so one above the free-space wavelength
+    at ``f0`` GHz (eps_eff >= 1) is refused."""
     if not f0 > 0:
         raise ValueError("f0 must be positive")
     wavelength = C0 / (f0 * 1e9) * 1e3
-    mps, analyzed = [], {}
+    mps = []
     for i, d in enumerate(dims):
         if d.l > wavelength:
             raise ValueError(f"dims_mm[{i}].l = {d.l:g} mm is longer than the free-space "
                              f"wavelength {wavelength:g} mm at f0")
-        if (d.w, d.s) not in analyzed:
-            try:
-                analyzed[d.w, d.s] = analyze_coupled(d.w, d.s, sub)
-            except ValueError as exc:
-                raise ValueError(f"dims_mm[{i}]: {exc}") from None
-        mps.append(analyzed[d.w, d.s])
+        try:
+            mps.append(analyze_coupled(d.w, d.s, sub))
+        except ValueError as exc:
+            raise ValueError(f"dims_mm[{i}]: {exc}") from None
         check_fit_range(d.w, d.s, sub)
     return mps
 

@@ -121,20 +121,16 @@ def _mode_angle(root_eps, alpha, l, f):
     return (w_rad * root_eps / C0 - 1j * alpha) * (l * 1e-3)
 
 
-def _trig(theta, index):
-    """(sin, tan) [n, 2, P] by cmath of the distinct angle rows ``theta`` [d, P],
-    row (i, m) read from ``index[i, m]``: one row is broadcast (``ideal`` mode),
-    more are gathered. A sine that overflows is a ValueError."""
+def _trig(theta):
+    """(sin, tan) of the angles ``theta`` by cmath; a sine that overflows is a ValueError."""
     try:
-        rows = [_cmath(fn, theta) for fn in (cmath.sin, cmath.tan)]
+        return [_cmath(fn, theta) for fn in (cmath.sin, cmath.tan)]
     except OverflowError:
         raise ValueError("section attenuation overflows the sine; narrow the span") from None
-    return tuple(np.broadcast_to(r, index.shape + r.shape[1:]) if len(r) == 1 else r[index]
-                 for r in rows)
 
 
 def _singular(sin):
-    return np.minimum(abs(sin[..., 0, :]), abs(sin[..., 1, :])) < 1e-9
+    return abs(sin).min(axis=1) < 1e-9
 
 
 def _cascade_rows(zm, sin, tan, out):
@@ -161,47 +157,39 @@ def _cascade_rows(zm, sin, tan, out):
         _product(out, m[:, :, i], out)
 
 
-def _cascade_block(zm, root_eps, alpha, l, index, sec, f):
+def _cascade_block(zm, root_eps, alpha, l, index, f):
     """The cascade [2, 2, P] at the points f [P], in passes of up to ``_BLOCK``
-    angles: mode impedances ``zm`` [n, 2, 1]; per row (``_rows``) sqrt(eps_eff)
-    ``root_eps`` and length ``l`` [d, 1], attenuation ``alpha`` [d, P] (a number
-    if lossless) and section ``sec`` [d]. A pass evaluates each row once, again
-    with its singular points at f (1 + 1e-6). A failing pass raises its first
-    error, a ValueError: a sine that overflows, else a point still singular
-    after the nudge. Each nudged section warns once, after the last pass, so a
-    failing call warns nothing."""
+    angles: mode impedances ``zm`` [n, 2, 1]; per distinct section sqrt(eps_eff)
+    ``root_eps`` [d, m, 1] (m = 2 modes, or 1 row for both), attenuation
+    ``alpha`` [d, m, P] (a number if lossless) and length ``l`` [d, 1, 1];
+    section i is distinct section ``index[i]``. A pass evaluates each distinct
+    section once, again with its singular points at f (1 + 1e-6). A failing
+    pass raises its first error, a ValueError: a sine that overflows, else a
+    point still singular after the nudge. Each nudged section warns once,
+    after the last pass, so a failing call warns nothing."""
     nudged, out = [[] for _ in index], np.empty((2, 2, len(f)), complex)
     step = max(_BLOCK // (2 * len(index)), 1)
     for lo in range(0, len(f), step):
         p, fp = slice(lo, lo + step), f[lo:lo + step]
-        ap = alpha[:, p] if np.ndim(alpha) else alpha
-        sin, tan = _trig(_mode_angle(root_eps, ap, l, fp), index)
+        ap = alpha[..., p] if np.ndim(alpha) else alpha
+        sin, tan = _trig(_mode_angle(root_eps, ap, l, fp))
         if (at := _singular(sin)).any():
-            nudge = np.where(at, fp * (1.0 + 1e-6), fp)[sec]
-            sin, tan = _trig(_mode_angle(root_eps, ap, l, nudge), index)
+            nudge = np.where(at, fp * (1.0 + 1e-6), fp)[:, None]
+            sin, tan = _trig(_mode_angle(root_eps, ap, l, nudge))
             if (still := _singular(sin).any(axis=0)).any():
                 raise ValueError(f"section is a multiple of pi at {fp[still][0]} GHz "
                                  "and 1 ppm above it")
-            for points, row in zip(nudged, at):
+            for points, row in zip(nudged, at[index]):
                 points += fp[row].tolist()
+        # to [n, 2, P], rebound so that the distinct rows are freed before _cascade_rows allocates
+        sin, tan = [np.broadcast_to(r, (len(index), 2, len(fp))) if len(r) == 1 else r[index]
+                    for r in (sin, tan)]
         _cascade_rows(zm, sin, tan, out[..., p])
         del sin, tan  # before the next pass allocates its own
     for points in filter(None, nudged):
         warnings.warn(f"section is an exact multiple of pi at {', '.join(map(str, points))} GHz; "
                       "nudging by 1 ppm", SingularFrequencyWarning)
     return out
-
-
-def _rows(eps, lengths):
-    """The row [n, 2] of each section and mode, and each row's first section [d],
-    eps_eff and l [d, 1]. (i, m) is keyed on (eps_eff of mode m, eps_eff_e,
-    eps_eff_o, l) of section i as floats: a section's nudge reads both modes.
-    A loss term reading more than eps_eff (conductor loss: w, Z_m) joins it."""
-    first = {}
-    index = np.array([[first.setdefault((e, *pair, l), (len(first), i))[0] for e in pair]
-                      for i, (pair, l) in enumerate(zip(eps, lengths))])
-    key = np.array(list(first))
-    return index, np.array([i for _, i in first.values()]), key[:, :1], key[:, 3:]
 
 
 def _s_params(m, z0, s):
@@ -249,10 +237,11 @@ def sweep_pcl(
     dimensions (``analyze_dims``, which bounds their lengths and warns); with
     ``lossy`` it attaches the substrate's dielectric attenuation per frequency.
 
-    The sweep keys its distinct angle rows once (``_rows``): ``ideal`` mode
-    is one row, and mirror sections share theirs. A block of 1024 points
-    attenuates each row once, a pass takes its sine and tangent once, and the
-    one S formula (``_s_params``) writes the block. A failing block raises
+    The sweep keys each ``physical`` section on its dimensions (w, s, l), so
+    mirror sections are one distinct section; ``ideal`` mode is one distinct
+    section of one angle row. A block of 1024 points attenuates each distinct
+    section once, a pass takes its sines and tangents once, and the one S
+    formula (``_s_params``) writes the block. A failing block raises
     its failing pass's first error (a sine that overflows, else a point still
     singular after the nudge) and warns nothing. A span whose angle at
     ``f_stop`` overflows is a ValueError, and so is a response that overflows
@@ -266,16 +255,21 @@ def sweep_pcl(
         if len(dims) != len(design.sections):
             raise ValueError("dims count must match the section count")
         section_mps = analyze_dims(dims, substrate, f0)
-        lengths = [d.l for d in dims]
+        first = {}  # a distinct section's (w, s, l): its number and modes
+        index = [first.setdefault((d.w, d.s, d.l), (len(first), mp))[0]
+                 for d, mp in zip(dims, section_mps)]
+        eps = np.array([(mp.eps_eff_e, mp.eps_eff_o) for _, mp in first.values()])
+        lengths = [key[2] for key in first]
     else:
         if lossy:
             raise ValueError("ideal mode is lossless and takes no lossy flag")
-        # air-dielectric equivalents: every section exactly a quarter wave at f0
+        # air-dielectric equivalents: every section exactly a quarter wave at f0,
+        # so all are one distinct section whose modes share one row
         section_mps = [ModeParams(z0e=s.z0e, z0o=s.z0o, eps_eff_e=1.0, eps_eff_o=1.0)
                        for s in design.sections]
-        lengths = [resonator_length(mp, f0) for mp in section_mps]
+        index, eps = [0] * len(section_mps), np.ones((1, 1))
+        lengths = [resonator_length(section_mps[0], f0)]
 
-    index, sec, eps, l = _rows([(mp.eps_eff_e, mp.eps_eff_o) for mp in section_mps], lengths)
     zm = np.array([(mp.z0e, mp.z0o) for mp in section_mps])[..., None]
     # a bound on every angle, at f_stop, must be a finite number before numpy sees one
     if not math.isfinite(_mode_angle(math.sqrt(eps.max()), 0.0, max(lengths), sweep.f_stop).real):
@@ -283,6 +277,7 @@ def sweep_pcl(
     # and the free-space wavelength of the dielectric loss, at f_start
     if lossy and not math.isfinite(C0 / (sweep.f_start * 1e9)):
         raise ValueError(f"f_start = {sweep.f_start} GHz overflows the free-space wavelength")
+    eps, l, index = eps[..., None], np.array(lengths)[:, None, None], np.array(index)
     freqs, root_eps = sweep.frequencies(), np.sqrt(eps)
     s = np.empty((len(freqs), 2, 2), complex)
     for lo in range(0, len(freqs), _POINTS):
@@ -290,7 +285,7 @@ def sweep_pcl(
         alpha = dielectric_loss(substrate, eps, f) if lossy else 0.0
         # an overflow leaves a non-finite S, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            _s_params(_cascade_block(zm, root_eps, alpha, l, index, sec, f), design.z0,
+            _s_params(_cascade_block(zm, root_eps, alpha, l, index, f), design.z0,
                       s[lo:lo + _POINTS])
     if not np.isfinite(s).all():
         raise ValueError("the sections' S-parameters overflow a double")

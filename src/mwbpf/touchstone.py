@@ -166,13 +166,16 @@ def read_touchstone(path: str | Path) -> SParamResult:
     if rows.shape[1] != 9:
         raise ValueError("expected 9 columns per two-port data line")
     a, b = rows[:, 1::2], rows[:, 2::2]  # S11, S21, S12, S22 pairs
-    if fmt == "ri":
-        s = a + 1j * b
-    elif fmt in ("ma", "db"):
-        mag = a if fmt == "ma" else 10 ** (a / 20.0)
-        s = mag * np.cos(np.radians(b)) + 1j * (mag * np.sin(np.radians(b)))
-    else:
-        raise ValueError(f"unsupported format {fmt!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below: nan, inf, dB overflow
+        if fmt == "ri":
+            s = a + 1j * b
+        elif fmt in ("ma", "db"):
+            mag = a if fmt == "ma" else 10 ** (a / 20.0)
+            s = mag * np.cos(np.radians(b)) + 1j * (mag * np.sin(np.radians(b)))
+        else:
+            raise ValueError(f"unsupported format {fmt!r}")
+    if not (finite := np.isfinite(rows).all(axis=1) & np.isfinite(s).all(axis=1)).all():
+        raise ValueError(f"data line {data[np.argmin(finite)]!r} has a value that is not finite")
     return SParamResult(
         rows[:, 0] * _UNIT_SCALE[unit], s[:, [0, 2, 1, 3]].reshape(-1, 2, 2), float(z0_s)
     )

@@ -81,12 +81,11 @@ def section_chain(mp, l, f, alpha=(0.0, 0.0)):
     number or an array over ``f``."""
     f = np.asarray(f, dtype=float)
     points = f.reshape(-1)
-    alphas = np.stack(np.broadcast_arrays(*alpha, points)[:2])
+    alphas = np.stack(np.broadcast_arrays(*alpha, points)[:2])[None]
     zm = np.array([[[mp.z0e], [mp.z0o]]])
-    root_eps = np.array([[math.sqrt(mp.eps_eff_e)], [math.sqrt(mp.eps_eff_o)]])
-    # each mode its own angle row: the attenuations need not follow eps_eff
-    out = _cascade_block(zm, root_eps, alphas, np.array([[l], [l]]), np.array([[0, 1]]),
-                         np.array([0, 0]), points)
+    root_eps = np.array([[[math.sqrt(mp.eps_eff_e)], [math.sqrt(mp.eps_eff_o)]]])
+    # one distinct section of two mode rows: the attenuations need not follow eps_eff
+    out = _cascade_block(zm, root_eps, alphas, np.array([[[l]]]), np.array([0]), points)
     return np.moveaxis(out, (0, 1), (-2, -1)).reshape(f.shape + (2, 2))
 
 

@@ -20,7 +20,10 @@ from mwbpf.coupling import (
 from mwbpf.design import design_layout
 from mwbpf.layout import (
     GEOMETRY_RANGES,
+    FilterLayout,
     Hairpin,
+    LayoutElement,
+    Port,
     StackupLayer,
     hairpin_fold,
     ml_hairpin_layout,
@@ -47,6 +50,7 @@ from mwbpf.rfsim import (
 from mwbpf.touchstone import read_touchstone
 
 HAIRPIN = Hairpin(w=1.0, arm_gap=4.0, arm_length=10.0)
+SQUARE = LayoutElement(0, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 SWEEP = FrequencySweep(2.0, 3.0, 11)
 
 
@@ -94,6 +98,13 @@ GUARDS = [
                      [HAIRPIN] * 4, 1.0, multilayer_stackup(sub), planar_gap=0.0),
                  ValueError, r"planar_gap = 0.0 must lie in \(0, inf\)",
                  id="ml-hairpin-layout-planar-gap"),
+    # the builders place ports from finite geometry; a hand-built layout may not
+    *(pytest.param(lambda doc, sub, tmp, ports=ports: FilterLayout(
+                       elements=(SQUARE,), ports=ports, stackup=single_layer_stackup(sub)),
+                   ValueError, re.escape(f"ports[{i}] has a coordinate that is not finite"),
+                   id=f"filter-layout-port-{name}")
+      for i, name, ports in ((0, "nan", (Port("P1", math.nan, 0.0), Port("P2", 1.0, 1.0))),
+                             (1, "inf", (Port("P1", 0.0, 0.0), Port("P2", 1.0, math.inf))))),
     pytest.param(lambda doc, sub, tmp: analyze_dims(doc.dims, sub, 0.0), ValueError,
                  "f0 must be positive", id="analyze-dims-f0"),
     pytest.param(lambda doc, sub, tmp: dielectric_loss(sub, 3.0, np.array([2.5, 0.0])),
@@ -164,6 +175,19 @@ GUARDS = [
     pytest.param(lambda doc, sub, tmp: _touchstone(
                      tmp, "# GHz S RI R -50\n1 0 0 1 0 1 0 0 0\n"),
                  ValueError, r"z0 = -50.0 must lie in \(0, inf\)", id="read-touchstone-z0"),
+    # numpy reads nan and inf as floats, and 1e308 dB overflows; a response holds none
+    pytest.param(lambda doc, sub, tmp: _touchstone(
+                     tmp, "# GHz S RI R 50\n1 0 0 1 0 1 0 0 0\n2 nan 0 1 0 1 0 0 0\n"),
+                 ValueError, "data line '2 nan 0 1 0 1 0 0 0' has a value that is not finite",
+                 id="read-touchstone-nan"),
+    pytest.param(lambda doc, sub, tmp: _touchstone(
+                     tmp, "# GHz S RI R 50\ninf 0 0 1 0 1 0 0 0\n"),
+                 ValueError, "data line 'inf 0 0 1 0 1 0 0 0' has a value that is not finite",
+                 id="read-touchstone-inf"),
+    pytest.param(lambda doc, sub, tmp: _touchstone(
+                     tmp, "# GHz S DB R 50\n1 1e308 0 0 0 0 0 0 0\n"),
+                 ValueError, "data line '1 1e308 0 0 0 0 0 0 0' has a value that is not finite",
+                 id="read-touchstone-db-overflow"),
 ]
 
 

@@ -454,21 +454,23 @@ class TestAnalyzeCoupled:
 
 class TestAnalyzeDims:
     def test_analyzes_each_distinct_section_once(self, fr4_design, fr4, monkeypatch):
-        analyzed, checked = [], []
+        # on an empty memo, each distinct (w, s) is evaluated once
+        evaluated, checked, mode_step = [], [], mwbpf.microstrip._mode_step
 
-        def counting_model(w, s, sub):
-            analyzed.append((w, s))
-            return analyze_coupled(w, s, sub)
+        def counting_step(wt, gt, er):
+            evaluated.append((wt[0], gt[0]))  # (w, s)
+            return mode_step(wt, gt, er)
 
         def counting_check(w, s, sub):
             checked.append((w, s))
             check_fit_range(w, s, sub)
 
-        monkeypatch.setattr(mwbpf.microstrip, "analyze_coupled", counting_model)
+        monkeypatch.setattr(mwbpf.microstrip, "_MEMO", {})
+        monkeypatch.setattr(mwbpf.microstrip, "_mode_step", counting_step)
         monkeypatch.setattr(mwbpf.microstrip, "check_fit_range", counting_check)
         mps = analyze_dims(fr4_design.dims, fr4, fr4_design.spec.f0)
         pairs = [(d.w, d.s) for d in fr4_design.dims]
-        assert len(pairs) == 5 and analyzed == pairs[:3]
+        assert len(pairs) == 5 and evaluated == pairs[:3]
         assert checked == pairs
         assert mps == [analyze_coupled(w, s, fr4) for w, s in pairs]
 

@@ -591,10 +591,11 @@ def _recorded(fn):
 
 
 class TestSharedSectionTrig:
-    """sweep_pcl evaluates each distinct angle row (section, mode) once per
-    pass: rows share when their sections are equal in eps_eff_e, eps_eff_o and
-    length, compared as floats. ``ideal`` mode is one row, broadcast; a
-    mirror pair of a synthesized design shares its rows."""
+    """sweep_pcl evaluates the two mode rows of each distinct section once per
+    pass: a ``physical`` section is keyed on its dimensions (w, s, l),
+    compared as floats, so a mirror pair of a synthesized design is one
+    distinct section. ``ideal`` mode is one distinct section of one row,
+    broadcast."""
 
     @pytest.mark.parametrize("span", [(2.0, 3.0, 2501), (4.0, 6.32, 117)], ids=["band", "2f0"])
     @pytest.mark.parametrize("mode", ["ideal", "physical"])
@@ -635,7 +636,8 @@ class TestSharedSectionTrig:
     def test_lossless_physical_sweep_calls_cmath_once_per_row_and_point(
             self, fr4_design, fr4, monkeypatch):
         # sections 3 and 4 of the reference design hold the dimensions of 1
-        # and 0, so 6 of its 10 angle rows (sections x modes) are distinct
+        # and 0: 3 distinct sections, so 6 of its 10 angle rows (sections x
+        # modes) are evaluated
         assert fr4_design.dims[3:] == fr4_design.dims[1::-1]
         calls = _count_cmath(monkeypatch)
         sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, 10001),
@@ -643,8 +645,9 @@ class TestSharedSectionTrig:
         assert calls == {"sin": 6 * 10001, "tan": 6 * 10001}
 
     def test_lossy_physical_sweep_attenuates_each_row_once(self, fr4_design, fr4, monkeypatch):
-        # the dielectric loss runs on the 6 distinct rows' eps_eff [6, 1], once
-        # per block of 1024 points, not on all 10 (sections x modes)
+        # the dielectric loss runs on the 6 rows of the 3 distinct sections'
+        # eps_eff [3, 2, 1], once per block of 1024 points, not on all 10
+        # (sections x modes)
         shapes = []
 
         def counted(sub, eps_eff, f):
@@ -654,7 +657,7 @@ class TestSharedSectionTrig:
         monkeypatch.setattr("mwbpf.rfsim.dielectric_loss", counted)
         sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, 2049),
                   mode="physical", dims=fr4_design.dims, substrate=fr4, lossy=True)
-        assert shapes == [((6, 1), (1024,)), ((6, 1), (1024,)), ((6, 1), (1,))]
+        assert shapes == [((3, 2, 1), (1024,)), ((3, 2, 1), (1024,)), ((3, 2, 1), (1,))]
 
     def test_sections_that_all_differ_evaluate_every_row(self, fr4_design, fr4, monkeypatch):
         # sections 3 and 4 one ulp wider than their mirrors 1 and 0: all 10 rows differ
@@ -667,22 +670,44 @@ class TestSharedSectionTrig:
                   mode="physical", dims=tuple(dims), substrate=fr4)
         assert calls == {"sin": 10 * 10001, "tan": 10 * 10001}
 
+    def test_sections_that_all_equal_evaluate_two_rows(self, fr4_design, fr4, monkeypatch):
+        # five sections of one (w, s, l) are one distinct section, broadcast
+        calls = _count_cmath(monkeypatch)
+        sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, FrequencySweep(2.0, 3.0, 10001),
+                  mode="physical", dims=(fr4_design.dims[2],) * 5, substrate=fr4)
+        assert calls == {"sin": 2 * 10001, "tan": 2 * 10001}
+
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+    def test_sections_that_all_equal_match_the_oracle(self, fr4_design, fr4, lossy):
+        # the one distinct section's even mode is an exact half wave at a
+        # swept point: a lossless sweep nudges every section there, and each
+        # warns once
+        sweep = FrequencySweep(2.0, 3.0, 1001)
+        f, d = sweep.frequencies()[500], fr4_design.dims[2]
+        eps_e = analyze_coupled(d.w, d.s, fr4).eps_eff_e
+        dims = (CoupledSectionDims(w=d.w, s=d.s, l=C0 / (2 * f * 1e9 * math.sqrt(eps_e)) * 1e3),) * 5
+        kw = dict(mode="physical", dims=dims, substrate=fr4, lossy=lossy)
+        got = _outcome(lambda: sweep_pcl(fr4_design.coupling, fr4_design.spec.f0, sweep, **kw))
+        assert got == _outcome(lambda: oracle_sweep_pcl(fr4_design.coupling, fr4_design.spec.f0,
+                                                        sweep, **kw))
+        assert got[1] == ([] if lossy else
+                          [f"section is an exact multiple of pi at {f} GHz; nudging by 1 ppm"] * 5)
+
     def test_equal_rows_of_differently_nudged_sections_stay_apart(self):
-        # two sections of one length and one even mode; the second's odd mode
-        # is an exact half wave at a swept point, so that section alone is
-        # nudged there, and its even row with it: a key on the row alone
-        # would nudge both even rows or neither
+        # two distinct sections of one length and one even mode; the second's
+        # odd mode is an exact half wave at a swept point, so that section
+        # alone is nudged there, and its even row with it: rows shared across
+        # sections by eps_eff alone would nudge both even rows or neither
         freqs = FrequencySweep(2.0, 3.0, 101).frequencies()
         eps_o = 2.9
         l = C0 / (2 * freqs[40] * 1e9 * math.sqrt(eps_o)) * 1e3
         mps = [ModeParams(z0e=72.2, z0o=38.9, eps_eff_e=3.2, eps_eff_o=2.7),
                ModeParams(z0e=54.6, z0o=46.1, eps_eff_e=3.2, eps_eff_o=eps_o)]
-        eps = [(mp.eps_eff_e, mp.eps_eff_o) for mp in mps]
-        index, sec, row_eps, row_l = mwbpf.rfsim._rows(eps, [l, l])
+        eps = np.array([(mp.eps_eff_e, mp.eps_eff_o) for mp in mps])[..., None]
         zm = np.array([(mp.z0e, mp.z0o) for mp in mps])[..., None]
         got = _outcome(lambda: np.moveaxis(mwbpf.rfsim._cascade_block(
-            zm, np.sqrt(row_eps), np.zeros((len(sec), len(freqs))), row_l, index, sec, freqs),
-            (0, 1), (-2, -1)))
+            zm, np.sqrt(eps), np.zeros((2, 2, len(freqs))), np.full((2, 1, 1), l), np.arange(2),
+            freqs), (0, 1), (-2, -1)))
         want = _outcome(lambda: oracle_cascade(
             oracle_section_twoport(mp, 0.0, 0.0, l, freqs, [None, None]) for mp in mps))
         assert got == want
