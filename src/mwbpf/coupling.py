@@ -36,6 +36,13 @@ class CouplingDesign:
     z0: float
     sections: tuple[CouplingSection, ...]
 
+    RANGES = intervals({"z0": "(0, inf)"})  # ohm
+
+    def __post_init__(self):
+        check_ranges(self.RANGES, vars(self))
+        if not self.sections:
+            raise ValueError("need at least one coupling section")
+
 
 @dataclass(frozen=True)
 class CouplingMatrixModel:

@@ -244,16 +244,18 @@ def from_dict(data) -> DesignDocument:
     top = read_record(_DesignFile, data, "")
     coupling = read_record(_Coupling, top.coupling, "coupling")
     provenance = read_record(_Provenance, top.provenance, "provenance")
+    spec = read_record(FilterSpec, top.spec, "spec", SPEC_KEYS)
+    prototype = read_record(ChebyshevPrototype, top.prototype, "prototype")
+    sections = tuple(read_record(CouplingSection, s, f"coupling.sections[{i}]", SECTION_KEYS)
+                     for i, s in enumerate(coupling.sections))
+    try:
+        coupling = CouplingDesign(z0=coupling.z0_ohm, sections=sections)
+    except ValueError as exc:  # named as read_record names its errors
+        raise ValueError(f"coupling: {exc}") from None
     return DesignDocument(
-        spec=read_record(FilterSpec, top.spec, "spec", SPEC_KEYS),
-        prototype=read_record(ChebyshevPrototype, top.prototype, "prototype"),
-        coupling=CouplingDesign(
-            z0=coupling.z0_ohm,
-            sections=tuple(
-                read_record(CouplingSection, s, f"coupling.sections[{i}]", SECTION_KEYS)
-                for i, s in enumerate(coupling.sections)
-            ),
-        ),
+        spec=spec,
+        prototype=prototype,
+        coupling=coupling,
         dims=tuple(
             read_record(CoupledSectionDims, d, f"dims_mm[{i}]") for i, d in enumerate(top.dims_mm)
         ),

@@ -50,8 +50,8 @@ class SParamResult:
         check_ranges(self.RANGES, vars(self))
         f = np.asarray(self.frequencies, dtype=float)
         s = np.asarray(self.s, dtype=complex)
-        if f.ndim != 1 or s.shape != (len(f), 2, 2):
-            raise ValueError("need frequencies of shape [F] and s of shape [F, 2, 2]")
+        if f.ndim != 1 or not len(f) or s.shape != (len(f), 2, 2):
+            raise ValueError("need frequencies of shape [F], F >= 1, and s of shape [F, 2, 2]")
         if not (f[1:] > f[:-1]).all():
             raise ValueError("frequencies must be strictly increasing")
         object.__setattr__(self, "frequencies", f)
@@ -109,12 +109,6 @@ def _product(m, n, out=None):
     return np.add(m[:, :1] * n[0], m[:, 1:] * n[1], out=out)
 
 
-def _cmath(fn, z):
-    # elementwise cmath: numpy's complex tan differs from cmath.tan in the
-    # last ulp, enough to flip a 9-decimal Touchstone field
-    return np.fromiter(map(fn, z.ravel().tolist()), complex, count=z.size).reshape(z.shape)
-
-
 def _mode_angle(root_eps, alpha, l, f):
     """Complex electrical angle (beta - j alpha) l of a mode (l mm, f GHz)."""
     w_rad = 2.0 * math.pi * f * 1e9
@@ -122,9 +116,13 @@ def _mode_angle(root_eps, alpha, l, f):
 
 
 def _trig(theta):
-    """(sin, tan) of the angles ``theta`` by cmath; a sine that overflows is a ValueError."""
+    """(sin, tan) of the angles ``theta`` by cmath on one list of them (numpy's
+    complex tan is a last ulp off cmath.tan, enough to flip a 9-decimal
+    Touchstone field); a sine that overflows is a ValueError."""
+    z = theta.ravel().tolist()
     try:
-        return [_cmath(fn, theta) for fn in (cmath.sin, cmath.tan)]
+        return [np.fromiter(map(fn, z), complex, len(z)).reshape(theta.shape)
+                for fn in (cmath.sin, cmath.tan)]
     except OverflowError:
         raise ValueError("section attenuation overflows the sine; narrow the span") from None
 

@@ -5,11 +5,12 @@ timestamp unless one is passed in explicitly.
 
 A field is what ``f"{v:.9f}"`` writes (Touchstone, and the CSV frequency)
 or ``f"{v:.6f}"`` (CSV dB and degrees); Touchstone writes an exact zero as
-``0``, and CSV writes S = 0 as -300 dB. The emitters render a block of rows
+``0``, and CSV writes S = 0 as -300 dB. The emitters render ``_BLOCK`` rows
 at once: ``n = rint(|v| 10^d)`` is split into groups of three digits, each
 looked up in a table as the bytes of one uint32, and a row's text is the
 bytes of its words with the NUL bytes left out. A row is rendered by the
-per-field scalar code instead when any of its fields
+per-field scalar code instead (a block with none pays one test) when any
+of its fields
 
 - is not finite (S = 0 gives a CSV dB of -inf) or has ``|v| >= 999``, so
   that the integer part is one group;
@@ -35,13 +36,13 @@ import numpy as np
 
 from .rfsim import SParamResult
 
-_BLOCK = 512  # rows rendered per block: bounds the text-building temporaries
+_BLOCK = 2048  # rows per block: per-call overhead binds below; 4096 outgrows the cache
 _EPS = 2.0**-52
 
 # Three digits per little-endian uint32, so that the bytes are in text order:
 # "000".."999" and, for the integer part, "0.".."999." with NULs for the
-# leading zeros. Built from bytes: numpy arithmetic here paged in numpy code
-# at import and raised the importing process's peak RSS by 0.5 MB.
+# leading zeros. Built from bytes: numpy arithmetic here raised the importing
+# process's peak RSS by 0.5 MB.
 _DIGITS = np.frombuffer(b"".join(b"%03d\0" % k for k in range(1000)), "<u4")
 _INTEGER = np.frombuffer(b"".join(b"%3d." % k for k in range(1000)).replace(b" ", b"\0"), "<u4")
 
@@ -51,10 +52,6 @@ def _fmt(x: float) -> str:
     if x == 0.0:
         return "0"
     return f"{x:.9f}"
-
-
-def _touchstone_row(f: float, ri: list[float]) -> str:
-    return " ".join(map(_fmt, [f, *ri]))
 
 
 def _csv_row(f: float, s11: complex, s21: complex) -> str:
@@ -71,13 +68,17 @@ def _fields(
     """Each v of ``x[R, C]`` after the separator ``seps[C]``: the separator and
     ``f"{v:.{decimals}f}"``, signed by ``negative``, as uint32 words
     ``[R, C, 2 + decimals // 3]`` whose bytes are that text with NULs among
-    them; and the rows that need the scalar code."""
-    scale = 10.0**decimals
-    a = np.abs(x)
-    ok = a < 999.0  # False for inf and nan
-    y = np.where(ok, a, 0.0) * scale
-    ok &= (x != 0) & (np.abs(y - np.floor(y) - 0.5) > tie_ulps * _EPS * y)
-    n = np.rint(y).astype(np.int64)
+    them; and ``ok[R, C]``, False where the scalar code writes the field."""
+    y = np.abs(x)
+    ok = y < 999.0  # False for inf and nan
+    if not ok.all():
+        y = np.where(ok, y, 0.0)
+    y *= 10.0**decimals
+    tie = np.floor(y)
+    np.subtract(y, tie, out=tie)
+    tie -= 0.5
+    ok &= (x != 0) & (np.abs(tie, out=tie) > tie_ulps * _EPS * y)
+    n = np.rint(y, out=y).astype(np.int64)
     words = np.empty(x.shape + (2 + decimals // 3,), _DIGITS.dtype)
     words[..., 0] = seps | negative * np.uint32(ord("-") << 8)
     q = n // 10**decimals
@@ -88,34 +89,34 @@ def _fields(
         words[..., k] = _DIGITS.take(n - high * 1000)
         n = high
     words[..., 2] = _DIGITS.take(n)
-    return words, ~ok.all(axis=1)
+    return words, ok
 
 
 def _rows(columns, sep: str, tie_ulps: int, scalar_row) -> str:
     """Rows, each a newline and then the fields of ``columns``, a list of
     ``(x[R, C], decimals, negative[R, C])`` laid side by side, joined by
     ``sep``; row i is ``scalar_row(i)`` where the module docstring says."""
-    parts, bad = [], False
+    parts, bad = [], []
     for x, decimals, negative in columns:
         seps = np.full(x.shape[1], ord(sep), np.uint32)
         if not parts:
             seps[0] = ord("\n")
-        words, rows_bad = _fields(x, decimals, negative, seps, tie_ulps)
+        words, ok = _fields(x, decimals, negative, seps, tie_ulps)
         parts.append(words.reshape(len(x), -1))
-        bad = bad | rows_bad
-    text = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
-    if not bad.any():
+        if not ok.all():
+            bad.append(~ok.all(axis=1))
+    words = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    if not bad:
         return text
     rows = text.split("\n")  # rows[0] is the empty text before the first row
-    for i in np.flatnonzero(bad).tolist():
+    for i in np.flatnonzero(np.any(bad, axis=0)).tolist():
         rows[i + 1] = scalar_row(i)
     return "\n".join(rows)
 
 
 def touchstone_text(result: SParamResult, comments: tuple[str, ...] = ()) -> str:
     """Render a 2-port Touchstone v1.1 document (GHz, S, real/imaginary)."""
-    if not len(result.frequencies):
-        raise ValueError("empty sweep result")
     lines = [f"! {c}" for c in comments]
     lines.append(f"# GHz S RI R {result.z0:g}")
     lines.append("! f_GHz Re(S11) Im(S11) Re(S21) Im(S21) Re(S12) Im(S12) Re(S22) Im(S22)")
@@ -126,7 +127,7 @@ def touchstone_text(result: SParamResult, comments: tuple[str, ...] = ()) -> str
         ri = s[lo:lo + _BLOCK].take([0, 2, 1, 3], axis=1).view(float)  # re, im pairs
         x = np.column_stack([f, ri])
         text.append(_rows([(x, 9, np.signbit(x))], " ", 4,
-                          lambda i: _touchstone_row(float(f[i]), ri[i].tolist())))
+                          lambda i: " ".join(map(_fmt, x[i].tolist()))))
     text.append("\n")
     return "".join(text)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -281,6 +282,20 @@ class TestPersistence:
         assert data["coupling"]["z0_ohm"] == data["spec"]["z0_ohm"]
         data["coupling"]["z0_ohm"] = 75.0
         with pytest.raises(ValueError, match="z0_ohm"):
+            from_dict(data)
+
+    @pytest.mark.parametrize("sections, z0, message", [
+        ([], 50.0, "coupling: need at least one coupling section"),
+        (None, 0.0, "coupling: z0 = 0.0 must lie in (0, inf)"),
+        (None, math.nan, "coupling: z0 = nan must lie in (0, inf)"),
+    ])
+    def test_coupling_refused_by_name(self, fr4_design, sections, z0, message):
+        # the sweep no longer meets an empty cascade or a z0 of 0 or nan
+        data = to_dict(fr4_design)
+        data["coupling"]["z0_ohm"] = z0
+        if sections is not None:
+            data["coupling"]["sections"] = sections
+        with pytest.raises(ValueError, match=re.escape(message)):
             from_dict(data)
 
     def test_dict_round_trip_is_equal(self, fr4_design):

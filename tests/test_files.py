@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mwbpf.design import simulate
 from mwbpf.rfsim import FrequencySweep, SParamResult, sweep_pcl
 from mwbpf.touchstone import (
+    _BLOCK,
     csv_text,
     read_touchstone,
     touchstone_text,
@@ -53,9 +54,8 @@ class TestTouchstoneWriter:
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_result_rejected(self):
-        empty = SParamResult(frequencies=(), s=np.empty((0, 2, 2)), z0=50.0)
-        with pytest.raises(ValueError):
-            touchstone_text(empty)
+        with pytest.raises(ValueError, match="frequencies"):
+            SParamResult(frequencies=(), s=np.empty((0, 2, 2)), z0=50.0)
 
 
 class TestTouchstoneRoundTrip:
@@ -172,6 +172,24 @@ class TestEmittersMatchPerFieldOracle:
         result = simulate(doc, registry.get(board), mode, FrequencySweep(*span, 1001), lossy=lossy)
         comments = ("run", f"{board} {mode}")
         assert touchstone_text(result, comments) == oracle_touchstone_text(result, comments)
+        assert csv_text(result) == oracle_csv_text(result)
+
+    # rows that the scalar code writes on the last row of block 1, the first
+    # row of block 2 and the final row: S11 = 0 (Touchstone "0", CSV -300 dB),
+    # a 9-decimal tie in f, and test_csv_fields_next_to_a_tie's first S21,
+    # whose degrees lie a last bit from a 6-decimal tie
+    @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_block_boundaries(self, rows):
+        rng = np.random.default_rng(rows)
+        f = 1.0 + 0.01 * np.arange(rows)
+        s = rng.uniform(-1.0, 1.0, (rows, 2, 2)) + 1j * rng.uniform(-1.0, 1.0, (rows, 2, 2))
+        for i in {_BLOCK - 1, _BLOCK, rows - 1} & set(range(rows)):
+            k = round(f[i] * 1024)
+            f[i] = (k | 1) / 1024  # odd k / 1024 has ten decimals
+            s[i, 0, 0] = 0.0
+            s[i, 1, 0] = 0.21858299519301158 + 0.4496904204143688j
+        result = SParamResult(f, s, 50.0)
+        assert touchstone_text(result, ("run",)) == oracle_touchstone_text(result, ("run",))
         assert csv_text(result) == oracle_csv_text(result)
 
     def test_csv_fields_next_to_a_tie(self):

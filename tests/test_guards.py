@@ -82,6 +82,13 @@ GUARDS = [
                      doc, coupling=CouplingDesign(doc.coupling.z0, doc.coupling.sections[1:])),
                  ValueError, r"coupling sections count must be n\+1",
                  id="design-document-section-count"),
+    # an empty cascade and a z0 outside the range are refused before any sweep
+    pytest.param(lambda doc, sub, tmp: CouplingDesign(50.0, ()), ValueError,
+                 "need at least one coupling section", id="coupling-design-no-sections"),
+    *(pytest.param(lambda doc, sub, tmp, v=v: CouplingDesign(v, doc.coupling.sections),
+                   ValueError, re.escape(f"z0 = {v} must lie in (0, inf)"),
+                   id=f"coupling-design-z0-{v}")
+      for v in (0.0, -50.0, math.nan, math.inf)),
     pytest.param(lambda doc, sub, tmp: StackupLayer("via", "copper", 0.035), ValueError,
                  "unknown stackup role 'via'", id="stackup-layer-role"),
     pytest.param(lambda doc, sub, tmp: pcl_layout(
